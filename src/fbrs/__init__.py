@@ -23,7 +23,6 @@ from .fb import (
     fb_coefficients,
     phi_eps,
     residual_map,
-    residual_split,
     smoothing_gap_bound_check,
 )
 from .mpc import (
@@ -62,7 +61,6 @@ from .oracle import (
 from .problem import (
     PrimalDualPoint,
     QpProblem,
-    ResidualSplit,
     ValidationReport,
     constraint_slack,
     lagrangian_gradient,

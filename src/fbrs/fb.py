@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .problem import (
-    PrimalDualPoint,
-    QpProblem,
-    ResidualSplit,
-    constraint_slack,
-    lagrangian_gradient,
-)
+from .problem import PrimalDualPoint, QpProblem, constraint_slack, lagrangian_gradient
 
 # Tie-break at eps = 0, (y_i, v_i) = (0, 0): alpha = beta = 1/sqrt(2), so both
 # coefficients equal 1 - 1/sqrt(2) before regularization. Deterministic,
@@ -31,12 +25,10 @@ VARIANTS = ("smoothed", "semismooth")
 
 @dataclass(frozen=True)
 class FbCoefficients:
-    """Diagonals gamma, mu of the blocks C, D, plus the (eps, delta) they used."""
+    """Diagonals gamma, mu of the blocks C, D."""
 
     gamma: np.ndarray
     mu: np.ndarray
-    epsilon: float
-    delta: float
 
 
 def phi_eps(a, b, eps: float):
@@ -79,23 +71,13 @@ def fb_coefficients(
     nz = r > 0.0
     gamma[nz] = 1.0 - y[nz] / r[nz]
     mu[nz] = 1.0 - v[nz] / r[nz]
-    return FbCoefficients(gamma=gamma + delta, mu=mu + delta, epsilon=eps, delta=delta)
+    return FbCoefficients(gamma=gamma + delta, mu=mu + delta)
 
 
 def residual_map(p: QpProblem, x: PrimalDualPoint, eps: float) -> np.ndarray:
     """F_eps(x) = [Hz + f + A'v; phi_eps(v, y)] with y = b - Az."""
     y = constraint_slack(p, x.z)
     return np.concatenate([lagrangian_gradient(p, x), phi_eps(x.v, y, eps)])
-
-
-def residual_split(p: QpProblem, x: PrimalDualPoint, eps: float) -> ResidualSplit:
-    """The negated residual blocks (the Newton right-hand side) plus the slack."""
-    y = constraint_slack(p, x.z)
-    return ResidualSplit(
-        stationarity=-lagrangian_gradient(p, x),
-        complementarity=-phi_eps(x.v, y, eps),
-        constraint_slack=y,
-    )
 
 
 def smoothing_gap_bound_check(p: QpProblem, x: PrimalDualPoint, eps: float):

@@ -9,6 +9,11 @@ with C = diag(gamma), D = diag(mu) from the FB kernel, solves it either as a
 dense LU of the full matrix or through the condensed SPD Schur complement
 H + A' C D^-1 A, and globalizes with a backtracking linesearch on the merit
 function theta = 0.5 ||F_eps||^2.
+
+fbrs_solve holds the iterate as plain arrays (z, v) and evaluates each point
+it visits once: the residual F_eps and slack y of the point the linesearch
+accepts give the next pass its norms, its Newton right-hand side, its FB
+coefficients and theta. Inputs are validated at entry only.
 """
 
 from __future__ import annotations
@@ -29,14 +34,7 @@ from .errors import (
     SingularSystem,
 )
 from .fb import fb_coefficients, phi_eps, residual_map
-from .problem import (
-    PrimalDualPoint,
-    QpProblem,
-    constraint_slack,
-    lagrangian_gradient,
-    natural_residual,
-    _check_dims,
-)
+from .problem import PrimalDualPoint, QpProblem, _check_dims
 
 SOLVE_PATHS = ("full_lu", "condensed_cholesky", "auto")
 CRITERIA = ("f0", "fnr")
@@ -151,6 +149,18 @@ class SolverResult:
     trace: list[IterationRecord] = field(default_factory=list)
 
 
+def _evaluate(p: QpProblem, z: np.ndarray, v: np.ndarray, eps: float):
+    """(F_eps, y) at (z, v): the residual [Hz + f + A'v; phi_eps(v, y)] and the
+    slack y = b - Az. Every point the solver visits is evaluated here once."""
+    y = p.b - p.A @ z
+    return np.concatenate([p.H @ z + p.f + p.A.T @ v, phi_eps(v, y, eps)]), y
+
+
+def _newton_system(p: QpProblem, F, y, v, eps: float, delta: float, variant: str) -> NewtonSystem:
+    coeff = fb_coefficients(y, v, eps, delta, variant)
+    return NewtonSystem(H=p.H, A=p.A, gamma=coeff.gamma, mu=coeff.mu, r_s=-F[:p.n], r_c=-F[p.n:])
+
+
 def assemble_system(
     p: QpProblem,
     x: PrimalDualPoint,
@@ -160,16 +170,8 @@ def assemble_system(
 ) -> NewtonSystem:
     """Coefficients and right-hand side of the Newton system at x."""
     _check_dims(p, x)
-    y = constraint_slack(p, x.z)
-    coeff = fb_coefficients(y, x.v, eps, delta, variant)
-    return NewtonSystem(
-        H=p.H,
-        A=p.A,
-        gamma=coeff.gamma,
-        mu=coeff.mu,
-        r_s=-lagrangian_gradient(p, x),
-        r_c=-phi_eps(x.v, y, eps),
-    )
+    F, y = _evaluate(p, x.z, x.v, eps)
+    return _newton_system(p, F, y, x.v, eps, delta, variant)
 
 
 def kkt_matrix(sys: NewtonSystem) -> np.ndarray:
@@ -242,34 +244,37 @@ def merit(p: QpProblem, x: PrimalDualPoint, eps: float) -> float:
 
 def merit_gradient(p: QpProblem, x: PrimalDualPoint, eps: float, variant: str = "smoothed") -> np.ndarray:
     """grad theta_eps = V' F_eps with V the unregularized (delta = 0) iteration matrix."""
-    sys0 = assemble_system(p, x, eps, 0.0, variant)
+    return _merit_gradient(assemble_system(p, x, eps, 0.0, variant))
+
+
+def _merit_gradient(sys0: NewtonSystem) -> np.ndarray:
     F_top, F_bot = -sys0.r_s, -sys0.r_c
     gz = sys0.H @ F_top - sys0.A.T @ (sys0.gamma * F_bot)
     gv = sys0.A @ F_top + sys0.mu * F_bot
     return np.concatenate([gz, gv])
 
 
-def linesearch(
-    p: QpProblem,
-    x: PrimalDualPoint,
-    dx: np.ndarray,
-    eps: float,
-    sigma: float,
-    beta: float,
-    max_backtracks: int,
-):
-    """First t in {1, beta, beta^2, ...} with theta(x + t dx) < (1 - 2 t sigma) theta(x).
+def linesearch(p: QpProblem, z, v, F, dx, eps: float, sigma: float, beta: float, max_backtracks: int):
+    """First t in {1, beta, beta^2, ...} with theta(x + t dx) < (1 - 2 t sigma) theta(x),
+    where x = (z, v), F = F_eps(x) and theta = 0.5 ||F_eps||^2.
 
-    Returns (t, backtracks). Raises LinesearchError when max_backtracks
-    reductions were not enough (delta too large or a defective direction).
+    Returns (t, backtracks, z', v', F', y') at the accepted point, y' = b - Az'.
+    Raises LinesearchError when max_backtracks reductions were not enough
+    (delta too large or a defective direction), InvalidProblem when dx is
+    not finite.
     """
-    theta0 = merit(p, x, eps)
+    theta0 = 0.5 * float(F @ F)
     if theta0 <= 0.0:
         raise LinesearchError("merit already zero; no descent possible")
+    if not np.all(np.isfinite(dx)):
+        raise InvalidProblem("non-finite search direction")
+    n = p.n
     for j in range(max_backtracks + 1):
         t = beta**j
-        if merit(p, x.step(dx, t), eps) < (1.0 - 2.0 * t * sigma) * theta0:
-            return t, j
+        z_t, v_t = z + t * dx[:n], v + t * dx[n:]
+        F_t, y_t = _evaluate(p, z_t, v_t, eps)
+        if 0.5 * float(F_t @ F_t) < (1.0 - 2.0 * t * sigma) * theta0:
+            return t, j, z_t, v_t, F_t, y_t
     raise LinesearchError(f"no acceptable step after {max_backtracks} backtracks")
 
 
@@ -284,76 +289,64 @@ def _solve_step(sys: NewtonSystem, path: str):
         return solve_full(sys)
 
 
-def _step_with_recovery(p, x, eps, delta, cfg):
-    """One globalized step. On linesearch failure, shrink delta (up to 3 times)
-    and recompute; as a last resort take a backtracked merit-gradient step.
-    Returns (dx, t, backtracks, linear_solve_residual, delta)."""
-
-    def newton_direction(d):
-        sys = assemble_system(p, x, eps, d, cfg.variant)
-        return _solve_step(sys, cfg.solve_path)
-
-    dx, lsr = newton_direction(delta)
-    for attempt in range(4):
-        try:
-            t, nb = linesearch(p, x, dx, eps, cfg.sigma, cfg.beta, cfg.max_backtracks)
-            return dx, t, nb, lsr, delta
-        except LinesearchError:
-            if attempt == 3:
-                break
-            delta = delta / 10.0
-            dx, lsr = newton_direction(delta)
-    dx = -merit_gradient(p, x, eps, cfg.variant)
-    t, nb = linesearch(p, x, dx, eps, cfg.sigma, cfg.beta, cfg.max_backtracks)
-    return dx, t, nb, 0.0, delta
-
-
 def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = None) -> SolverResult:
     """Run the damped Newton iteration from x0 (feasibility not required).
 
     Per pass: shrink delta to min(delta, ||F_eps||), stop if the termination
     criterion already holds (so a warmstart at the solution costs zero Newton
-    solves), otherwise compute a globalized step. The trace gets one record
-    per pass including the terminal one, so it has iterations + 1 entries.
+    solves), otherwise take a globalized step. When the linesearch rejects the
+    Newton step, delta shrinks by 10 (up to 3 times, carried forward) and the
+    step is recomputed; as a last resort a merit-gradient step is taken. The
+    trace gets one record per pass including the terminal one, so it has
+    iterations + 1 entries. A non-finite step direction ends the solve with
+    INVALID_PROBLEM at the last finite iterate.
     """
     cfg = cfg or SolverConfig()
     _check_dims(p, x0)
+    n = p.n
     eps = cfg.effective_eps(p.q)
+    search = (eps, cfg.sigma, cfg.beta, cfg.max_backtracks)
     delta = cfg.delta0
-    x = x0
+    z, v = x0.z, x0.v
+    F, y = _evaluate(p, z, v, eps)
     trace: list[IterationRecord] = []
     status = Status.MAX_ITERS
     iterations = 0
 
-    def observe(k: int, d: float, n_feps: float) -> IterationRecord:
-        n_f0 = n_feps if eps == 0.0 else float(np.linalg.norm(residual_map(p, x, 0.0)))
-        n_fnr = float(np.linalg.norm(natural_residual(p, x)))
-        return IterationRecord(
-            k=k, norm_Feps=n_feps, norm_F0=n_f0, norm_Fnr=n_fnr,
-            t=0.0, delta=d, eps=eps, backtracks=0, linear_solve_residual=0.0,
-        )
-
     for k in range(cfg.max_iters + 1):
-        n_feps = float(np.linalg.norm(residual_map(p, x, eps)))
+        n_feps = float(np.linalg.norm(F))
         if cfg.update_delta:
             delta = min(delta, n_feps)
-        rec = observe(k, delta, n_feps)
+        n_f0 = n_feps if eps == 0.0 else float(np.linalg.norm(np.concatenate([F[:n], phi_eps(v, y, 0.0)])))
+        n_fnr = float(np.linalg.norm(np.concatenate([F[:n], np.minimum(y, v)])))
+        rec = IterationRecord(
+            k=k, norm_Feps=n_feps, norm_F0=n_f0, norm_Fnr=n_fnr,
+            t=0.0, delta=delta, eps=eps, backtracks=0, linear_solve_residual=0.0,
+        )
         trace.append(rec)
-        crit = rec.norm_F0 if cfg.criterion == "f0" else rec.norm_Fnr
-        if crit <= cfg.tol:
+        if (n_f0 if cfg.criterion == "f0" else n_fnr) <= cfg.tol:
             status = Status.SOLVED
             break
         if k == cfg.max_iters:
             break
         try:
-            dx, t, nb, lsr, delta = _step_with_recovery(p, x, eps, delta, cfg)
+            for shrink in range(4):
+                if shrink:
+                    delta = delta / 10.0
+                dx, lsr = _solve_step(_newton_system(p, F, y, v, eps, delta, cfg.variant), cfg.solve_path)
+                try:
+                    t, nb, z, v, F, y = linesearch(p, z, v, F, dx, *search)
+                    break
+                except LinesearchError:
+                    pass
+            else:
+                dx, lsr = -_merit_gradient(_newton_system(p, F, y, v, eps, 0.0, cfg.variant)), 0.0
+                t, nb, z, v, F, y = linesearch(p, z, v, F, dx, *search)
         except LinesearchError:
             status = Status.LINESEARCH_FAILURE
             break
-        try:
-            x = x.step(dx, t)
         except InvalidProblem:
-            # non-finite update; keep the last finite iterate
+            # non-finite direction; (z, v) is still the last finite iterate
             status = Status.INVALID_PROBLEM
             break
         rec.t = t
@@ -363,7 +356,7 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
 
     last = trace[-1]
     return SolverResult(
-        x=x,
+        x=PrimalDualPoint(z, v),
         status=status,
         iterations=iterations,
         final_norm_F0=last.norm_F0,

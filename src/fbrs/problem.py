@@ -107,28 +107,6 @@ class PrimalDualPoint:
 
 
 @dataclass(frozen=True)
-class ResidualSplit:
-    """Right-hand-side blocks of the Newton system at a given iterate.
-
-    stationarity    r_s = -(Hz + f + A'v)
-    complementarity r_c = -phi_eps(v, y)
-    constraint_slack y  = b - Az   (always recomputed, never cached)
-    """
-
-    stationarity: np.ndarray
-    complementarity: np.ndarray
-    constraint_slack: np.ndarray
-
-    @property
-    def stationarity_norm(self) -> float:
-        return float(np.linalg.norm(self.stationarity))
-
-    @property
-    def complementarity_norm(self) -> float:
-        return float(np.linalg.norm(self.complementarity))
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the checkable problem assumptions.
 

@@ -104,6 +104,15 @@ def test_solve_nonconverged_exits_one(toy_file, capsys):
     assert "status MaxIters" in out
 
 
+def test_solve_non_finite_step_exits_one(tmp_path, capsys):
+    path = tmp_path / "huge.qp"
+    path.write_text(TOY + "x0\n1.7e308 1.7e308\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["solve", "--input", str(path)])
+    assert code == 1
+    assert "status InvalidProblem" in capsys.readouterr().out
+
+
 def test_solve_flag_variants(toy_file, capsys):
     for extra in (["--variant", "semismooth"], ["--path", "full"], ["--path", "condensed"],
                   ["--criterion", "fnr", "--tol", "1e-6"]):

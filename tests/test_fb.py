@@ -12,7 +12,6 @@ from fbrs import (
     fb_coefficients,
     phi_eps,
     residual_map,
-    residual_split,
     smoothing_gap_bound_check,
 )
 
@@ -108,15 +107,6 @@ def test_residual_map_at_origin():
     out = residual_map(p, PrimalDualPoint(np.zeros(3), np.zeros(4)), 0.0)
     assert out[:3] == pytest.approx(p.f)
     assert out[3:] == pytest.approx(p.b - np.abs(p.b))
-
-
-def test_residual_split_blocks(qp_1d):
-    x = PrimalDualPoint([0.0], [0.0])
-    split = residual_split(qp_1d, x, 0.1)
-    assert split.stationarity == pytest.approx([1.0])
-    assert split.constraint_slack == pytest.approx([0.5])
-    assert split.complementarity == pytest.approx([math.sqrt(0.26) - 0.5])
-    assert split.stationarity_norm == pytest.approx(1.0)
 
 
 def test_smoothing_gap_equality_at_origin():

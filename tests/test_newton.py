@@ -245,7 +245,7 @@ def test_linesearch_unit_step_near_solution(qp_1d):
     x = PrimalDualPoint([0.5 + 1e-5], [0.5 - 1e-5])
     eps = 1e-9
     dx, _ = solve_full(assemble_system(qp_1d, x, eps, 0.0))
-    t, backtracks = linesearch(qp_1d, x, dx, eps, 1e-4, 0.7, 40)
+    t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, eps), dx, eps, 1e-4, 0.7, 40)
     assert t == 1.0
     assert backtracks == 0
 
@@ -255,14 +255,14 @@ def test_linesearch_newton_step_decreases_merit():
     p = random_strictly_convex_qp(4, 6, rng)
     x = PrimalDualPoint(rng.standard_normal(4), rng.standard_normal(6))
     dx, _ = solve_full(assemble_system(p, x, 0.01, 1e-8))
-    t, _ = linesearch(p, x, dx, 0.01, 1e-4, 0.7, 40)
+    t, *_ = linesearch(p, x.z, x.v, residual_map(p, x, 0.01), dx, 0.01, 1e-4, 0.7, 40)
     assert merit(p, x.step(dx, t), 0.01) < merit(p, x, 0.01)
 
 
 def test_linesearch_backtracks_on_overshoot(qp_1d):
     x = PrimalDualPoint([100.0], [50.0])
     dx, _ = solve_full(assemble_system(qp_1d, x, 0.1, 0.0))
-    t, backtracks = linesearch(qp_1d, x, 3.0 * dx, 0.1, 0.499, 0.7, 40)
+    t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, 0.1), 3.0 * dx, 0.1, 0.499, 0.7, 40)
     assert backtracks >= 1
     assert t == pytest.approx(0.7**backtracks)
 
@@ -271,7 +271,7 @@ def test_linesearch_fails_on_ascent_direction(qp_1d):
     x = PrimalDualPoint([100.0], [50.0])
     up = merit_gradient(qp_1d, x, 0.1)
     with pytest.raises(LinesearchError):
-        linesearch(qp_1d, x, up, 0.1, 1e-4, 0.7, 10)
+        linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, 0.1), up, 0.1, 1e-4, 0.7, 10)
 
 
 # --- the full solve ---------------------------------------------------------
@@ -339,6 +339,17 @@ def test_warmstart_at_solution_takes_zero_iterations(qp_1d):
     assert len(again.trace) == 1
 
 
+def test_non_finite_step_returns_invalid_problem(qp_1d):
+    # at this start the residual overflows and the Newton direction is not
+    # finite: the solve reports it and keeps the last finite iterate
+    x0 = PrimalDualPoint([1.7e308], [1.7e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = fbrs_solve(qp_1d, x0)
+    assert result.status == Status.INVALID_PROBLEM
+    assert result.iterations == 0
+    assert np.array_equal(result.x.z, x0.z) and np.array_equal(result.x.v, x0.v)
+
+
 def test_fixed_delta_mode(qp_1d):
     cfg = SolverConfig(update_delta=False, delta0=1e-6)
     result = fbrs_solve(qp_1d, PrimalDualPoint.zeros(1, 1), cfg)
@@ -373,6 +384,25 @@ def test_monotone_armijo_descent_along_trace():
         for a, b in zip(result.trace, result.trace[1:]):
             theta_a, theta_b = 0.5 * a.norm_Feps**2, 0.5 * b.norm_Feps**2
             assert theta_b < (1.0 - 2.0 * a.t * sigma) * theta_a
+
+
+def test_recovery_keeps_descent_and_shrinks_delta():
+    # one backtrack per linesearch forces the delta shrinks and the
+    # merit-gradient fallback, which the default settings rarely reach
+    rng = np.random.default_rng(3)
+    cfg = SolverConfig(max_backtracks=1)
+    fallbacks = 0
+    for _ in range(100):
+        p = random_strictly_convex_qp(6, 12, rng)
+        result = fbrs_solve(p, random_infeasible_start(p, rng), cfg)
+        assert result.status in (Status.SOLVED, Status.LINESEARCH_FAILURE)
+        for a, b in zip(result.trace, result.trace[1:]):
+            theta_a, theta_b = 0.5 * a.norm_Feps**2, 0.5 * b.norm_Feps**2
+            assert theta_b < (1.0 - 2.0 * a.t * cfg.sigma) * theta_a
+            assert b.delta <= a.delta
+        # a gradient step is the only accepted step without a linear solve
+        fallbacks += any(rec.t > 0 and rec.linear_solve_residual == 0.0 for rec in result.trace)
+    assert fallbacks >= 1
 
 
 def test_termination_sandwich():
