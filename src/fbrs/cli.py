@@ -3,7 +3,8 @@
 Subcommands: solve (run the Newton solver on an FBQP file), validate (problem
 assumption checks), oracle (active-set enumeration reference solve), mpc
 (bundled closed-loop warmstart experiments). Exit codes: 0 success, 1 solver
-or validation failure, 2 usage and parse errors.
+or validation failure, 2 usage and parse errors, including flag values out
+of range.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import FbrsError, InvalidProblem, ParseError
+from .errors import FbrsError, InvalidConfig, InvalidProblem, InvalidSpec, ParseError
 from .mpc import BUNDLED_EXAMPLES, run_sequence
 from .newton import SolverConfig, Status, fbrs_solve
 from .oracle import solve_by_enumeration, verify_kkt
@@ -19,8 +20,6 @@ from .problem import PrimalDualPoint, objective, validate_problem
 from .qpfile import parse_qp, serialize_qp
 
 TRACE_HEADER = "iter,norm_Feps,norm_F0,norm_Fnr,t,delta,eps,backtracks"
-
-_PATHS = {"auto": "auto", "full": "full_lu", "condensed": "condensed_cholesky"}
 
 
 def _fmt(value: float) -> str:
@@ -64,8 +63,6 @@ def _cmd_solve(args) -> int:
         sigma=args.sigma,
         beta=args.beta,
         delta0=args.delta0,
-        variant=args.variant,
-        solve_path=_PATHS[args.path],
         criterion=args.criterion,
     )
     result = fbrs_solve(problem, x0, cfg)
@@ -137,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--sigma", type=float, default=1e-4)
     solve.add_argument("--beta", type=float, default=0.7)
     solve.add_argument("--delta0", type=float, default=1e-8)
-    solve.add_argument("--variant", choices=["smoothed", "semismooth"], default="smoothed")
-    solve.add_argument("--path", choices=["auto", "full", "condensed"], default="auto")
     solve.add_argument("--criterion", choices=["f0", "fnr"], default="f0")
     solve.add_argument("--warmstart", help="FBQP file whose x0 row seeds the solve")
     solve.add_argument("--trace", help="write per-iteration CSV here")
@@ -173,7 +168,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, InvalidProblem) as exc:
+    except (ParseError, InvalidProblem, InvalidConfig, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FbrsError as exc:

@@ -10,7 +10,7 @@ class InvalidProblem(FbrsError):
 
 
 class InvalidConfig(FbrsError):
-    """Solver configuration violates a parameter range or variant rule."""
+    """Solver configuration or FB kernel argument is out of its valid range."""
 
 
 class SingularSystem(FbrsError):

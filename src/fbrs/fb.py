@@ -15,13 +15,6 @@ import numpy as np
 from .errors import InvalidConfig
 from .problem import PrimalDualPoint, QpProblem, constraint_slack, lagrangian_gradient
 
-# Tie-break at eps = 0, (y_i, v_i) = (0, 0): alpha = beta = 1/sqrt(2), so both
-# coefficients equal 1 - 1/sqrt(2) before regularization. Deterministic,
-# symmetric in (y, v), and strictly positive even at delta = 0.
-SEMISMOOTH_TIE = 1.0 - 1.0 / math.sqrt(2.0)
-
-VARIANTS = ("smoothed", "semismooth")
-
 
 @dataclass(frozen=True)
 class FbCoefficients:
@@ -42,36 +35,20 @@ def phi_eps(a, b, eps: float):
     return float(out) if out.ndim == 0 else out
 
 
-def fb_coefficients(
-    y: np.ndarray,
-    v: np.ndarray,
-    eps: float,
-    delta: float,
-    variant: str = "smoothed",
-) -> FbCoefficients:
+def fb_coefficients(y: np.ndarray, v: np.ndarray, eps: float, delta: float) -> FbCoefficients:
     """Per-row coefficients gamma_i = 1 - y_i/r_i + delta, mu_i = 1 - v_i/r_i + delta
     with r_i = sqrt(y_i^2 + v_i^2 + eps^2).
 
-    The smoothed variant requires eps > 0. The semismooth variant allows
-    eps = 0 and applies the fixed tie-break at rows where r_i = 0.
+    Requires eps > 0, which keeps every r_i positive, and delta >= 0.
     """
-    if variant not in VARIANTS:
-        raise InvalidConfig(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if eps < 0:
-        raise InvalidConfig("eps must be nonnegative")
-    if variant == "smoothed" and eps == 0:
-        raise InvalidConfig("the smoothed variant requires eps > 0")
+    if eps <= 0:
+        raise InvalidConfig("eps must be positive")
     if delta < 0:
         raise InvalidConfig("delta must be nonnegative")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     r = np.hypot(np.hypot(y, v), eps)
-    gamma = np.full_like(r, SEMISMOOTH_TIE)
-    mu = np.full_like(r, SEMISMOOTH_TIE)
-    nz = r > 0.0
-    gamma[nz] = 1.0 - y[nz] / r[nz]
-    mu[nz] = 1.0 - v[nz] / r[nz]
-    return FbCoefficients(gamma=gamma + delta, mu=mu + delta)
+    return FbCoefficients(gamma=(1.0 - y / r) + delta, mu=(1.0 - v / r) + delta)
 
 
 def residual_map(p: QpProblem, x: PrimalDualPoint, eps: float) -> np.ndarray:

@@ -5,10 +5,11 @@ Each iteration assembles the block system
     [ H    A' ] [dz]   [r_s]          r_s = -(Hz + f + A'v)
     [-CA   D  ] [dv] = [r_c]          r_c = -phi_eps(v, y)
 
-with C = diag(gamma), D = diag(mu) from the FB kernel, solves it either as a
-dense LU of the full matrix or through the condensed SPD Schur complement
-H + A' C D^-1 A, and globalizes with a backtracking linesearch on the merit
-function theta = 0.5 ||F_eps||^2.
+with C = diag(gamma), D = diag(mu) from the FB kernel, solves it through the
+condensed SPD Schur complement H + A' C D^-1 A (falling back to a dense LU of
+the full matrix when the Cholesky factorization fails), and globalizes with a
+backtracking linesearch on the merit function theta = 0.5 ||F_eps||^2. The
+smoothing eps stays fixed; the regularization delta shrinks with ||F_eps||.
 
 fbrs_solve holds the iterate as plain arrays (z, v) and evaluates each point
 it visits once: the residual F_eps and slack y of the point the linesearch
@@ -36,7 +37,6 @@ from .errors import (
 from .fb import fb_coefficients, phi_eps, residual_map
 from .problem import PrimalDualPoint, QpProblem, _check_dims
 
-SOLVE_PATHS = ("full_lu", "condensed_cholesky", "auto")
 CRITERIA = ("f0", "fnr")
 
 
@@ -51,11 +51,9 @@ class Status(Enum):
 class SolverConfig:
     """Tunable parameters of the solve loop.
 
-    eps = None picks the fixed smoothing tol / (2 sqrt(q)) for the smoothed
-    variant and 0 for the semismooth one; pass a value to override. Setting
-    update_delta = False freezes the regularization at delta0 instead of
-    shrinking it with ||F_eps|| each iteration. criterion = "fnr" terminates
-    on the natural residual instead of ||F_0||.
+    The smoothing is fixed by tol (see effective_eps); the regularization
+    starts at delta0 and shrinks to min(delta, ||F_eps||) each pass.
+    criterion = "fnr" terminates on the natural residual instead of ||F_0||.
     """
 
     tol: float = 1e-8
@@ -63,12 +61,8 @@ class SolverConfig:
     sigma: float = 1e-4
     beta: float = 0.7
     delta0: float = 1e-8
-    eps: float | None = None
-    variant: str = "smoothed"
-    solve_path: str = "auto"
     max_backtracks: int = 40
     criterion: str = "f0"
-    update_delta: bool = True
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -81,26 +75,15 @@ class SolverConfig:
             raise InvalidConfig("beta must lie in (0, 1)")
         if self.delta0 < 0:
             raise InvalidConfig("delta0 must be nonnegative")
-        if self.variant not in ("smoothed", "semismooth"):
-            raise InvalidConfig(f"unknown variant {self.variant!r}")
-        if self.eps is not None:
-            if self.eps < 0:
-                raise InvalidConfig("eps must be nonnegative")
-            if self.variant == "smoothed" and self.eps == 0:
-                raise InvalidConfig("the smoothed variant requires eps > 0")
-        if self.solve_path not in SOLVE_PATHS:
-            raise InvalidConfig(f"solve_path must be one of {SOLVE_PATHS}")
         if self.max_backtracks < 1:
             raise InvalidConfig("max_backtracks must be >= 1")
         if self.criterion not in CRITERIA:
             raise InvalidConfig(f"criterion must be one of {CRITERIA}")
 
     def effective_eps(self, q: int) -> float:
-        if self.eps is not None:
-            return self.eps
-        if self.variant == "smoothed":
-            return self.tol / (2.0 * math.sqrt(q))
-        return 0.0
+        """Smoothing tol / (2 sqrt(q)): the gap sqrt(q) eps between ||F_eps||
+        and ||F_0|| is then half the tolerance."""
+        return self.tol / (2.0 * math.sqrt(q))
 
 
 @dataclass(frozen=True)
@@ -156,22 +139,16 @@ def _evaluate(p: QpProblem, z: np.ndarray, v: np.ndarray, eps: float):
     return np.concatenate([p.H @ z + p.f + p.A.T @ v, phi_eps(v, y, eps)]), y
 
 
-def _newton_system(p: QpProblem, F, y, v, eps: float, delta: float, variant: str) -> NewtonSystem:
-    coeff = fb_coefficients(y, v, eps, delta, variant)
+def _newton_system(p: QpProblem, F, y, v, eps: float, delta: float) -> NewtonSystem:
+    coeff = fb_coefficients(y, v, eps, delta)
     return NewtonSystem(H=p.H, A=p.A, gamma=coeff.gamma, mu=coeff.mu, r_s=-F[:p.n], r_c=-F[p.n:])
 
 
-def assemble_system(
-    p: QpProblem,
-    x: PrimalDualPoint,
-    eps: float,
-    delta: float,
-    variant: str = "smoothed",
-) -> NewtonSystem:
+def assemble_system(p: QpProblem, x: PrimalDualPoint, eps: float, delta: float) -> NewtonSystem:
     """Coefficients and right-hand side of the Newton system at x."""
     _check_dims(p, x)
     F, y = _evaluate(p, x.z, x.v, eps)
-    return _newton_system(p, F, y, x.v, eps, delta, variant)
+    return _newton_system(p, F, y, x.v, eps, delta)
 
 
 def kkt_matrix(sys: NewtonSystem) -> np.ndarray:
@@ -198,8 +175,7 @@ def solve_full(sys: NewtonSystem):
     """Solve the full unsymmetric system by dense LU with partial pivoting.
 
     Returns (dx, relative residual). Raises SingularSystem when a pivot falls
-    below 1e-14 times the matrix scale, which signals an A3 violation or a
-    degenerate point with eps = delta = 0.
+    below 1e-14 times the matrix scale, which signals an A3 violation.
     """
     K = kkt_matrix(sys)
     rhs = np.concatenate([sys.r_s, sys.r_c])
@@ -218,8 +194,7 @@ def solve_condensed(sys: NewtonSystem):
     then the diagonal back-substitution D dv = r_c + C A dz.
 
     Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix is not
-    numerically positive definite; callers on the auto path fall back to
-    solve_full.
+    numerically positive definite; fbrs_solve then falls back to solve_full.
     """
     if np.min(sys.mu) <= 0.0:
         raise CholeskyFailure("D has a nonpositive diagonal entry")
@@ -242,9 +217,9 @@ def merit(p: QpProblem, x: PrimalDualPoint, eps: float) -> float:
     return 0.5 * float(r @ r)
 
 
-def merit_gradient(p: QpProblem, x: PrimalDualPoint, eps: float, variant: str = "smoothed") -> np.ndarray:
+def merit_gradient(p: QpProblem, x: PrimalDualPoint, eps: float) -> np.ndarray:
     """grad theta_eps = V' F_eps with V the unregularized (delta = 0) iteration matrix."""
-    return _merit_gradient(assemble_system(p, x, eps, 0.0, variant))
+    return _merit_gradient(assemble_system(p, x, eps, 0.0))
 
 
 def _merit_gradient(sys0: NewtonSystem) -> np.ndarray:
@@ -278,11 +253,7 @@ def linesearch(p: QpProblem, z, v, F, dx, eps: float, sigma: float, beta: float,
     raise LinesearchError(f"no acceptable step after {max_backtracks} backtracks")
 
 
-def _solve_step(sys: NewtonSystem, path: str):
-    if path == "full_lu":
-        return solve_full(sys)
-    if path == "condensed_cholesky":
-        return solve_condensed(sys)
+def _solve_step(sys: NewtonSystem):
     try:
         return solve_condensed(sys)
     except CholeskyFailure:
@@ -315,9 +286,8 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
 
     for k in range(cfg.max_iters + 1):
         n_feps = float(np.linalg.norm(F))
-        if cfg.update_delta:
-            delta = min(delta, n_feps)
-        n_f0 = n_feps if eps == 0.0 else float(np.linalg.norm(np.concatenate([F[:n], phi_eps(v, y, 0.0)])))
+        delta = min(delta, n_feps)
+        n_f0 = float(np.linalg.norm(np.concatenate([F[:n], phi_eps(v, y, 0.0)])))
         n_fnr = float(np.linalg.norm(np.concatenate([F[:n], np.minimum(y, v)])))
         rec = IterationRecord(
             k=k, norm_Feps=n_feps, norm_F0=n_f0, norm_Fnr=n_fnr,
@@ -333,14 +303,14 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
             for shrink in range(4):
                 if shrink:
                     delta = delta / 10.0
-                dx, lsr = _solve_step(_newton_system(p, F, y, v, eps, delta, cfg.variant), cfg.solve_path)
+                dx, lsr = _solve_step(_newton_system(p, F, y, v, eps, delta))
                 try:
                     t, nb, z, v, F, y = linesearch(p, z, v, F, dx, *search)
                     break
                 except LinesearchError:
                     pass
             else:
-                dx, lsr = -_merit_gradient(_newton_system(p, F, y, v, eps, 0.0, cfg.variant)), 0.0
+                dx, lsr = -_merit_gradient(_newton_system(p, F, y, v, eps, 0.0)), 0.0
                 t, nb, z, v, F, y = linesearch(p, z, v, F, dx, *search)
         except LinesearchError:
             status = Status.LINESEARCH_FAILURE

@@ -114,8 +114,8 @@ def test_solve_non_finite_step_exits_one(tmp_path, capsys):
 
 
 def test_solve_flag_variants(toy_file, capsys):
-    for extra in (["--variant", "semismooth"], ["--path", "full"], ["--path", "condensed"],
-                  ["--criterion", "fnr", "--tol", "1e-6"]):
+    for extra in (["--criterion", "fnr", "--tol", "1e-6"], ["--sigma", "0.01", "--beta", "0.5"],
+                  ["--delta0", "1e-4"]):
         assert main(["solve", "--input", str(toy_file), *extra]) == 0
         assert "status Solved" in capsys.readouterr().out
 
@@ -148,6 +148,23 @@ def test_usage_error_exits_two(capsys):
     capsys.readouterr()
     assert main(["mpc", "--example", "pendulum"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--tol", "0"],
+        ["solve", "--max-iters", "0"],
+        ["validate", "--tol", "0"],
+        ["mpc", "--example", "double-integrator", "--horizon", "0"],
+        ["mpc", "--example", "double-integrator", "--steps", "0"],
+    ],
+)
+def test_out_of_range_flag_exits_two(argv, toy_file, capsys):
+    if argv[0] != "mpc":
+        argv = [*argv, "--input", str(toy_file)]
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_oracle_too_large_exits_one(tmp_path, capsys):

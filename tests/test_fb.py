@@ -40,26 +40,19 @@ def test_phi_no_overflow_at_extreme_magnitudes():
 
 
 def test_coefficients_ratio_endpoints():
-    c = fb_coefficients(np.array([0.0]), np.array([1.0]), 0.0, 0.0, variant="semismooth")
-    assert c.gamma[0] == pytest.approx(1.0)
-    assert c.mu[0] == pytest.approx(0.0)
-
-
-def test_coefficients_semismooth_tie():
-    c = fb_coefficients(np.zeros(1), np.zeros(1), 0.0, 0.0, variant="semismooth")
-    expected = 1.0 - 1.0 / math.sqrt(2.0)
-    assert c.gamma[0] == pytest.approx(expected)
-    assert c.mu[0] == pytest.approx(expected)
-    # the tie selection satisfies alpha^2 + beta^2 <= 1 with alpha = beta
-    alpha = 1.0 - c.gamma[0]
-    beta = 1.0 - c.mu[0]
-    assert alpha**2 + beta**2 == pytest.approx(1.0)
+    # y = 0 gives gamma = 1 exactly; v >> eps drives mu to 0, and at
+    # v / eps = 1e8 the ratio v / r rounds to 1
+    c = fb_coefficients(np.zeros(2), np.array([1.0, 1e4]), 1e-4, 0.0)
+    assert c.gamma.tolist() == [1.0, 1.0]
+    assert c.mu[0] == pytest.approx(5e-9, rel=1e-6)  # 1 - 1 / sqrt(1 + 1e-8)
+    assert c.mu[1] == 0.0
 
 
 def test_coefficients_three_four_five():
-    c = fb_coefficients(np.array([3.0]), np.array([4.0]), 0.0, 0.01, variant="semismooth")
-    assert c.gamma[0] == pytest.approx(0.41)
-    assert c.mu[0] == pytest.approx(0.21)
+    # r = sqrt(3^2 + 4^2 + 12^2) = 13
+    c = fb_coefficients(np.array([3.0]), np.array([4.0]), 12.0, 0.01)
+    assert c.gamma[0] == pytest.approx(10.0 / 13.0 + 0.01, abs=1e-15)
+    assert c.mu[0] == pytest.approx(9.0 / 13.0 + 0.01, abs=1e-15)
 
 
 def test_coefficients_delta_is_additive():
@@ -72,13 +65,11 @@ def test_coefficients_delta_is_additive():
 
 def test_coefficients_errors():
     with pytest.raises(InvalidConfig):
-        fb_coefficients(np.zeros(1), np.zeros(1), 0.0, 0.0, variant="smoothed")
+        fb_coefficients(np.zeros(1), np.zeros(1), 0.0, 0.0)
     with pytest.raises(InvalidConfig):
-        fb_coefficients(np.zeros(1), np.zeros(1), -0.1, 0.0, variant="semismooth")
+        fb_coefficients(np.zeros(1), np.zeros(1), -0.1, 0.0)
     with pytest.raises(InvalidConfig):
         fb_coefficients(np.zeros(1), np.zeros(1), 0.1, -1.0)
-    with pytest.raises(InvalidConfig):
-        fb_coefficients(np.zeros(1), np.zeros(1), 0.1, 0.0, variant="newton")
 
 
 # strict interval bounds hold in exact arithmetic; keep eps large enough

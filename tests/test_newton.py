@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from fbrs import (
     SingularSystem,
     Status,
 )
+from fbrs import newton
 from fbrs.fb import residual_map
 from fbrs.newton import (
     NewtonSystem,
@@ -38,6 +40,9 @@ def test_config_defaults():
     cfg = SolverConfig()
     assert (cfg.sigma, cfg.beta, cfg.delta0) == (1e-4, 0.7, 1e-8)
     assert (cfg.max_iters, cfg.max_backtracks) == (30, 40)
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "tol", "max_iters", "sigma", "beta", "delta0", "max_backtracks", "criterion",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -48,11 +53,11 @@ def test_config_defaults():
         dict(sigma=0.0),
         dict(beta=1.0),
         dict(delta0=-1.0),
-        dict(variant="other"),
-        dict(eps=0.0),  # smoothed variant needs eps > 0
-        dict(solve_path="qr"),
         dict(max_backtracks=0),
         dict(criterion="merit"),
+        dict(max_iters=0),
+        dict(beta=0.0),
+        dict(tol=-1e-8),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -62,9 +67,7 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_effective_eps_policies():
     assert SolverConfig(tol=1e-8).effective_eps(4) == pytest.approx(1e-8 / 4.0)
-    assert SolverConfig(variant="semismooth").effective_eps(4) == 0.0
-    assert SolverConfig(eps=0.05).effective_eps(4) == 0.05
-    assert SolverConfig(variant="semismooth", eps=0.2).effective_eps(4) == 0.2
+    assert SolverConfig(tol=1e-6).effective_eps(1) == pytest.approx(5e-7)
 
 
 # --- system assembly --------------------------------------------------------
@@ -79,10 +82,21 @@ def test_assemble_frozen_values(qp_1d):
     assert sys.r_c[0] == pytest.approx(0.009901951359278516, abs=1e-15)
 
 
+def _qp_1d_root(eps):
+    # F_eps = [z - 1 + v; phi_eps(v, 0.5 - z)] vanishes where v = 1 - z and
+    # 2 v y = eps^2 with y = 0.5 - z: 2 y^2 + y - eps^2 = 0
+    y = 2.0 * eps**2 / (1.0 + math.sqrt(1.0 + 8.0 * eps**2))
+    return PrimalDualPoint([0.5 - y], [0.5 + y])
+
+
 def test_assemble_rhs_vanishes_at_root(qp_1d):
-    sys = assemble_system(qp_1d, PrimalDualPoint([0.5], [0.5]), 0.0, 0.0, "semismooth")
-    assert abs(sys.r_s[0]) <= 1e-15
-    assert abs(sys.r_c[0]) <= 1e-15
+    # at eps = 1 the root is (z, v) = (0, 1), exact in floating point
+    sys = assemble_system(qp_1d, PrimalDualPoint([0.0], [1.0]), 1.0, 0.0)
+    assert sys.r_s[0] == 0.0 and sys.r_c[0] == 0.0
+    for eps in (0.1, 1e-4):
+        sys = assemble_system(qp_1d, _qp_1d_root(eps), eps, 0.0)
+        assert abs(sys.r_s[0]) <= 1e-15
+        assert abs(sys.r_c[0]) <= 1e-15
 
 
 def test_assemble_delta_shift(qp_1d):
@@ -208,8 +222,9 @@ def test_merit_basics(qp_1d):
 
 
 def test_merit_gradient_zero_at_root(qp_1d):
-    g = merit_gradient(qp_1d, PrimalDualPoint([0.5], [0.5]), 0.0, "semismooth")
-    assert np.linalg.norm(g) <= 1e-14
+    for eps in (1.0, 0.1, 1e-4):
+        g = merit_gradient(qp_1d, _qp_1d_root(eps), eps)
+        assert np.linalg.norm(g) <= 1e-14
 
 
 def test_merit_gradient_frozen_1d(qp_1d):
@@ -298,22 +313,33 @@ def test_solve_interior_from_infeasible_start(qp_interior):
     assert result.x.v == pytest.approx([0.0], abs=1e-7)
 
 
-def test_solve_paths_agree(qp_box_2d):
-    results = {
-        path: fbrs_solve(qp_box_2d, PrimalDualPoint.zeros(2, 2), SolverConfig(solve_path=path))
-        for path in ("full_lu", "condensed_cholesky", "auto")
-    }
-    for r in results.values():
-        assert r.status == Status.SOLVED
-    assert results["full_lu"].x.z == pytest.approx(results["auto"].x.z)
-    assert results["condensed_cholesky"].x.z == pytest.approx(results["auto"].x.z)
+def test_solve_paths_agree(monkeypatch):
+    # when every Cholesky factorization fails, fbrs_solve falls back to
+    # solve_full once per Newton step (none needs recovery here) and reaches
+    # the same point as the condensed step and the enumeration oracle
+    rng = np.random.default_rng(22)
+    p = random_strictly_convex_qp(4, 8, rng)
+    x0 = random_infeasible_start(p, rng)
+    cfg = SolverConfig(tol=1e-10)
+    condensed = fbrs_solve(p, x0, cfg)
+    calls = []
 
+    def fail_cholesky(sys):
+        raise CholeskyFailure("forced")
 
-def test_solve_semismooth_variant(qp_1d):
-    result = fbrs_solve(qp_1d, PrimalDualPoint.zeros(1, 1), SolverConfig(variant="semismooth"))
-    assert result.status == Status.SOLVED
-    assert result.x.z == pytest.approx([0.5], abs=1e-7)
-    assert all(rec.eps == 0.0 for rec in result.trace)
+    def counting_solve_full(sys):
+        calls.append(sys)
+        return solve_full(sys)
+
+    monkeypatch.setattr(newton, "solve_condensed", fail_cholesky)
+    monkeypatch.setattr(newton, "solve_full", counting_solve_full)
+    full = fbrs_solve(p, x0, cfg)
+    assert condensed.status == full.status == Status.SOLVED
+    assert full.iterations > 0 and len(calls) == full.iterations
+    star = solve_by_enumeration(p)
+    for result in (condensed, full):
+        assert result.x.z == pytest.approx(star.z, abs=1e-8)
+        assert result.x.v == pytest.approx(star.v, abs=1e-8)
 
 
 def test_solve_natural_residual_criterion(qp_1d):
@@ -348,13 +374,6 @@ def test_non_finite_step_returns_invalid_problem(qp_1d):
     assert result.status == Status.INVALID_PROBLEM
     assert result.iterations == 0
     assert np.array_equal(result.x.z, x0.z) and np.array_equal(result.x.v, x0.v)
-
-
-def test_fixed_delta_mode(qp_1d):
-    cfg = SolverConfig(update_delta=False, delta0=1e-6)
-    result = fbrs_solve(qp_1d, PrimalDualPoint.zeros(1, 1), cfg)
-    assert result.status == Status.SOLVED
-    assert {rec.delta for rec in result.trace} == {1e-6}
 
 
 def test_trace_shape_and_delta_monotonicity():
