@@ -2,9 +2,9 @@
 
 Subcommands: solve (run the Newton solver on an FBQP file), validate (problem
 assumption checks), oracle (active-set enumeration reference solve), mpc
-(bundled closed-loop warmstart experiments). Exit codes: 0 success, 1 solver
-or validation failure, 2 usage and parse errors, including flag values out
-of range.
+(bundled closed-loop cold, warm and shifted warm start experiments). Exit
+codes: 0 success, 1 solver or validation failure, 2 usage and parse errors,
+including flag values out of range.
 """
 
 from __future__ import annotations
@@ -57,15 +57,7 @@ def _cmd_solve(args) -> int:
         x0 = warm
     elif embedded_x0 is not None:
         x0 = embedded_x0
-    cfg = SolverConfig(
-        tol=args.tol,
-        max_iters=args.max_iters,
-        sigma=args.sigma,
-        beta=args.beta,
-        delta0=args.delta0,
-        criterion=args.criterion,
-    )
-    result = fbrs_solve(problem, x0, cfg)
+    result = fbrs_solve(problem, x0, SolverConfig(tol=args.tol, max_iters=args.max_iters))
     print(f"status {result.status.value}")
     print(f"iterations {result.iterations}")
     print(f"objective {_fmt(objective(problem, result.x.z))}")
@@ -131,10 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True)
     solve.add_argument("--tol", type=float, default=1e-8)
     solve.add_argument("--max-iters", type=int, default=30)
-    solve.add_argument("--sigma", type=float, default=1e-4)
-    solve.add_argument("--beta", type=float, default=0.7)
-    solve.add_argument("--delta0", type=float, default=1e-8)
-    solve.add_argument("--criterion", choices=["f0", "fnr"], default="f0")
     solve.add_argument("--warmstart", help="FBQP file whose x0 row seeds the solve")
     solve.add_argument("--trace", help="write per-iteration CSV here")
     solve.add_argument("--output", help="write the problem with x0 = solution here")
@@ -149,11 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--input", required=True)
     oracle.set_defaults(func=_cmd_oracle)
 
-    mpc = sub.add_parser("mpc", help="closed-loop warm/cold experiment on a bundled plant")
+    mpc = sub.add_parser("mpc", help="closed-loop cold/warm/shift experiment on a bundled plant")
     mpc.add_argument("--example", choices=sorted(BUNDLED_EXAMPLES), required=True)
     mpc.add_argument("--horizon", type=int, default=8)
     mpc.add_argument("--steps", type=int, default=50)
-    mpc.add_argument("--mode", choices=["warm", "cold"], default="cold")
+    mpc.add_argument("--mode", choices=["cold", "warm", "shift"], default="cold")
     mpc.add_argument("--stats", help="write per-QP CSV here")
     mpc.add_argument("--tol", type=float, default=1e-6)
     mpc.set_defaults(func=_cmd_mpc)

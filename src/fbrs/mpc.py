@@ -3,7 +3,8 @@
 The equality dynamics x_{k+1} = Ad x_k + Bd u_k are eliminated by substitution,
 so each QP decides the stacked input sequence U and carries only box
 inequalities. A closed-loop run re-condenses from the measured state at every
-step and can seed each QP with the previous solution.
+step and can seed each QP with the previous solution, as it is or shifted by
+one stage.
 """
 
 from __future__ import annotations
@@ -214,20 +215,20 @@ def run_sequence(
     steps: int,
     start_mode: str = "cold",
     cfg: SolverConfig | None = None,
-    shift_warmstart: bool = False,
 ):
     """Closed-loop simulation: condense at the current state, solve, apply the
     first input, advance through (Ad, Bd).
 
-    start_mode "warm" seeds each QP with the previous primal-dual solution
-    (shifted by one stage when shift_warmstart is set); "cold" always starts
-    from zero. Every QP must reach Solved, otherwise MpcSequenceError carries
-    the failing step index. Returns (Trajectory, SequenceStats).
+    start_mode "cold" always starts from zero, "warm" seeds each QP with the
+    previous primal-dual solution and "shift" with that solution advanced by
+    one stage (shift_solution). Every QP must reach Solved, otherwise
+    MpcSequenceError carries the failing step index. Returns
+    (Trajectory, SequenceStats).
     """
     if steps < 1:
         raise InvalidSpec("steps must be >= 1")
-    if start_mode not in ("cold", "warm"):
-        raise InvalidSpec(f"start_mode must be 'cold' or 'warm', got {start_mode!r}")
+    if start_mode not in ("cold", "warm", "shift"):
+        raise InvalidSpec(f"start_mode must be 'cold', 'warm' or 'shift', got {start_mode!r}")
     cfg = cfg or SolverConfig(tol=1e-6)
     state = spec.x_init
     previous: PrimalDualPoint | None = None
@@ -236,10 +237,12 @@ def run_sequence(
     records = []
     for step in range(steps):
         qp = condense(spec, state)
-        if start_mode == "warm" and previous is not None:
-            x0 = shift_solution(spec, previous) if shift_warmstart else previous
-        else:
+        if previous is None or start_mode == "cold":
             x0 = PrimalDualPoint.zeros(qp.n, qp.q)
+        elif start_mode == "shift":
+            x0 = shift_solution(spec, previous)
+        else:
+            x0 = previous
         tic = time.perf_counter()
         result = fbrs_solve(qp, x0, cfg)
         elapsed = time.perf_counter() - tic

@@ -10,6 +10,9 @@ condensed SPD Schur complement H + A' C D^-1 A (falling back to a dense LU of
 the full matrix when the Cholesky factorization fails), and globalizes with a
 backtracking linesearch on the merit function theta = 0.5 ||F_eps||^2. The
 smoothing eps stays fixed; the regularization delta shrinks with ||F_eps||.
+The solve stops once ||F_0|| <= tol. The Armijo constants and the starting
+regularization are fixed (SolverConfig.sigma, .beta, .max_backtracks,
+.delta0); tol and max_iters are the only settings.
 
 fbrs_solve holds the iterate as plain arrays (z, v) and evaluates each point
 it visits once: the residual F_eps and slack y of the point the linesearch
@@ -20,9 +23,11 @@ coefficients and theta. Inputs are validated at entry only.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -37,8 +42,6 @@ from .errors import (
 from .fb import fb_coefficients, phi_eps, residual_map
 from .problem import PrimalDualPoint, QpProblem, _check_dims
 
-CRITERIA = ("f0", "fnr")
-
 
 class Status(Enum):
     SOLVED = "Solved"
@@ -49,36 +52,26 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable parameters of the solve loop.
+    """Settings of the solve loop: stop once ||F_0|| <= tol, or after
+    max_iters Newton steps.
 
-    The smoothing is fixed by tol (see effective_eps); the regularization
-    starts at delta0 and shrinks to min(delta, ||F_eps||) each pass.
-    criterion = "fnr" terminates on the natural residual instead of ||F_0||.
+    tol also fixes the smoothing (see effective_eps). The class constants are
+    the Armijo parameters of the linesearch and the starting regularization,
+    which shrinks to min(delta, ||F_eps||) each pass.
     """
 
     tol: float = 1e-8
     max_iters: int = 30
-    sigma: float = 1e-4
-    beta: float = 0.7
-    delta0: float = 1e-8
-    max_backtracks: int = 40
-    criterion: str = "f0"
+    sigma: ClassVar[float] = 1e-4
+    beta: ClassVar[float] = 0.7
+    delta0: ClassVar[float] = 1e-8
+    max_backtracks: ClassVar[int] = 40
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidConfig("tol must be positive")
-        if self.max_iters < 1:
-            raise InvalidConfig("max_iters must be >= 1")
-        if not 0.0 < self.sigma < 0.5:
-            raise InvalidConfig("sigma must lie in (0, 0.5)")
-        if not 0.0 < self.beta < 1.0:
-            raise InvalidConfig("beta must lie in (0, 1)")
-        if self.delta0 < 0:
-            raise InvalidConfig("delta0 must be nonnegative")
-        if self.max_backtracks < 1:
-            raise InvalidConfig("max_backtracks must be >= 1")
-        if self.criterion not in CRITERIA:
-            raise InvalidConfig(f"criterion must be one of {CRITERIA}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidConfig("tol must be finite and positive")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise InvalidConfig("max_iters must be an integer >= 1")
 
     def effective_eps(self, q: int) -> float:
         """Smoothing tol / (2 sqrt(q)): the gap sqrt(q) eps between ||F_eps||
@@ -263,8 +256,8 @@ def _solve_step(sys: NewtonSystem):
 def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = None) -> SolverResult:
     """Run the damped Newton iteration from x0 (feasibility not required).
 
-    Per pass: shrink delta to min(delta, ||F_eps||), stop if the termination
-    criterion already holds (so a warmstart at the solution costs zero Newton
+    Per pass: shrink delta to min(delta, ||F_eps||), stop if ||F_0|| <= tol
+    already holds (so a warmstart at the solution costs zero Newton
     solves), otherwise take a globalized step. When the linesearch rejects the
     Newton step, delta shrinks by 10 (up to 3 times, carried forward) and the
     step is recomputed; as a last resort a merit-gradient step is taken. The
@@ -294,7 +287,7 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
             t=0.0, delta=delta, eps=eps, backtracks=0, linear_solve_residual=0.0,
         )
         trace.append(rec)
-        if (n_f0 if cfg.criterion == "f0" else n_fnr) <= cfg.tol:
+        if n_f0 <= cfg.tol:
             status = Status.SOLVED
             break
         if k == cfg.max_iters:

@@ -6,6 +6,7 @@ positive semidefinite and at least one constraint row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,11 +92,6 @@ class PrimalDualPoint:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.z, self.v])
 
-    def step(self, direction: np.ndarray, t: float = 1.0) -> "PrimalDualPoint":
-        """The point x + t * direction, with direction stacked as (dz, dv)."""
-        n = self.z.shape[0]
-        return PrimalDualPoint(self.z + t * direction[:n], self.v + t * direction[n:])
-
     @staticmethod
     def zeros(n: int, q: int) -> "PrimalDualPoint":
         return PrimalDualPoint(np.zeros(n), np.zeros(q))
@@ -129,8 +125,8 @@ def validate_problem(p: QpProblem, tol: float = 1e-10) -> ValidationReport:
     Passes iff the construction-time asymmetry is below tol * (1 + ||H||)
     and sigma_min([H; A]) > tol * sigma_max([H; A]).
     """
-    if tol <= 0:
-        raise InvalidProblem("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidProblem("tol must be finite and positive")
     h_scale = 1.0 + float(np.linalg.norm(p.H))
     symmetry_ok = p.symmetry_defect <= tol * h_scale
     stacked = np.vstack([p.H, p.A])

@@ -1,10 +1,15 @@
+import argparse
+import dataclasses
+import inspect
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from fbrs.cli import TRACE_HEADER, main
+from fbrs.cli import TRACE_HEADER, build_parser, main
+from fbrs.mpc import run_sequence
+from fbrs.newton import SolverConfig
 from fbrs.qpfile import parse_qp
 
 TOY = """\
@@ -114,8 +119,7 @@ def test_solve_non_finite_step_exits_one(tmp_path, capsys):
 
 
 def test_solve_flag_variants(toy_file, capsys):
-    for extra in (["--criterion", "fnr", "--tol", "1e-6"], ["--sigma", "0.01", "--beta", "0.5"],
-                  ["--delta0", "1e-4"]):
+    for extra in (["--tol", "1e-6"], ["--max-iters", "50"], ["--tol", "1e-12", "--max-iters", "100"]):
         assert main(["solve", "--input", str(toy_file), *extra]) == 0
         assert "status Solved" in capsys.readouterr().out
 
@@ -158,6 +162,10 @@ def test_usage_error_exits_two(capsys):
         ["validate", "--tol", "0"],
         ["mpc", "--example", "double-integrator", "--horizon", "0"],
         ["mpc", "--example", "double-integrator", "--steps", "0"],
+        ["solve", "--tol", "nan"],
+        ["solve", "--tol", "inf"],
+        ["validate", "--tol", "nan"],
+        ["mpc", "--example", "double-integrator", "--tol", "nan"],
     ],
 )
 def test_out_of_range_flag_exits_two(argv, toy_file, capsys):
@@ -188,6 +196,32 @@ def test_mpc_subcommand_writes_stats(tmp_path, capsys):
     lines = stats.read_text().splitlines()
     assert lines[0] == "step,status,iterations,norm_F0,norm_Fnr,solve_time"
     assert len(lines) == 6
+
+
+def test_mpc_subcommand_shift_mode(capsys):
+    code = main(["mpc", "--example", "double-integrator", "--steps", "5", "--mode", "shift"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "steps 5 mode shift" in out
+
+
+def test_settings_surface():
+    # every setting a caller can vary; adding one means editing this list
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol", "max_iters"]
+    assert list(inspect.signature(run_sequence).parameters) == ["spec", "steps", "start_mode", "cfg"]
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: sorted(s for a in sub._actions for s in a.option_strings)
+        for name, sub in subparsers.choices.items()
+    }
+    assert options == {
+        "solve": sorted(["-h", "--help", "--input", "--tol", "--max-iters", "--warmstart", "--trace", "--output"]),
+        "validate": sorted(["-h", "--help", "--input", "--tol"]),
+        "oracle": sorted(["-h", "--help", "--input"]),
+        "mpc": sorted(["-h", "--help", "--example", "--horizon", "--steps", "--mode", "--stats", "--tol"]),
+    }
+    mode = next(a for a in subparsers.choices["mpc"]._actions if a.dest == "mode")
+    assert mode.choices == ["cold", "warm", "shift"]
 
 
 def test_module_entrypoint_runs(toy_file):

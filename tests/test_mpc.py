@@ -166,9 +166,14 @@ def test_warmstart_dominance_on_bundled_examples(name):
 
 
 def test_shifted_warmstart_mode_runs():
-    spec = double_integrator()
-    _, stats = run_sequence(spec, 20, "warm", SolverConfig(tol=1e-6), shift_warmstart=True)
-    assert all(r.status == "Solved" for r in stats.records)
+    # at a long horizon the unshifted guess is one stage out of step, and the
+    # shifted one is close to the next solution
+    spec = double_integrator(horizon=40)
+    cfg = SolverConfig(tol=1e-6)
+    _, warm = run_sequence(spec, 50, "warm", cfg)
+    _, shift = run_sequence(spec, 50, "shift", cfg)
+    assert all(r.status == "Solved" for r in shift.records)
+    assert shift.mean_iterations < warm.mean_iterations
 
 
 def test_shift_solution_moves_stages():
