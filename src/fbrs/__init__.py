@@ -19,7 +19,6 @@ from .errors import (
     UnboundedProblem,
 )
 from .fb import (
-    FbCoefficients,
     fb_coefficients,
     phi_eps,
     residual_map,
@@ -63,8 +62,6 @@ from .problem import (
     QpProblem,
     ValidationReport,
     constraint_slack,
-    lagrangian_gradient,
-    natural_residual,
     objective,
     validate_problem,
 )

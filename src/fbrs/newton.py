@@ -7,7 +7,8 @@ Each iteration assembles the block system
 
 with C = diag(gamma), D = diag(mu) from the FB kernel, solves it through the
 condensed SPD Schur complement H + A' C D^-1 A (falling back to a dense LU of
-the full matrix when the Cholesky factorization fails), and globalizes with a
+the full matrix when the Cholesky factorization fails; when that is singular
+too, the solve ends with INVALID_PROBLEM), and globalizes with a
 backtracking linesearch on the merit function theta = 0.5 ||F_eps||^2. The
 smoothing eps stays fixed; the regularization delta shrinks with ||F_eps||.
 The solve stops once ||F_0|| <= tol. The Armijo constants and the starting
@@ -15,9 +16,10 @@ regularization are fixed (SolverConfig.sigma, .beta, .max_backtracks,
 .delta0); tol and max_iters are the only settings.
 
 fbrs_solve holds the iterate as plain arrays (z, v) and evaluates each point
-it visits once: the residual F_eps and slack y of the point the linesearch
-accepts give the next pass its norms, its Newton right-hand side, its FB
-coefficients and theta. Inputs are validated at entry only.
+it visits once, with fb._evaluate (the one definition of F_eps): the residual
+F_eps and slack y of the point the linesearch accepts give the next pass its
+norms, its Newton right-hand side, its FB coefficients and theta. Inputs are
+validated at entry only.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import (
     LinesearchError,
     SingularSystem,
 )
-from .fb import fb_coefficients, phi_eps, residual_map
+from .fb import _evaluate, fb_coefficients, phi_eps, residual_map
 from .problem import PrimalDualPoint, QpProblem, _check_dims
 
 
@@ -90,14 +92,6 @@ class NewtonSystem:
     r_s: np.ndarray
     r_c: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.A.shape[0]
-
 
 @dataclass
 class IterationRecord:
@@ -111,7 +105,6 @@ class IterationRecord:
     delta: float
     eps: float
     backtracks: int
-    linear_solve_residual: float
 
 
 @dataclass
@@ -125,16 +118,9 @@ class SolverResult:
     trace: list[IterationRecord] = field(default_factory=list)
 
 
-def _evaluate(p: QpProblem, z: np.ndarray, v: np.ndarray, eps: float):
-    """(F_eps, y) at (z, v): the residual [Hz + f + A'v; phi_eps(v, y)] and the
-    slack y = b - Az. Every point the solver visits is evaluated here once."""
-    y = p.b - p.A @ z
-    return np.concatenate([p.H @ z + p.f + p.A.T @ v, phi_eps(v, y, eps)]), y
-
-
 def _newton_system(p: QpProblem, F, y, v, eps: float, delta: float) -> NewtonSystem:
-    coeff = fb_coefficients(y, v, eps, delta)
-    return NewtonSystem(H=p.H, A=p.A, gamma=coeff.gamma, mu=coeff.mu, r_s=-F[:p.n], r_c=-F[p.n:])
+    gamma, mu = fb_coefficients(y, v, eps, delta)
+    return NewtonSystem(H=p.H, A=p.A, gamma=gamma, mu=mu, r_s=-F[:p.n], r_c=-F[p.n:])
 
 
 def assemble_system(p: QpProblem, x: PrimalDualPoint, eps: float, delta: float) -> NewtonSystem:
@@ -146,7 +132,7 @@ def assemble_system(p: QpProblem, x: PrimalDualPoint, eps: float, delta: float) 
 
 def kkt_matrix(sys: NewtonSystem) -> np.ndarray:
     """The dense (n+q) x (n+q) iteration matrix [H A'; -CA D]."""
-    n, q = sys.n, sys.q
+    q, n = sys.A.shape
     K = np.zeros((n + q, n + q))
     K[:n, :n] = sys.H
     K[:n, n:] = sys.A.T
@@ -155,20 +141,12 @@ def kkt_matrix(sys: NewtonSystem) -> np.ndarray:
     return K
 
 
-def _system_residual(sys: NewtonSystem, dx: np.ndarray) -> float:
-    n = sys.n
-    dz, dv = dx[:n], dx[n:]
-    top = sys.H @ dz + sys.A.T @ dv - sys.r_s
-    bot = -sys.gamma * (sys.A @ dz) + sys.mu * dv - sys.r_c
-    rhs_norm = math.hypot(np.linalg.norm(sys.r_s), np.linalg.norm(sys.r_c))
-    return float(math.hypot(np.linalg.norm(top), np.linalg.norm(bot)) / (1.0 + rhs_norm))
+def solve_full(sys: NewtonSystem) -> np.ndarray:
+    """Solve the full unsymmetric system by dense LU with partial pivoting and
+    return the step dx = (dz, dv).
 
-
-def solve_full(sys: NewtonSystem):
-    """Solve the full unsymmetric system by dense LU with partial pivoting.
-
-    Returns (dx, relative residual). Raises SingularSystem when a pivot falls
-    below 1e-14 times the matrix scale, which signals an A3 violation.
+    Raises SingularSystem when a pivot falls below 1e-14 times the matrix
+    scale, which signals an A3 violation or, on a PSD H, an unbounded problem.
     """
     K = kkt_matrix(sys)
     rhs = np.concatenate([sys.r_s, sys.r_c])
@@ -178,13 +156,13 @@ def solve_full(sys: NewtonSystem):
     scale = np.max(np.abs(K))
     if np.min(np.abs(np.diag(lu))) <= 1e-14 * scale:
         raise SingularSystem("negligible pivot in the full Newton system")
-    dx = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    return dx, _system_residual(sys, dx)
+    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
-def solve_condensed(sys: NewtonSystem):
+def solve_condensed(sys: NewtonSystem) -> np.ndarray:
     """Solve via the Schur complement (H + A' C D^-1 A) dz = r_s - A' D^-1 r_c,
-    then the diagonal back-substitution D dv = r_c + C A dz.
+    then the diagonal back-substitution D dv = r_c + C A dz, and return the
+    step dx = (dz, dv).
 
     Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix is not
     numerically positive definite; fbrs_solve then falls back to solve_full.
@@ -200,8 +178,7 @@ def solve_condensed(sys: NewtonSystem):
         raise CholeskyFailure(str(exc)) from exc
     dz = scipy.linalg.cho_solve(factor, sys.r_s - sys.A.T @ (sys.r_c / sys.mu), check_finite=False)
     dv = (sys.r_c + sys.gamma * (sys.A @ dz)) / sys.mu
-    dx = np.concatenate([dz, dv])
-    return dx, _system_residual(sys, dx)
+    return np.concatenate([dz, dv])
 
 
 def merit(p: QpProblem, x: PrimalDualPoint, eps: float) -> float:
@@ -262,8 +239,10 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     Newton step, delta shrinks by 10 (up to 3 times, carried forward) and the
     step is recomputed; as a last resort a merit-gradient step is taken. The
     trace gets one record per pass including the terminal one, so it has
-    iterations + 1 entries. A non-finite step direction ends the solve with
-    INVALID_PROBLEM at the last finite iterate.
+    iterations + 1 entries. A non-finite step direction, or a Newton system
+    that neither the Cholesky nor the LU step can solve (SingularSystem, as on
+    an unbounded problem with a singular H), ends the solve with
+    INVALID_PROBLEM at the last accepted iterate.
     """
     cfg = cfg or SolverConfig()
     _check_dims(p, x0)
@@ -284,7 +263,7 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
         n_fnr = float(np.linalg.norm(np.concatenate([F[:n], np.minimum(y, v)])))
         rec = IterationRecord(
             k=k, norm_Feps=n_feps, norm_F0=n_f0, norm_Fnr=n_fnr,
-            t=0.0, delta=delta, eps=eps, backtracks=0, linear_solve_residual=0.0,
+            t=0.0, delta=delta, eps=eps, backtracks=0,
         )
         trace.append(rec)
         if n_f0 <= cfg.tol:
@@ -296,25 +275,25 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
             for shrink in range(4):
                 if shrink:
                     delta = delta / 10.0
-                dx, lsr = _solve_step(_newton_system(p, F, y, v, eps, delta))
+                dx = _solve_step(_newton_system(p, F, y, v, eps, delta))
                 try:
                     t, nb, z, v, F, y = linesearch(p, z, v, F, dx, *search)
                     break
                 except LinesearchError:
                     pass
             else:
-                dx, lsr = -_merit_gradient(_newton_system(p, F, y, v, eps, 0.0)), 0.0
+                dx = -_merit_gradient(_newton_system(p, F, y, v, eps, 0.0))
                 t, nb, z, v, F, y = linesearch(p, z, v, F, dx, *search)
         except LinesearchError:
             status = Status.LINESEARCH_FAILURE
             break
-        except InvalidProblem:
-            # non-finite direction; (z, v) is still the last finite iterate
+        except (InvalidProblem, SingularSystem):
+            # non-finite direction or singular Newton system; (z, v) is
+            # still the last accepted iterate
             status = Status.INVALID_PROBLEM
             break
         rec.t = t
         rec.backtracks = nb
-        rec.linear_solve_residual = lsr
         iterations += 1
 
     last = trace[-1]

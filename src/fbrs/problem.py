@@ -1,4 +1,5 @@
-"""Dense inequality-constrained QP data and the basic KKT residual quantities.
+"""Dense inequality-constrained QP data, primal-dual points and the checkable
+problem assumptions.
 
 The problem is  minimize 0.5 z'Hz + f'z  subject to  Az <= b,  with H symmetric
 positive semidefinite and at least one constraint row.
@@ -156,24 +157,12 @@ def validate_problem(p: QpProblem, tol: float = 1e-10) -> ValidationReport:
     )
 
 
-def lagrangian_gradient(p: QpProblem, x: PrimalDualPoint) -> np.ndarray:
-    """Hz + f + A'v."""
-    _check_dims(p, x)
-    return p.H @ x.z + p.f + p.A.T @ x.v
-
-
 def constraint_slack(p: QpProblem, z: np.ndarray) -> np.ndarray:
     """y = b - Az."""
     z = np.asarray(z, dtype=float)
     if z.shape != (p.n,):
         raise InvalidProblem(f"z must have shape ({p.n},), got {z.shape}")
     return p.b - p.A @ z
-
-
-def natural_residual(p: QpProblem, x: PrimalDualPoint) -> np.ndarray:
-    """[Hz + f + A'v; min(y, v)] with the elementwise min; zero iff x is the KKT point."""
-    y = constraint_slack(p, x.z)
-    return np.concatenate([lagrangian_gradient(p, x), np.minimum(y, x.v)])
 
 
 def objective(p: QpProblem, z: np.ndarray) -> float:

@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+import fbrs
 from fbrs.cli import TRACE_HEADER, build_parser, main
 from fbrs.mpc import run_sequence
 from fbrs.newton import SolverConfig
-from fbrs.qpfile import parse_qp
+from fbrs.problem import QpProblem
+from fbrs.qpfile import parse_qp, serialize_qp
 
 TOY = """\
 FBQP 1
@@ -118,6 +120,15 @@ def test_solve_non_finite_step_exits_one(tmp_path, capsys):
     assert "status InvalidProblem" in capsys.readouterr().out
 
 
+def test_solve_singular_system_exits_one(tmp_path, capsys):
+    path = tmp_path / "singular.qp"
+    path.write_text(serialize_qp(QpProblem([[0.0]], [1.0], [[0.0]], [1.0])))
+    assert main(["solve", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "status InvalidProblem" in captured.out
+    assert captured.err == ""
+
+
 def test_solve_flag_variants(toy_file, capsys):
     for extra in (["--tol", "1e-6"], ["--max-iters", "50"], ["--tol", "1e-12", "--max-iters", "100"]):
         assert main(["solve", "--input", str(toy_file), *extra]) == 0
@@ -222,6 +233,26 @@ def test_settings_surface():
     }
     mode = next(a for a in subparsers.choices["mpc"]._actions if a.dest == "mode")
     assert mode.choices == ["cold", "warm", "shift"]
+
+
+def test_public_names():
+    # the package's exports; adding or removing one means editing this list
+    names = sorted(
+        name for name, obj in vars(fbrs).items() if not name.startswith("_") and not inspect.ismodule(obj)
+    )
+    assert names == [
+        "BUNDLED_EXAMPLES", "CholeskyFailure", "DegenerateKkt", "DimensionMismatch",
+        "EnumerationTooLarge", "FbrsError", "InfeasibleProblem", "InvalidConfig", "InvalidProblem",
+        "InvalidSpec", "IterationRecord", "KktReport", "LinesearchError", "LtiMpcSpec",
+        "MpcSequenceError", "NewtonSystem", "OracleError", "ParseError", "PrimalDualPoint",
+        "QpProblem", "SequenceStats", "SingularSystem", "SolverConfig", "SolverResult", "Status",
+        "Trajectory", "UnboundedProblem", "ValidationReport", "assemble_system", "condense",
+        "constraint_slack", "double_integrator", "fb_coefficients", "fbrs_solve", "kkt_matrix",
+        "linesearch", "mass_spring_chain", "merit", "merit_gradient", "objective", "parse_qp",
+        "phi_eps", "random_infeasible_start", "random_strictly_convex_qp", "residual_map",
+        "run_sequence", "serialize_qp", "shift_solution", "smoothing_gap_bound_check",
+        "solve_by_enumeration", "solve_condensed", "solve_full", "validate_problem", "verify_kkt",
+    ]
 
 
 def test_module_entrypoint_runs(toy_file):

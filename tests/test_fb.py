@@ -37,30 +37,38 @@ def test_phi_vector_form_matches_scalar():
 def test_phi_no_overflow_at_extreme_magnitudes():
     assert np.isfinite(phi_eps(1e300, 1e300, 1e300))
     assert np.isfinite(phi_eps(-1e300, 1e300, 0.0))
+    assert np.isfinite(phi_eps(1e200, 1e200, 1.0))
+
+
+def test_phi_no_cancellation_when_sum_positive():
+    # a + b and r agree to every digit here, so a + b - r reads 0; the
+    # values are -2ab / (a + b + r) = -1 and -eps^2 / (1 + r) = -5e-19
+    assert phi_eps(-1.0, 1.1e16, 0.0) == pytest.approx(-1.0, rel=1e-15)
+    assert phi_eps(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1e-9) == pytest.approx([-5e-19, -5e-19], rel=1e-15)
 
 
 def test_coefficients_ratio_endpoints():
     # y = 0 gives gamma = 1 exactly; v >> eps drives mu to 0, and at
     # v / eps = 1e8 the ratio v / r rounds to 1
-    c = fb_coefficients(np.zeros(2), np.array([1.0, 1e4]), 1e-4, 0.0)
-    assert c.gamma.tolist() == [1.0, 1.0]
-    assert c.mu[0] == pytest.approx(5e-9, rel=1e-6)  # 1 - 1 / sqrt(1 + 1e-8)
-    assert c.mu[1] == 0.0
+    gamma, mu = fb_coefficients(np.zeros(2), np.array([1.0, 1e4]), 1e-4, 0.0)
+    assert gamma.tolist() == [1.0, 1.0]
+    assert mu[0] == pytest.approx(5e-9, rel=1e-6)  # 1 - 1 / sqrt(1 + 1e-8)
+    assert mu[1] == 0.0
 
 
 def test_coefficients_three_four_five():
     # r = sqrt(3^2 + 4^2 + 12^2) = 13
-    c = fb_coefficients(np.array([3.0]), np.array([4.0]), 12.0, 0.01)
-    assert c.gamma[0] == pytest.approx(10.0 / 13.0 + 0.01, abs=1e-15)
-    assert c.mu[0] == pytest.approx(9.0 / 13.0 + 0.01, abs=1e-15)
+    gamma, mu = fb_coefficients(np.array([3.0]), np.array([4.0]), 12.0, 0.01)
+    assert gamma[0] == pytest.approx(10.0 / 13.0 + 0.01, abs=1e-15)
+    assert mu[0] == pytest.approx(9.0 / 13.0 + 0.01, abs=1e-15)
 
 
 def test_coefficients_delta_is_additive():
     y, v = np.array([0.3, -0.7]), np.array([1.5, 0.0])
-    base = fb_coefficients(y, v, 0.2, 0.0)
-    shifted = fb_coefficients(y, v, 0.2, 0.05)
-    assert shifted.gamma == pytest.approx(base.gamma + 0.05)
-    assert shifted.mu == pytest.approx(base.mu + 0.05)
+    gamma, mu = fb_coefficients(y, v, 0.2, 0.0)
+    gamma_shifted, mu_shifted = fb_coefficients(y, v, 0.2, 0.05)
+    assert gamma_shifted == pytest.approx(gamma + 0.05)
+    assert mu_shifted == pytest.approx(mu + 0.05)
 
 
 def test_coefficients_errors():
@@ -78,9 +86,9 @@ def test_coefficients_errors():
 @given(a=st.floats(-100, 100), b=st.floats(-100, 100), eps=st.floats(1e-2, 10.0),
        delta=st.floats(0.0, 1.0))
 def test_coefficient_ranges(a, b, eps, delta):
-    c = fb_coefficients(np.array([a]), np.array([b]), eps, delta)
-    assert delta < c.gamma[0] < 2.0 + delta
-    assert delta < c.mu[0] < 2.0 + delta
+    gamma, mu = fb_coefficients(np.array([a]), np.array([b]), eps, delta)
+    assert delta < gamma[0] < 2.0 + delta
+    assert delta < mu[0] < 2.0 + delta
 
 
 def test_residual_map_at_kkt_point(qp_1d):
@@ -180,9 +188,9 @@ def test_phi_lipschitz(a, b, s, t, eps):
 @given(a=st.floats(-10, 10), b=st.floats(-10, 10), eps=st.floats(1e-2, 1.0))
 def test_partials_match_finite_differences(a, b, eps):
     # coefficients at delta = 0 are exactly the partials of phi in (b, a) order
-    c = fb_coefficients(np.array([b]), np.array([a]), eps, 0.0)
+    gamma, mu = fb_coefficients(np.array([b]), np.array([a]), eps, 0.0)
     h = 1e-6
     fd_a = (phi_eps(a + h, b, eps) - phi_eps(a - h, b, eps)) / (2 * h)
     fd_b = (phi_eps(a, b + h, eps) - phi_eps(a, b - h, eps)) / (2 * h)
-    assert c.mu[0] == pytest.approx(fd_a, rel=1e-6, abs=1e-6)
-    assert c.gamma[0] == pytest.approx(fd_b, rel=1e-6, abs=1e-6)
+    assert mu[0] == pytest.approx(fd_a, rel=1e-6, abs=1e-6)
+    assert gamma[0] == pytest.approx(fd_b, rel=1e-6, abs=1e-6)

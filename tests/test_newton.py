@@ -11,6 +11,8 @@ from fbrs import (
     QpProblem,
     SingularSystem,
     Status,
+    objective,
+    validate_problem,
 )
 from fbrs import newton
 from fbrs.fb import residual_map
@@ -30,6 +32,7 @@ from fbrs.oracle import (
     random_infeasible_start,
     random_strictly_convex_qp,
     solve_by_enumeration,
+    verify_kkt,
 )
 
 
@@ -121,20 +124,26 @@ def _toy_system(r_s=0.3, r_c=-0.7):
     )
 
 
+def _solve_residual(sys, dx):
+    # relative residual ||K dx - rhs|| / (1 + ||rhs||) of a linear solve
+    rhs = np.concatenate([sys.r_s, sys.r_c])
+    return np.linalg.norm(kkt_matrix(sys) @ dx - rhs) / (1.0 + np.linalg.norm(rhs))
+
+
 def test_solve_full_closed_form():
     sys = _toy_system()
-    dx, residual = solve_full(sys)
+    dx = solve_full(sys)
     assert dx[0] == pytest.approx((0.3 - (-0.7)) / 3.0)
     assert dx[1] == pytest.approx((0.3 + 2 * (-0.7)) / 3.0)
-    assert residual <= 1e-15
+    assert _solve_residual(sys, dx) <= 1e-15
 
 
 def test_solve_condensed_matches_full_on_toy():
     sys = _toy_system()
-    dx_full, _ = solve_full(sys)
-    dx_cond, residual = solve_condensed(sys)
+    dx_full = solve_full(sys)
+    dx_cond = solve_condensed(sys)
     assert dx_cond == pytest.approx(dx_full)
-    assert residual <= 1e-14
+    assert _solve_residual(sys, dx_cond) <= 1e-14
 
 
 def test_solve_full_raises_on_singular():
@@ -170,8 +179,7 @@ def test_full_lu_accuracy_random():
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(rng.standard_normal(n), rng.standard_normal(q))
         sys = assemble_system(p, x, 0.1, 1e-8)
-        _, residual = solve_full(sys)
-        assert residual <= 1e-10
+        assert _solve_residual(sys, solve_full(sys)) <= 1e-10
 
 
 def test_jacobian_nonsingular_under_a3():
@@ -182,8 +190,8 @@ def test_jacobian_nonsingular_under_a3():
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-3, 0)
-        _, residual = solve_full(assemble_system(p, x, eps, 0.0))
-        assert residual <= 1e-10
+        sys = assemble_system(p, x, eps, 0.0)
+        assert _solve_residual(sys, solve_full(sys)) <= 1e-10
 
 
 def test_condensed_full_agreement_random():
@@ -193,8 +201,8 @@ def test_condensed_full_agreement_random():
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(q))
         sys = assemble_system(p, x, 10.0 ** rng.uniform(-6, 0), 10.0 ** rng.uniform(-10, -2))
-        dx_full, _ = solve_full(sys)
-        dx_cond, _ = solve_condensed(sys)
+        dx_full = solve_full(sys)
+        dx_cond = solve_condensed(sys)
         assert np.linalg.norm(dx_full - dx_cond) <= 1e-8 * (1 + np.linalg.norm(dx_full))
 
 
@@ -206,9 +214,9 @@ def test_condensed_survives_tiny_mu():
     p = QpProblem(p.H, p.f, p.A, p.A @ z)  # all slacks zero at z
     sys = assemble_system(p, PrimalDualPoint(z, 1e4 * np.ones(6)), 1e-8, 1e-8)
     assert sys.mu.min() <= 1e-7
-    dx, residual = solve_condensed(sys)
+    dx = solve_condensed(sys)
     assert np.all(np.isfinite(dx))
-    assert residual <= 1e-6
+    assert _solve_residual(sys, dx) <= 1e-6
 
 
 # --- merit function and linesearch -----------------------------------------
@@ -260,7 +268,7 @@ def test_merit_gradient_matches_finite_differences():
 def test_linesearch_unit_step_near_solution(qp_1d):
     x = PrimalDualPoint([0.5 + 1e-5], [0.5 - 1e-5])
     eps = 1e-9
-    dx, _ = solve_full(assemble_system(qp_1d, x, eps, 0.0))
+    dx = solve_full(assemble_system(qp_1d, x, eps, 0.0))
     t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, eps), dx, eps, 1e-4, 0.7, 40)
     assert t == 1.0
     assert backtracks == 0
@@ -270,14 +278,14 @@ def test_linesearch_newton_step_decreases_merit():
     rng = np.random.default_rng(12)
     p = random_strictly_convex_qp(4, 6, rng)
     x = PrimalDualPoint(rng.standard_normal(4), rng.standard_normal(6))
-    dx, _ = solve_full(assemble_system(p, x, 0.01, 1e-8))
+    dx = solve_full(assemble_system(p, x, 0.01, 1e-8))
     _, _, z, v, *_ = linesearch(p, x.z, x.v, residual_map(p, x, 0.01), dx, 0.01, 1e-4, 0.7, 40)
     assert merit(p, PrimalDualPoint(z, v), 0.01) < merit(p, x, 0.01)
 
 
 def test_linesearch_backtracks_on_overshoot(qp_1d):
     x = PrimalDualPoint([100.0], [50.0])
-    dx, _ = solve_full(assemble_system(qp_1d, x, 0.1, 0.0))
+    dx = solve_full(assemble_system(qp_1d, x, 0.1, 0.0))
     t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, 0.1), 3.0 * dx, 0.1, 0.499, 0.7, 40)
     assert backtracks >= 1
     assert t == pytest.approx(0.7**backtracks)
@@ -343,6 +351,55 @@ def test_solve_paths_agree(monkeypatch):
         assert result.x.v == pytest.approx(star.v, abs=1e-8)
 
 
+def test_lu_fallback_reaches_solution(monkeypatch):
+    # a rank-2 PSD Hessian that passes the A3 check: one Schur complement on
+    # the way is not numerically positive definite, so that Newton step goes
+    # through the LU fallback, and the solve still reaches the optimum
+    rng = np.random.default_rng(58)
+    n = int(rng.integers(2, 6))
+    q = int(rng.integers(n + 1, 2 * n + 3))
+    M = rng.standard_normal((n // 2, n))
+    A = rng.standard_normal((q, n))
+    b = rng.uniform(0.1, 1, q)
+    f = rng.standard_normal(n)
+    p = QpProblem(M.T @ M, f, A, b)
+    assert (n, q) == (4, 6)
+    assert validate_problem(p).passed
+    calls = []
+
+    def counting_solve_full(sys):
+        calls.append(sys)
+        return solve_full(sys)
+
+    monkeypatch.setattr(newton, "solve_full", counting_solve_full)
+    result = fbrs_solve(p, PrimalDualPoint.zeros(n, q), SolverConfig(tol=1e-10, max_iters=100))
+    assert result.status == Status.SOLVED
+    assert result.iterations == 19
+    assert len(calls) == 1
+    assert verify_kkt(p, result.x, 1e-8).passed
+    star = solve_by_enumeration(p)
+    assert objective(p, result.x.z) == pytest.approx(objective(p, star.z), abs=1e-10)
+
+
+def test_singular_newton_system_returns_invalid_problem():
+    # H = 0 and A = 0: the Schur complement is zero, so the Cholesky step
+    # fails, and the full system has a zero pivot, so the LU step fails too
+    p = QpProblem([[0.0]], [1.0], [[0.0]], [1.0])
+    x0 = PrimalDualPoint.zeros(1, 1)
+    result = fbrs_solve(p, x0)
+    assert result.status == Status.INVALID_PROBLEM
+    assert result.iterations == 0
+    assert np.array_equal(result.x.z, x0.z) and np.array_equal(result.x.v, x0.v)
+
+
+def test_unbounded_problem_is_not_reported_solved():
+    # min -z s.t. -z <= 0 is unbounded: the iterates run off to z ~ 1e16,
+    # where a + b - r cancelled to 0 in phi_eps and the solve claimed Solved
+    result = fbrs_solve(QpProblem([[0.0]], [-1.0], [[-1.0]], [0.0]), PrimalDualPoint.zeros(1, 1))
+    assert result.status == Status.LINESEARCH_FAILURE
+    assert result.final_norm_F0 > 0.5
+
+
 def test_max_iters_returns_best_iterate(qp_1d):
     result = fbrs_solve(qp_1d, PrimalDualPoint.zeros(1, 1), SolverConfig(max_iters=2))
     assert result.status == Status.MAX_ITERS
@@ -371,11 +428,20 @@ def test_non_finite_step_returns_invalid_problem(qp_1d):
     assert np.array_equal(result.x.z, x0.z) and np.array_equal(result.x.v, x0.v)
 
 
-def test_trace_shape_and_delta_monotonicity():
+def test_trace_shape_and_delta_monotonicity(monkeypatch):
+    residuals = []
+
+    def checked_solve(sys):
+        dx = solve_condensed(sys)
+        residuals.append(_solve_residual(sys, dx))
+        return dx
+
+    monkeypatch.setattr(newton, "solve_condensed", checked_solve)
     rng = np.random.default_rng(14)
     for _ in range(20):
         p = random_strictly_convex_qp(4, 8, rng)
         x0 = random_infeasible_start(p, rng)
+        residuals.clear()
         result = fbrs_solve(p, x0, SolverConfig(tol=1e-10, max_iters=100))
         assert result.status == Status.SOLVED
         assert len(result.trace) == result.iterations + 1
@@ -383,8 +449,8 @@ def test_trace_shape_and_delta_monotonicity():
         assert all(a >= b for a, b in zip(deltas, deltas[1:]))
         for rec in result.trace:
             assert rec.delta <= rec.norm_Feps * (1 + 1e-15)
-            if rec.t > 0:
-                assert rec.linear_solve_residual <= 1e-6
+        assert len(residuals) >= result.iterations
+        assert all(r <= 1e-6 for r in residuals)
 
 
 def test_monotone_armijo_descent_along_trace():
@@ -404,19 +470,27 @@ def test_recovery_keeps_descent_and_shrinks_delta(monkeypatch):
     # one backtrack per linesearch forces the delta shrinks and the
     # merit-gradient fallback, which the fixed constants rarely reach
     monkeypatch.setattr(SolverConfig, "max_backtracks", 1)
+    gradient_steps = []
+    merit_gradient_step = newton._merit_gradient
+
+    def counting(sys0):
+        gradient_steps.append(sys0)
+        return merit_gradient_step(sys0)
+
+    monkeypatch.setattr(newton, "_merit_gradient", counting)
     rng = np.random.default_rng(3)
     cfg = SolverConfig()
     fallbacks = 0
     for _ in range(100):
         p = random_strictly_convex_qp(6, 12, rng)
+        gradient_steps.clear()
         result = fbrs_solve(p, random_infeasible_start(p, rng), cfg)
         assert result.status in (Status.SOLVED, Status.LINESEARCH_FAILURE)
         for a, b in zip(result.trace, result.trace[1:]):
             theta_a, theta_b = 0.5 * a.norm_Feps**2, 0.5 * b.norm_Feps**2
             assert theta_b < (1.0 - 2.0 * a.t * cfg.sigma) * theta_a
             assert b.delta <= a.delta
-        # a gradient step is the only accepted step without a linear solve
-        fallbacks += any(rec.t > 0 and rec.linear_solve_residual == 0.0 for rec in result.trace)
+        fallbacks += bool(gradient_steps)
     assert fallbacks >= 1
 
 
