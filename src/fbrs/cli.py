@@ -156,15 +156,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, InvalidProblem, InvalidConfig, InvalidSpec) as exc:
+    except (ParseError, InvalidProblem, InvalidConfig, InvalidSpec, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FbrsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entrypoint() -> None:

@@ -10,7 +10,7 @@ class InvalidProblem(FbrsError):
 
 
 class InvalidConfig(FbrsError):
-    """Solver configuration or FB kernel argument is out of its valid range."""
+    """Solver configuration or FB kernel parameter (eps, delta) out of its valid range."""
 
 
 class SingularSystem(FbrsError):

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import InvalidConfig
-from .problem import PrimalDualPoint, QpProblem, _check_dims
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _frozen, _positive
 
 
 def phi_eps(a, b, eps: float):
@@ -44,14 +44,17 @@ def fb_coefficients(y: np.ndarray, v: np.ndarray, eps: float, delta: float):
     gamma_i = 1 - y_i/r_i + delta, mu_i = 1 - v_i/r_i + delta with
     r_i = sqrt(y_i^2 + v_i^2 + eps^2).
 
-    Requires eps > 0, which keeps every r_i positive, and delta >= 0.
+    Requires finite eps > 0 (keeps every r_i positive) and finite delta >= 0,
+    else InvalidConfig, and finite y, v of one length, else InvalidProblem.
     """
-    if eps <= 0:
-        raise InvalidConfig("eps must be positive")
-    if delta < 0:
-        raise InvalidConfig("delta must be nonnegative")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    eps = _positive(eps, "eps", InvalidConfig)
+    delta = _positive(delta, "delta", InvalidConfig, zero_ok=True)
+    y = _frozen(y, "y", (None,))
+    return _coefficients(y, _frozen(v, "v", y.shape), eps, delta)
+
+
+def _coefficients(y: np.ndarray, v: np.ndarray, eps: float, delta: float):
+    """fb_coefficients without the argument checks, for the solve loop."""
     r = np.hypot(np.hypot(y, v), eps)
     return (1.0 - y / r) + delta, (1.0 - v / r) + delta
 
@@ -65,7 +68,7 @@ def _evaluate(p: QpProblem, z: np.ndarray, v: np.ndarray, eps: float):
 
 def residual_map(p: QpProblem, x: PrimalDualPoint, eps: float) -> np.ndarray:
     """F_eps(x) = [Hz + f + A'v; phi_eps(v, y)] with y = b - Az."""
-    _check_dims(p, x)
+    _check_dims(x, p.n, p.q, "x")
     return _evaluate(p, x.z, x.v, eps)[0]
 
 

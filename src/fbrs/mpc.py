@@ -10,14 +10,14 @@ one stage.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InvalidSpec, MpcSequenceError
 from .newton import SolverConfig, Status, fbrs_solve
-from .problem import PrimalDualPoint, QpProblem
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _count, _frozen, _readonly
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,9 @@ class LtiMpcSpec:
     """A discrete-time LTI regulation problem over a finite horizon.
 
     Stage cost x'Qx + u'Ru (Q PSD, R strictly PD), input box u_lo <= u <= u_hi,
-    optional state box applied to the predicted states 1..N.
+    optional state box x_lo <= x <= x_hi applied to the predicted states 1..N.
+    Arrays become read-only float copies, Q and R symmetrized; InvalidSpec names
+    a field that is not finite, is misshapen, or breaks lo < hi or horizon >= 1.
     """
 
     Ad: np.ndarray
@@ -40,53 +42,33 @@ class LtiMpcSpec:
     x_hi: np.ndarray | None = None
 
     def __post_init__(self):
-        Ad = np.atleast_2d(np.asarray(self.Ad, dtype=float))
-        Bd = np.atleast_2d(np.asarray(self.Bd, dtype=float))
+        Ad = _frozen(self.Ad, "Ad", (None, None), InvalidSpec)
         nx = Ad.shape[0]
-        if Ad.shape != (nx, nx):
-            raise InvalidSpec(f"Ad must be square, got {Ad.shape}")
-        if Bd.shape[0] != nx:
-            raise InvalidSpec(f"Bd must have {nx} rows, got {Bd.shape}")
+        if Ad.shape[1] != nx:
+            raise InvalidSpec(f"Ad must be square, got shape {Ad.shape}")
+        Bd = _frozen(self.Bd, "Bd", (nx, None), InvalidSpec)
         nu = Bd.shape[1]
-        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        if Q.shape != (nx, nx):
-            raise InvalidSpec(f"Q must be {nx}x{nx}, got {Q.shape}")
-        if R.shape != (nu, nu):
-            raise InvalidSpec(f"R must be {nu}x{nu}, got {R.shape}")
-        if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) < -1e-10:
+        Q = _frozen(self.Q, "Q", (nx, nx), InvalidSpec)
+        R = _frozen(self.R, "R", (nu, nu), InvalidSpec)
+        Q, R = _readonly(0.5 * (Q + Q.T)), _readonly(0.5 * (R + R.T))
+        if np.min(np.linalg.eigvalsh(Q)) < -1e-10:
             raise InvalidSpec("Q must be positive semidefinite")
         try:
-            scipy.linalg.cho_factor(0.5 * (R + R.T))
+            scipy.linalg.cho_factor(R)
         except np.linalg.LinAlgError as exc:
             raise InvalidSpec("R must be strictly positive definite") from exc
-        if self.horizon < 1:
-            raise InvalidSpec("horizon must be >= 1")
-        u_lo = np.atleast_1d(np.asarray(self.u_lo, dtype=float))
-        u_hi = np.atleast_1d(np.asarray(self.u_hi, dtype=float))
-        if u_lo.shape != (nu,) or u_hi.shape != (nu,):
-            raise InvalidSpec(f"input bounds must have shape ({nu},)")
-        if not np.all(u_lo < u_hi):
-            raise InvalidSpec("u_lo must be strictly below u_hi componentwise")
-        x_init = np.atleast_1d(np.asarray(self.x_init, dtype=float))
-        if x_init.shape != (nx,):
-            raise InvalidSpec(f"x_init must have shape ({nx},)")
-        for name in ("x_lo", "x_hi"):
-            bound = getattr(self, name)
-            if bound is not None:
-                bound = np.atleast_1d(np.asarray(bound, dtype=float))
-                if bound.shape != (nx,):
-                    raise InvalidSpec(f"{name} must have shape ({nx},)")
-                object.__setattr__(self, name, bound)
+        _count(self.horizon, "horizon", InvalidSpec)
         if (self.x_lo is None) != (self.x_hi is None):
-            raise InvalidSpec("state bounds must be given as a pair or not at all")
-        object.__setattr__(self, "Ad", Ad)
-        object.__setattr__(self, "Bd", Bd)
-        object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
-        object.__setattr__(self, "R", 0.5 * (R + R.T))
-        object.__setattr__(self, "u_lo", u_lo)
-        object.__setattr__(self, "u_hi", u_hi)
-        object.__setattr__(self, "x_init", x_init)
+            raise InvalidSpec("x_lo and x_hi must be given together or not at all")
+        x_init = _frozen(self.x_init, "x_init", (nx,), InvalidSpec)
+        checked = dict(Ad=Ad, Bd=Bd, Q=Q, R=R, x_init=x_init)
+        boxes = [("u_lo", "u_hi", nu)] + ([("x_lo", "x_hi", nx)] if self.x_lo is not None else [])
+        for lo, hi, width in boxes:
+            for k in (lo, hi):
+                checked[k] = _frozen(getattr(self, k), k, (width,), InvalidSpec)
+            if not np.all(checked[lo] < checked[hi]):
+                raise InvalidSpec(f"{lo} must be strictly below {hi} componentwise")
+        vars(self).update(checked)
 
     @property
     def nx(self) -> int:
@@ -117,11 +99,10 @@ def condense(spec: LtiMpcSpec, x_init: np.ndarray | None = None) -> QpProblem:
     H = G' Qbar G + Rbar and f = G' Qbar Phi x0 with Qbar, Rbar the
     block-diagonal stage weights; H is strictly positive definite because Rbar
     is. Constraints are the input box (2 N nu rows) followed, when state
-    bounds are present, by the predicted-state box (2 N nx rows).
+    bounds are present, by the predicted-state box (2 N nx rows). An x_init
+    given here, a finite nx-vector (else InvalidSpec), replaces spec.x_init.
     """
-    x0 = spec.x_init if x_init is None else np.atleast_1d(np.asarray(x_init, dtype=float))
-    if x0.shape != (spec.nx,):
-        raise InvalidSpec(f"x_init must have shape ({spec.nx},)")
+    x0 = spec.x_init if x_init is None else _frozen(x_init, "x_init", (spec.nx,), InvalidSpec)
     N, nu, nx = spec.horizon, spec.nu, spec.nx
     Phi, G = prediction_matrices(spec)
     Qbar = np.kron(np.eye(N), spec.Q)
@@ -137,25 +118,21 @@ def condense(spec: LtiMpcSpec, x_init: np.ndarray | None = None) -> QpProblem:
     return QpProblem(H, f, np.vstack(rows), np.concatenate(rhs))
 
 
-def _constraint_groups(spec: LtiMpcSpec):
-    """Stage-block layout of the condensed constraint rows, for shifted reuse."""
-    groups = [spec.nu, spec.nu]
-    if spec.x_lo is not None:
-        groups += [spec.nx, spec.nx]
-    return groups
-
-
 def _shift_stages(vec: np.ndarray, width: int) -> np.ndarray:
     """Drop the first stage block and repeat the last one."""
     return np.concatenate([vec[width:], vec[-width:]])
 
 
 def shift_solution(spec: LtiMpcSpec, x: PrimalDualPoint) -> PrimalDualPoint:
-    """Advance a solution by one stage for reuse at the next sampling instant."""
+    """Advance a solution x of condense(spec)'s QP (else InvalidSpec) by one
+    stage for reuse at the next sampling instant."""
+    # per-stage widths of the condensed constraint row groups: input box, then state box
+    groups = [spec.nu, spec.nu] + ([spec.nx, spec.nx] if spec.x_lo is not None else [])
+    _check_dims(x, spec.horizon * spec.nu, spec.horizon * sum(groups), "x", InvalidSpec)
     z = _shift_stages(x.z, spec.nu)
     pieces = []
     offset = 0
-    for width in _constraint_groups(spec):
+    for width in groups:
         block = x.v[offset:offset + width * spec.horizon]
         pieces.append(_shift_stages(block, width))
         offset += width * spec.horizon
@@ -223,10 +200,9 @@ def run_sequence(
     previous primal-dual solution and "shift" with that solution advanced by
     one stage (shift_solution). Every QP must reach Solved, otherwise
     MpcSequenceError carries the failing step index. Returns
-    (Trajectory, SequenceStats).
+    (Trajectory, SequenceStats). InvalidSpec unless steps is an integer >= 1.
     """
-    if steps < 1:
-        raise InvalidSpec("steps must be >= 1")
+    _count(steps, "steps", InvalidSpec)
     if start_mode not in ("cold", "warm", "shift"):
         raise InvalidSpec(f"start_mode must be 'cold', 'warm' or 'shift', got {start_mode!r}")
     cfg = cfg or SolverConfig(tol=1e-6)

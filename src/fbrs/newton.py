@@ -25,7 +25,6 @@ validated at entry only.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,8 +40,8 @@ from .errors import (
     LinesearchError,
     SingularSystem,
 )
-from .fb import _evaluate, fb_coefficients, phi_eps, residual_map
-from .problem import PrimalDualPoint, QpProblem, _check_dims
+from .fb import _coefficients, _evaluate, phi_eps, residual_map
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _count, _positive
 
 
 class Status(Enum):
@@ -55,7 +54,7 @@ class Status(Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of the solve loop: stop once ||F_0|| <= tol, or after
-    max_iters Newton steps.
+    max_iters Newton steps (a finite real > 0 and an int >= 1, else InvalidConfig).
 
     tol also fixes the smoothing (see effective_eps). The class constants are
     the Armijo parameters of the linesearch and the starting regularization,
@@ -70,10 +69,8 @@ class SolverConfig:
     max_backtracks: ClassVar[int] = 40
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise InvalidConfig("tol must be finite and positive")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise InvalidConfig("max_iters must be an integer >= 1")
+        _positive(self.tol, "tol", InvalidConfig)
+        _count(self.max_iters, "max_iters", InvalidConfig)
 
     def effective_eps(self, q: int) -> float:
         """Smoothing tol / (2 sqrt(q)): the gap sqrt(q) eps between ||F_eps||
@@ -119,13 +116,13 @@ class SolverResult:
 
 
 def _newton_system(p: QpProblem, F, y, v, eps: float, delta: float) -> NewtonSystem:
-    gamma, mu = fb_coefficients(y, v, eps, delta)
+    gamma, mu = _coefficients(y, v, eps, delta)
     return NewtonSystem(H=p.H, A=p.A, gamma=gamma, mu=mu, r_s=-F[:p.n], r_c=-F[p.n:])
 
 
 def assemble_system(p: QpProblem, x: PrimalDualPoint, eps: float, delta: float) -> NewtonSystem:
     """Coefficients and right-hand side of the Newton system at x."""
-    _check_dims(p, x)
+    _check_dims(x, p.n, p.q, "x")
     F, y = _evaluate(p, x.z, x.v, eps)
     return _newton_system(p, F, y, x.v, eps, delta)
 
@@ -199,14 +196,13 @@ def _merit_gradient(sys0: NewtonSystem) -> np.ndarray:
     return np.concatenate([gz, gv])
 
 
-def linesearch(p: QpProblem, z, v, F, dx, eps: float, sigma: float, beta: float, max_backtracks: int):
+def linesearch(p: QpProblem, z, v, F, dx, eps: float):
     """First t in {1, beta, beta^2, ...} with theta(x + t dx) < (1 - 2 t sigma) theta(x),
-    where x = (z, v), F = F_eps(x) and theta = 0.5 ||F_eps||^2.
-
-    Returns (t, backtracks, z', v', F', y') at the accepted point, y' = b - Az'.
-    Raises LinesearchError when max_backtracks reductions were not enough
-    (delta too large or a defective direction), InvalidProblem when dx is
-    not finite.
+    where x = (z, v), F = F_eps(x), theta = 0.5 ||F_eps||^2 and sigma, beta are
+    SolverConfig's. Returns (t, backtracks, z', v', F', y') at the accepted point,
+    y' = b - Az'. Raises LinesearchError when SolverConfig.max_backtracks
+    reductions were not enough (delta too large or a defective direction),
+    InvalidProblem when dx is not finite.
     """
     theta0 = 0.5 * float(F @ F)
     if theta0 <= 0.0:
@@ -214,13 +210,13 @@ def linesearch(p: QpProblem, z, v, F, dx, eps: float, sigma: float, beta: float,
     if not np.all(np.isfinite(dx)):
         raise InvalidProblem("non-finite search direction")
     n = p.n
-    for j in range(max_backtracks + 1):
-        t = beta**j
+    for j in range(SolverConfig.max_backtracks + 1):
+        t = SolverConfig.beta**j
         z_t, v_t = z + t * dx[:n], v + t * dx[n:]
         F_t, y_t = _evaluate(p, z_t, v_t, eps)
-        if 0.5 * float(F_t @ F_t) < (1.0 - 2.0 * t * sigma) * theta0:
+        if 0.5 * float(F_t @ F_t) < (1.0 - 2.0 * t * SolverConfig.sigma) * theta0:
             return t, j, z_t, v_t, F_t, y_t
-    raise LinesearchError(f"no acceptable step after {max_backtracks} backtracks")
+    raise LinesearchError(f"no acceptable step after {SolverConfig.max_backtracks} backtracks")
 
 
 def _solve_step(sys: NewtonSystem):
@@ -245,10 +241,9 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     INVALID_PROBLEM at the last accepted iterate.
     """
     cfg = cfg or SolverConfig()
-    _check_dims(p, x0)
+    _check_dims(x0, p.n, p.q, "x0")
     n = p.n
     eps = cfg.effective_eps(p.q)
-    search = (eps, cfg.sigma, cfg.beta, cfg.max_backtracks)
     delta = cfg.delta0
     z, v = x0.z, x0.v
     F, y = _evaluate(p, z, v, eps)
@@ -277,13 +272,13 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
                     delta = delta / 10.0
                 dx = _solve_step(_newton_system(p, F, y, v, eps, delta))
                 try:
-                    t, nb, z, v, F, y = linesearch(p, z, v, F, dx, *search)
+                    t, nb, z, v, F, y = linesearch(p, z, v, F, dx, eps)
                     break
                 except LinesearchError:
                     pass
             else:
                 dx = -_merit_gradient(_newton_system(p, F, y, v, eps, 0.0))
-                t, nb, z, v, F, y = linesearch(p, z, v, F, dx, *search)
+                t, nb, z, v, F, y = linesearch(p, z, v, F, dx, eps)
         except LinesearchError:
             status = Status.LINESEARCH_FAILURE
             break

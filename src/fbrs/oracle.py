@@ -20,11 +20,12 @@ from .errors import (
     InfeasibleProblem,
     UnboundedProblem,
 )
-from .problem import PrimalDualPoint, QpProblem, constraint_slack
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _positive, constraint_slack
 
 MAX_ENUM_CONSTRAINTS = 16
 MAX_ENUM_VARIABLES = 8
 ENUM_TOL = 1e-9  # feasibility / dual-sign acceptance inside the enumeration
+START_SCALE = 10.0  # standard deviation of random_infeasible_start's entries
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,10 @@ class KktReport:
 
 
 def verify_kkt(p: QpProblem, x: PrimalDualPoint, tol: float) -> KktReport:
-    """Evaluate stationarity, feasibility, and complementarity at x."""
+    """Evaluate stationarity, feasibility, and complementarity at x; x must match
+    p's (n, q) and tol be a finite real > 0 (else InvalidProblem)."""
+    _check_dims(x, p.n, p.q, "x")
+    tol = _positive(tol, "tol")
     y = constraint_slack(p, x.z)
     stat = float(np.linalg.norm(p.H @ x.z + p.f + p.A.T @ x.v))
     primal = float(max(0.0, np.max(-y)))
@@ -112,14 +116,14 @@ def solve_by_enumeration(p: QpProblem) -> PrimalDualPoint:
     raise InfeasibleProblem("no point satisfies Az <= b")
 
 
-def _is_feasible(p: QpProblem, tol: float = 1e-9) -> bool:
-    # min s >= 0 subject to Az - s*1 <= b; feasible iff the optimum is <= tol
+def _is_feasible(p: QpProblem) -> bool:
+    # min s >= 0 subject to Az - s*1 <= b; feasible iff the optimum is <= ENUM_TOL
     c = np.zeros(p.n + 1)
     c[-1] = 1.0
     A_ub = np.hstack([p.A, -np.ones((p.q, 1))])
     bounds = [(None, None)] * p.n + [(0.0, None)]
     res = linprog(c, A_ub=A_ub, b_ub=p.b, bounds=bounds, method="highs")
-    return res.status == 0 and res.fun <= tol
+    return res.status == 0 and res.fun <= ENUM_TOL
 
 
 def random_strictly_convex_qp(n: int, q: int, rng: np.random.Generator) -> QpProblem:
@@ -150,11 +154,11 @@ def random_strictly_convex_qp(n: int, q: int, rng: np.random.Generator) -> QpPro
     return QpProblem(H, f, A, b)
 
 
-def random_infeasible_start(p: QpProblem, rng: np.random.Generator, scale: float = 10.0) -> PrimalDualPoint:
+def random_infeasible_start(p: QpProblem, rng: np.random.Generator) -> PrimalDualPoint:
     """A primal-infeasible, sign-mixed starting point for cold-start stress tests."""
-    z = scale * rng.standard_normal(p.n)
+    z = START_SCALE * rng.standard_normal(p.n)
     for _ in range(100):
         if np.max(p.A @ z - p.b) > 0:
             break
-        z = scale * rng.standard_normal(p.n)
-    return PrimalDualPoint(z, scale * rng.standard_normal(p.q))
+        z = START_SCALE * rng.standard_normal(p.n)
+    return PrimalDualPoint(z, START_SCALE * rng.standard_normal(p.q))

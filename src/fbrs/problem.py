@@ -8,25 +8,58 @@ positive semidefinite and at least one constraint row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidProblem
+from .errors import FbrsError, InvalidProblem
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """arr itself, made read-only: for arrays derived from checked input."""
     arr.setflags(write=False)
     return arr
 
 
+def _frozen(value, name: str, shape: tuple, error: type[FbrsError] = InvalidProblem) -> np.ndarray:
+    """Caller input as a read-only float copy with finite entries and the given
+    shape, where None is any length >= 1; lower-rank input gains leading unit
+    axes (as np.atleast_2d). Raises `error`, naming `name`, otherwise."""
+    try:
+        arr = np.array(value, dtype=float, ndmin=len(shape))
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} is not a numeric array: {exc}") from None
+    expected = tuple(got if want is None else want for got, want in zip(arr.shape, shape))
+    if arr.shape != expected:
+        raise error(f"{name} must have shape {expected}, got {arr.shape}")
+    if arr.size == 0 or not np.isfinite(arr).all():
+        raise error(f"{name} must have finite entries and no empty axis, got shape {arr.shape}")
+    return _readonly(arr)
+
+
+def _positive(value, name: str, error: type[FbrsError] = InvalidProblem, zero_ok: bool = False) -> float:
+    """A real (not a bool) in (0, inf), or [0, inf) when zero_ok, as a float."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (0 < value < math.inf or (zero_ok and value == 0))):
+        raise error(f"{name} must be a finite real {'>=' if zero_ok else '>'} 0, got {value!r}")
+    return float(value)
+
+
+def _count(value, name: str, error: type[FbrsError] = InvalidProblem) -> int:
+    """An integer >= 1 (not a bool) as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class QpProblem:
-    """The quadruple (H, f, A, b). H is symmetrized at construction.
+    """The quadruple (H, f, A, b) as read-only float copies, H symmetrized.
 
-    The Frobenius asymmetry of the user-supplied Hessian is kept in
-    `symmetry_defect` so validation can report it.
+    InvalidProblem names an array that is not finite or not of shape H (n, n),
+    f (n,), A (q, n), b (q,) with n, q >= 1. The Frobenius asymmetry of the
+    supplied Hessian is kept in `symmetry_defect` so validation can report it.
     """
 
     H: np.ndarray
@@ -36,33 +69,14 @@ class QpProblem:
     symmetry_defect: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        f = np.atleast_1d(np.asarray(self.f, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise InvalidProblem(f"H must be square, got shape {H.shape}")
+        H = _frozen(self.H, "H", (None, None))
         n = H.shape[0]
-        if n < 1:
-            raise InvalidProblem("decision dimension n must be >= 1")
-        if A.ndim != 2 or A.shape[1] != n:
-            raise InvalidProblem(f"A must have {n} columns, got shape {A.shape}")
-        q = A.shape[0]
-        if q < 1:
-            raise InvalidProblem("at least one inequality row is required (q >= 1)")
-        if f.shape != (n,):
-            raise InvalidProblem(f"f must have shape ({n},), got {f.shape}")
-        if b.shape != (q,):
-            raise InvalidProblem(f"b must have shape ({q},), got {b.shape}")
-        for name, arr in (("H", H), ("f", f), ("A", A), ("b", b)):
-            if not np.all(np.isfinite(arr)):
-                raise InvalidProblem(f"{name} contains non-finite entries")
+        if H.shape[1] != n:
+            raise InvalidProblem(f"H must be square, got shape {H.shape}")
+        A = _frozen(self.A, "A", (None, n))
+        f, b = _frozen(self.f, "f", (n,)), _frozen(self.b, "b", (A.shape[0],))
         defect = float(np.linalg.norm(H - H.T))
-        object.__setattr__(self, "symmetry_defect", defect)
-        object.__setattr__(self, "H", _frozen(0.5 * (H + H.T)))
-        object.__setattr__(self, "f", _frozen(f))
-        object.__setattr__(self, "A", _frozen(A))
-        object.__setattr__(self, "b", _frozen(b))
+        vars(self).update(H=_readonly(0.5 * (H + H.T)), f=f, A=A, b=b, symmetry_defect=defect)
 
     @property
     def n(self) -> int:
@@ -75,20 +89,14 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class PrimalDualPoint:
-    """A primal-dual iterate (z, v). Duals may be sign-mixed mid-solve."""
+    """A primal-dual iterate (z, v) of finite, nonempty, read-only float vectors;
+    v may be sign-mixed mid-solve."""
 
     z: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.z, dtype=float))
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        if z.ndim != 1 or v.ndim != 1:
-            raise InvalidProblem("z and v must be vectors")
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
-            raise InvalidProblem("iterate contains non-finite entries")
-        object.__setattr__(self, "z", _frozen(z))
-        object.__setattr__(self, "v", _frozen(v))
+        vars(self).update(z=_frozen(self.z, "z", (None,)), v=_frozen(self.v, "v", (None,)))
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.z, self.v])
@@ -99,7 +107,6 @@ class PrimalDualPoint:
 
     @staticmethod
     def from_vector(vec: np.ndarray, n: int) -> "PrimalDualPoint":
-        vec = np.asarray(vec, dtype=float)
         return PrimalDualPoint(vec[:n], vec[n:])
 
 
@@ -124,10 +131,10 @@ def validate_problem(p: QpProblem, tol: float = 1e-10) -> ValidationReport:
     """Check symmetry of the supplied Hessian and the kernel condition.
 
     Passes iff the construction-time asymmetry is below tol * (1 + ||H||)
-    and sigma_min([H; A]) > tol * sigma_max([H; A]).
+    and sigma_min([H; A]) > tol * sigma_max([H; A]). Raises InvalidProblem
+    unless tol is a finite real > 0.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidProblem("tol must be finite and positive")
+    tol = _positive(tol, "tol")
     h_scale = 1.0 + float(np.linalg.norm(p.H))
     symmetry_ok = p.symmetry_defect <= tol * h_scale
     stacked = np.vstack([p.H, p.A])
@@ -158,21 +165,17 @@ def validate_problem(p: QpProblem, tol: float = 1e-10) -> ValidationReport:
 
 
 def constraint_slack(p: QpProblem, z: np.ndarray) -> np.ndarray:
-    """y = b - Az."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (p.n,):
-        raise InvalidProblem(f"z must have shape ({p.n},), got {z.shape}")
-    return p.b - p.A @ z
+    """y = b - Az. Raises InvalidProblem unless z is a finite vector of length n."""
+    return p.b - p.A @ _frozen(z, "z", (p.n,))
 
 
 def objective(p: QpProblem, z: np.ndarray) -> float:
-    """0.5 z'Hz + f'z."""
-    z = np.asarray(z, dtype=float)
+    """0.5 z'Hz + f'z. Raises InvalidProblem unless z is a finite vector of length n."""
+    z = _frozen(z, "z", (p.n,))
     return float(0.5 * z @ (p.H @ z) + p.f @ z)
 
 
-def _check_dims(p: QpProblem, x: PrimalDualPoint) -> None:
-    if x.z.shape != (p.n,) or x.v.shape != (p.q,):
-        raise InvalidProblem(
-            f"iterate shape ({x.z.shape[0]}, {x.v.shape[0]}) does not match problem ({p.n}, {p.q})"
-        )
+def _check_dims(x: PrimalDualPoint, n: int, q: int, name: str, error: type[FbrsError] = InvalidProblem):
+    """Raise `error`, naming `name`, unless point x has len z = n and len v = q."""
+    if x.z.shape != (n,) or x.v.shape != (q,):
+        raise error(f"{name} has (len z, len v) = ({x.z.size}, {x.v.size}), expected ({n}, {q})")

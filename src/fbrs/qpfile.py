@@ -23,7 +23,7 @@ parse(serialize(p)) reproduces every value exactly.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, ParseError
-from .problem import PrimalDualPoint, QpProblem
+from .problem import PrimalDualPoint, QpProblem, _check_dims
 
 MAGIC = "FBQP"
 VERSION = "1"
@@ -112,8 +112,7 @@ def parse_qp(text: str):
     trailing = cursor.peek()
     if trailing is not None:
         raise ParseError(f"unexpected content {trailing[1][0]!r}", trailing[0])
-    problem = QpProblem(H, f, A, b)
-    return problem, x0
+    return QpProblem(H, f, A, b), x0
 
 
 def _fmt_row(values) -> str:
@@ -121,12 +120,14 @@ def _fmt_row(values) -> str:
 
 
 def serialize_qp(p: QpProblem, x0: PrimalDualPoint | None = None) -> str:
-    """Render a problem (and optional warmstart point) as FBQP text."""
+    """Render a problem and an optional warmstart x0 (InvalidProblem unless it
+    matches p's (n, q)) as FBQP text."""
     lines = [f"{MAGIC} {VERSION}", f"n {p.n}", f"q {p.q}", "H"]
     lines += [_fmt_row(row) for row in p.H]
     lines += ["f", _fmt_row(p.f), "A"]
     lines += [_fmt_row(row) for row in p.A]
     lines += ["b", _fmt_row(p.b)]
     if x0 is not None:
+        _check_dims(x0, p.n, p.q, "x0")
         lines += ["x0", _fmt_row(x0.as_vector())]
     return "\n".join(lines) + "\n"

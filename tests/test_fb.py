@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fbrs import (
     InvalidConfig,
+    InvalidProblem,
     PrimalDualPoint,
     QpProblem,
     fb_coefficients,
@@ -78,6 +79,16 @@ def test_coefficients_errors():
         fb_coefficients(np.zeros(1), np.zeros(1), -0.1, 0.0)
     with pytest.raises(InvalidConfig):
         fb_coefficients(np.zeros(1), np.zeros(1), 0.1, -1.0)
+    with pytest.raises(InvalidConfig, match="eps"):
+        fb_coefficients(np.zeros(1), np.zeros(1), math.nan, 0.0)
+    with pytest.raises(InvalidConfig, match="delta"):
+        fb_coefficients(np.zeros(1), np.zeros(1), 0.1, math.nan)
+    with pytest.raises(InvalidConfig, match="delta"):
+        fb_coefficients(np.zeros(1), np.zeros(1), 0.1, math.inf)
+    with pytest.raises(InvalidProblem, match="v must have shape"):
+        fb_coefficients(np.zeros(2), np.zeros(1), 0.1, 0.0)
+    with pytest.raises(InvalidProblem, match="y"):
+        fb_coefficients(np.array([np.nan]), np.zeros(1), 0.1, 0.0)
 
 
 # strict interval bounds hold in exact arithmetic; keep eps large enough

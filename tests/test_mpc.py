@@ -42,19 +42,34 @@ def _simple_spec(horizon=3, with_state_bounds=False):
 
 def test_spec_validation():
     good = _simple_spec()
-    with pytest.raises(InvalidSpec):
-        LtiMpcSpec(good.Ad, good.Bd, good.Q, np.zeros((1, 1)), 3, good.u_lo, good.u_hi, good.x_init)
-    with pytest.raises(InvalidSpec):
-        LtiMpcSpec(good.Ad, good.Bd, -np.eye(2), good.R, 3, good.u_lo, good.u_hi, good.x_init)
-    with pytest.raises(InvalidSpec):
-        LtiMpcSpec(good.Ad, good.Bd, good.Q, good.R, 3, np.array([1.0]), np.array([1.0]), good.x_init)
-    with pytest.raises(InvalidSpec):
-        LtiMpcSpec(good.Ad, good.Bd, good.Q, good.R, 0, good.u_lo, good.u_hi, good.x_init)
-    with pytest.raises(InvalidSpec):
-        LtiMpcSpec(good.Ad, good.Bd, good.Q, good.R, 3, good.u_lo, good.u_hi, np.zeros(3))
-    with pytest.raises(InvalidSpec):
-        LtiMpcSpec(good.Ad, good.Bd, good.Q, good.R, 3, good.u_lo, good.u_hi, good.x_init,
-                   x_lo=np.zeros(2))
+    fields = dict(Ad=good.Ad, Bd=good.Bd, Q=good.Q, R=good.R, horizon=3,
+                  u_lo=good.u_lo, u_hi=good.u_hi, x_init=good.x_init)
+    # (changed fields, name the error must mention)
+    cases = [
+        (dict(R=np.zeros((1, 1))), "R"),
+        (dict(Q=-np.eye(2)), "Q"),
+        (dict(u_lo=np.array([1.0]), u_hi=np.array([1.0])), "u_lo"),
+        (dict(horizon=0), "horizon"),
+        (dict(x_init=np.zeros(3)), "x_init"),
+        (dict(x_lo=np.zeros(2)), "x_lo"),
+        (dict(Ad=np.array([[np.nan, 0.1], [0.0, 1.0]])), "Ad"),
+        (dict(u_hi=np.array([np.inf])), "u_hi"),
+        (dict(horizon=2.5), "horizon"),
+        (dict(x_lo=np.ones(2), x_hi=-np.ones(2)), "x_lo"),
+        (dict(R=np.array([[np.nan]])), "R"),
+        (dict(Q=[["a", 0.0], [0.0, 1.0]]), "Q"),
+    ]
+    for changed, name in cases:
+        with pytest.raises(InvalidSpec, match=name):
+            LtiMpcSpec(**{**fields, **changed})
+
+
+def test_spec_arrays_read_only():
+    spec = _simple_spec(with_state_bounds=True)
+    for name in ("Ad", "Bd", "Q", "R", "u_lo", "u_hi", "x_init", "x_lo", "x_hi"):
+        assert not getattr(spec, name).flags.writeable, name
+    with pytest.raises(ValueError):
+        spec.u_hi[0] = -5.0
 
 
 def test_condense_dimensions():
@@ -176,6 +191,12 @@ def test_shifted_warmstart_mode_runs():
     assert shift.mean_iterations < warm.mean_iterations
 
 
+def test_shift_solution_rejects_mismatched_point():
+    # double_integrator() condenses to (n, q) = (8, 16)
+    with pytest.raises(InvalidSpec, match="x has"):
+        shift_solution(double_integrator(), PrimalDualPoint.zeros(3, 5))
+
+
 def test_shift_solution_moves_stages():
     spec = _simple_spec(horizon=3)
     z = np.array([1.0, 2.0, 3.0])
@@ -214,6 +235,8 @@ def test_run_sequence_rejects_bad_arguments():
         run_sequence(spec, 0, "cold")
     with pytest.raises(InvalidSpec):
         run_sequence(spec, 5, "tepid")
+    with pytest.raises(InvalidSpec, match="steps"):
+        run_sequence(spec, 2.5)
 
 
 def test_mass_spring_chain_shapes():

@@ -57,10 +57,13 @@ def test_config_defaults():
         dict(max_iters=2.5),
         dict(max_iters=math.nan),
         dict(max_iters=math.inf),
+        dict(max_iters=True),
+        dict(tol=True),
+        dict(tol="1e-8"),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match=next(iter(kwargs))):
         SolverConfig(**kwargs)
 
 
@@ -269,7 +272,7 @@ def test_linesearch_unit_step_near_solution(qp_1d):
     x = PrimalDualPoint([0.5 + 1e-5], [0.5 - 1e-5])
     eps = 1e-9
     dx = solve_full(assemble_system(qp_1d, x, eps, 0.0))
-    t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, eps), dx, eps, 1e-4, 0.7, 40)
+    t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, eps), dx, eps)
     assert t == 1.0
     assert backtracks == 0
 
@@ -279,23 +282,25 @@ def test_linesearch_newton_step_decreases_merit():
     p = random_strictly_convex_qp(4, 6, rng)
     x = PrimalDualPoint(rng.standard_normal(4), rng.standard_normal(6))
     dx = solve_full(assemble_system(p, x, 0.01, 1e-8))
-    _, _, z, v, *_ = linesearch(p, x.z, x.v, residual_map(p, x, 0.01), dx, 0.01, 1e-4, 0.7, 40)
+    _, _, z, v, *_ = linesearch(p, x.z, x.v, residual_map(p, x, 0.01), dx, 0.01)
     assert merit(p, PrimalDualPoint(z, v), 0.01) < merit(p, x, 0.01)
 
 
-def test_linesearch_backtracks_on_overshoot(qp_1d):
+def test_linesearch_backtracks_on_overshoot(qp_1d, monkeypatch):
+    monkeypatch.setattr(SolverConfig, "sigma", 0.499)
     x = PrimalDualPoint([100.0], [50.0])
     dx = solve_full(assemble_system(qp_1d, x, 0.1, 0.0))
-    t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, 0.1), 3.0 * dx, 0.1, 0.499, 0.7, 40)
+    t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, 0.1), 3.0 * dx, 0.1)
     assert backtracks >= 1
     assert t == pytest.approx(0.7**backtracks)
 
 
-def test_linesearch_fails_on_ascent_direction(qp_1d):
+def test_linesearch_fails_on_ascent_direction(qp_1d, monkeypatch):
+    monkeypatch.setattr(SolverConfig, "max_backtracks", 10)
     x = PrimalDualPoint([100.0], [50.0])
     up = merit_gradient(qp_1d, x, 0.1)
-    with pytest.raises(LinesearchError):
-        linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, 0.1), up, 0.1, 1e-4, 0.7, 10)
+    with pytest.raises(LinesearchError, match="after 10 backtracks"):
+        linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, 0.1), up, 0.1)
 
 
 # --- the full solve ---------------------------------------------------------

@@ -50,6 +50,14 @@ def test_rejects_nonfinite_and_bad_shapes():
         QpProblem(np.eye(2), np.zeros(2), [[1.0, 0.0]], [1.0, 2.0])
     with pytest.raises(InvalidProblem):
         PrimalDualPoint([np.inf], [0.0])
+    with pytest.raises(InvalidProblem, match="H"):
+        QpProblem([[1.0, 0.0], [1.0]], [0.0, 0.0], [[1.0, 0.0]], [1.0])
+    with pytest.raises(InvalidProblem, match="A"):
+        QpProblem(np.eye(2), [0.0, 0.0], [["a", 0.0]], [1.0])
+    with pytest.raises(InvalidProblem, match="z"):
+        PrimalDualPoint([[1.0], [1.0, 2.0]], [0.0])
+    with pytest.raises(InvalidProblem, match="v"):
+        PrimalDualPoint([0.0], ["x"])
 
 
 def test_problem_arrays_immutable(qp_1d):
@@ -120,6 +128,24 @@ def test_dimension_mismatch_raises(qp_1d):
         lagrangian_gradient(qp_1d, PrimalDualPoint([0.0, 0.0], [0.0]))
     with pytest.raises(InvalidProblem):
         constraint_slack(qp_1d, np.zeros(2))
+    with pytest.raises(InvalidProblem, match="z"):
+        constraint_slack(qp_1d, [np.nan])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda p: objective(p, np.zeros(2)), "z"),
+        (lambda p: objective(p, [np.nan]), "z"),
+        (lambda p: verify_kkt(p, PrimalDualPoint.zeros(1, 2), 1e-8), "x"),
+        (lambda p: verify_kkt(p, PrimalDualPoint.zeros(1, 1), math.nan), "tol"),
+        (lambda p: verify_kkt(p, PrimalDualPoint.zeros(1, 1), 0.0), "tol"),
+    ],
+    ids=["objective-shape", "objective-nan", "verify_kkt-x", "verify_kkt-tol-nan", "verify_kkt-tol-zero"],
+)
+def test_point_functions_reject_bad_input(qp_1d, call, name):
+    with pytest.raises(InvalidProblem, match=name):
+        call(qp_1d)
 
 
 def test_natural_residual_zero_iff_kkt():

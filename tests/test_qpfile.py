@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbrs import DimensionMismatch, ParseError
+from fbrs import DimensionMismatch, InvalidProblem, ParseError
 from fbrs.oracle import random_strictly_convex_qp
 from fbrs.problem import PrimalDualPoint
 from fbrs.qpfile import parse_qp, serialize_qp
@@ -111,3 +111,10 @@ def test_serialized_values_survive_awkward_floats():
     _, x2 = parse_qp(text)
     assert x2.z[0] == 0.1 + 0.2
     assert x2.v[0] == 1e-301
+
+
+def test_serialize_rejects_mismatched_x0():
+    # a point of the wrong size would otherwise be written and then fail to parse
+    p = random_strictly_convex_qp(2, 1, np.random.default_rng(0))
+    with pytest.raises(InvalidProblem, match="x0"):
+        serialize_qp(p, PrimalDualPoint.zeros(1, 1))
