@@ -18,12 +18,7 @@ from .errors import (
     SingularSystem,
     UnboundedProblem,
 )
-from .fb import (
-    fb_coefficients,
-    phi_eps,
-    residual_map,
-    smoothing_gap_bound_check,
-)
+from .fb import phi_eps
 from .mpc import (
     BUNDLED_EXAMPLES,
     LtiMpcSpec,
@@ -37,16 +32,12 @@ from .mpc import (
 )
 from .newton import (
     IterationRecord,
-    NewtonSystem,
     SolverConfig,
     SolverResult,
     Status,
-    assemble_system,
     fbrs_solve,
     kkt_matrix,
     linesearch,
-    merit,
-    merit_gradient,
     solve_condensed,
     solve_full,
 )

@@ -10,7 +10,7 @@ class InvalidProblem(FbrsError):
 
 
 class InvalidConfig(FbrsError):
-    """Solver configuration or FB kernel parameter (eps, delta) out of its valid range."""
+    """SolverConfig setting (tol, max_iters) out of its valid range."""
 
 
 class SingularSystem(FbrsError):

@@ -6,18 +6,16 @@ coefficients of the Newton system. The residual
 
     F_eps(z, v) = [Hz + f + A'v; phi_eps(v, y)],   y = b - Az,
 
-is formed in one place, _evaluate, which the solve loop calls on every point
-it visits and residual_map wraps for callers holding a PrimalDualPoint.
+is formed in one place, _evaluate, and the coefficients in one place,
+_coefficients. The solve loop calls both on its own arrays; neither checks
+its arguments.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import InvalidConfig
-from .problem import PrimalDualPoint, QpProblem, _check_dims, _frozen, _positive
+from .problem import QpProblem
 
 
 def phi_eps(a, b, eps: float):
@@ -39,22 +37,11 @@ def phi_eps(a, b, eps: float):
     return float(out) if out.ndim == 0 else out
 
 
-def fb_coefficients(y: np.ndarray, v: np.ndarray, eps: float, delta: float):
+def _coefficients(y: np.ndarray, v: np.ndarray, eps: float, delta: float):
     """(gamma, mu), the diagonals of the blocks C, D of the Newton system:
     gamma_i = 1 - y_i/r_i + delta, mu_i = 1 - v_i/r_i + delta with
-    r_i = sqrt(y_i^2 + v_i^2 + eps^2).
-
-    Requires finite eps > 0 (keeps every r_i positive) and finite delta >= 0,
-    else InvalidConfig, and finite y, v of one length, else InvalidProblem.
-    """
-    eps = _positive(eps, "eps", InvalidConfig)
-    delta = _positive(delta, "delta", InvalidConfig, zero_ok=True)
-    y = _frozen(y, "y", (None,))
-    return _coefficients(y, _frozen(v, "v", y.shape), eps, delta)
-
-
-def _coefficients(y: np.ndarray, v: np.ndarray, eps: float, delta: float):
-    """fb_coefficients without the argument checks, for the solve loop."""
+    r_i = sqrt(y_i^2 + v_i^2 + eps^2). Arguments are not checked; the solve
+    loop passes eps > 0, which keeps every r_i positive, and delta >= 0."""
     r = np.hypot(np.hypot(y, v), eps)
     return (1.0 - y / r) + delta, (1.0 - v / r) + delta
 
@@ -64,19 +51,3 @@ def _evaluate(p: QpProblem, z: np.ndarray, v: np.ndarray, eps: float):
     slack y = b - Az. Arguments are not checked."""
     y = p.b - p.A @ z
     return np.concatenate([p.H @ z + p.f + p.A.T @ v, phi_eps(v, y, eps)]), y
-
-
-def residual_map(p: QpProblem, x: PrimalDualPoint, eps: float) -> np.ndarray:
-    """F_eps(x) = [Hz + f + A'v; phi_eps(v, y)] with y = b - Az."""
-    _check_dims(x, p.n, p.q, "x")
-    return _evaluate(p, x.z, x.v, eps)[0]
-
-
-def smoothing_gap_bound_check(p: QpProblem, x: PrimalDualPoint, eps: float):
-    """(gap, bound) with gap = ||F_eps(x) - F_0(x)|| and bound = sqrt(q) * eps.
-
-    The gap never exceeds the bound; equality needs every (v_i, y_i) at the
-    origin.
-    """
-    gap = float(np.linalg.norm(residual_map(p, x, eps) - residual_map(p, x, 0.0)))
-    return gap, math.sqrt(p.q) * eps

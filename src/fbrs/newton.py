@@ -18,8 +18,9 @@ regularization are fixed (SolverConfig.sigma, .beta, .max_backtracks,
 fbrs_solve holds the iterate as plain arrays (z, v) and evaluates each point
 it visits once, with fb._evaluate (the one definition of F_eps): the residual
 F_eps and slack y of the point the linesearch accepts give the next pass its
-norms, its Newton right-hand side, its FB coefficients and theta. Inputs are
-validated at entry only.
+norms, its Newton right-hand side -F_eps, its FB coefficients and theta.
+Inputs are validated at entry only; the step functions take the loop's
+arrays unchecked, and overflow in the loop becomes a status, not a warning.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     LinesearchError,
     SingularSystem,
 )
-from .fb import _coefficients, _evaluate, phi_eps, residual_map
+from .fb import _coefficients, _evaluate, phi_eps
 from .problem import PrimalDualPoint, QpProblem, _check_dims, _count, _positive
 
 
@@ -78,18 +79,6 @@ class SolverConfig:
         return self.tol / (2.0 * math.sqrt(q))
 
 
-@dataclass(frozen=True)
-class NewtonSystem:
-    """Blocks of one Newton step: shared H, A plus the diagonals and rhs."""
-
-    H: np.ndarray
-    A: np.ndarray
-    gamma: np.ndarray
-    mu: np.ndarray
-    r_s: np.ndarray
-    r_c: np.ndarray
-
-
 @dataclass
 class IterationRecord:
     """Observable state of one loop pass; t = 0 means no step was taken."""
@@ -115,38 +104,25 @@ class SolverResult:
     trace: list[IterationRecord] = field(default_factory=list)
 
 
-def _newton_system(p: QpProblem, F, y, v, eps: float, delta: float) -> NewtonSystem:
-    gamma, mu = _coefficients(y, v, eps, delta)
-    return NewtonSystem(H=p.H, A=p.A, gamma=gamma, mu=mu, r_s=-F[:p.n], r_c=-F[p.n:])
-
-
-def assemble_system(p: QpProblem, x: PrimalDualPoint, eps: float, delta: float) -> NewtonSystem:
-    """Coefficients and right-hand side of the Newton system at x."""
-    _check_dims(x, p.n, p.q, "x")
-    F, y = _evaluate(p, x.z, x.v, eps)
-    return _newton_system(p, F, y, x.v, eps, delta)
-
-
-def kkt_matrix(sys: NewtonSystem) -> np.ndarray:
+def kkt_matrix(p: QpProblem, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """The dense (n+q) x (n+q) iteration matrix [H A'; -CA D]."""
-    q, n = sys.A.shape
+    n, q = p.n, p.q
     K = np.zeros((n + q, n + q))
-    K[:n, :n] = sys.H
-    K[:n, n:] = sys.A.T
-    K[n:, :n] = -sys.gamma[:, None] * sys.A
-    K[n:, n:] = np.diag(sys.mu)
+    K[:n, :n] = p.H
+    K[:n, n:] = p.A.T
+    K[n:, :n] = -gamma[:, None] * p.A
+    K[n:, n:] = np.diag(mu)
     return K
 
 
-def solve_full(sys: NewtonSystem) -> np.ndarray:
-    """Solve the full unsymmetric system by dense LU with partial pivoting and
-    return the step dx = (dz, dv).
+def solve_full(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve kkt_matrix(p, gamma, mu) dx = rhs by dense LU with partial
+    pivoting and return the step dx = (dz, dv). Arguments are not checked.
 
     Raises SingularSystem when a pivot falls below 1e-14 times the matrix
     scale, which signals an A3 violation or, on a PSD H, an unbounded problem.
     """
-    K = kkt_matrix(sys)
-    rhs = np.concatenate([sys.r_s, sys.r_c])
+    K = kkt_matrix(p, gamma, mu)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(K, check_finite=False)
@@ -156,43 +132,36 @@ def solve_full(sys: NewtonSystem) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
-def solve_condensed(sys: NewtonSystem) -> np.ndarray:
-    """Solve via the Schur complement (H + A' C D^-1 A) dz = r_s - A' D^-1 r_c,
-    then the diagonal back-substitution D dv = r_c + C A dz, and return the
-    step dx = (dz, dv).
+def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve kkt_matrix(p, gamma, mu) dx = rhs, rhs = (r_s, r_c), via the Schur
+    complement (H + A' C D^-1 A) dz = r_s - A' D^-1 r_c, then the diagonal
+    back-substitution D dv = r_c + C A dz, and return the step dx = (dz, dv).
+    Arguments are not checked.
 
     Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix is not
     numerically positive definite; fbrs_solve then falls back to solve_full.
     """
-    if np.min(sys.mu) <= 0.0:
+    if np.min(mu) <= 0.0:
         raise CholeskyFailure("D has a nonpositive diagonal entry")
-    w = sys.gamma / sys.mu
-    S = sys.H + sys.A.T @ (w[:, None] * sys.A)
+    A, r_s, r_c = p.A, rhs[:p.n], rhs[p.n:]
+    w = gamma / mu
+    S = p.H + A.T @ (w[:, None] * A)
     S = 0.5 * (S + S.T)
     try:
         factor = scipy.linalg.cho_factor(S, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise CholeskyFailure(str(exc)) from exc
-    dz = scipy.linalg.cho_solve(factor, sys.r_s - sys.A.T @ (sys.r_c / sys.mu), check_finite=False)
-    dv = (sys.r_c + sys.gamma * (sys.A @ dz)) / sys.mu
+    dz = scipy.linalg.cho_solve(factor, r_s - A.T @ (r_c / mu), check_finite=False)
+    dv = (r_c + gamma * (A @ dz)) / mu
     return np.concatenate([dz, dv])
 
 
-def merit(p: QpProblem, x: PrimalDualPoint, eps: float) -> float:
-    """theta_eps(x) = 0.5 ||F_eps(x)||^2."""
-    r = residual_map(p, x, eps)
-    return 0.5 * float(r @ r)
-
-
-def merit_gradient(p: QpProblem, x: PrimalDualPoint, eps: float) -> np.ndarray:
-    """grad theta_eps = V' F_eps with V the unregularized (delta = 0) iteration matrix."""
-    return _merit_gradient(assemble_system(p, x, eps, 0.0))
-
-
-def _merit_gradient(sys0: NewtonSystem) -> np.ndarray:
-    F_top, F_bot = -sys0.r_s, -sys0.r_c
-    gz = sys0.H @ F_top - sys0.A.T @ (sys0.gamma * F_bot)
-    gv = sys0.A @ F_top + sys0.mu * F_bot
+def _merit_gradient(p: QpProblem, F: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """grad theta_eps = V' F_eps, with V = kkt_matrix(p, gamma, mu) the
+    iteration matrix at delta = 0 and F = F_eps. Arguments are not checked."""
+    F_top, F_bot = F[:p.n], F[p.n:]
+    gz = p.H @ F_top - p.A.T @ (gamma * F_bot)
+    gv = p.A @ F_top + mu * F_bot
     return np.concatenate([gz, gv])
 
 
@@ -219,11 +188,11 @@ def linesearch(p: QpProblem, z, v, F, dx, eps: float):
     raise LinesearchError(f"no acceptable step after {SolverConfig.max_backtracks} backtracks")
 
 
-def _solve_step(sys: NewtonSystem):
+def _solve_step(p: QpProblem, gamma, mu, rhs):
     try:
-        return solve_condensed(sys)
+        return solve_condensed(p, gamma, mu, rhs)
     except CholeskyFailure:
-        return solve_full(sys)
+        return solve_full(p, gamma, mu, rhs)
 
 
 def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = None) -> SolverResult:
@@ -238,7 +207,8 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     iterations + 1 entries. A non-finite step direction, or a Newton system
     that neither the Cholesky nor the LU step can solve (SingularSystem, as on
     an unbounded problem with a singular H), ends the solve with
-    INVALID_PROBLEM at the last accepted iterate.
+    INVALID_PROBLEM at the last accepted iterate. The loop emits no
+    floating-point warnings.
     """
     cfg = cfg or SolverConfig()
     _check_dims(x0, p.n, p.q, "x0")
@@ -246,50 +216,52 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     eps = cfg.effective_eps(p.q)
     delta = cfg.delta0
     z, v = x0.z, x0.v
-    F, y = _evaluate(p, z, v, eps)
     trace: list[IterationRecord] = []
     status = Status.MAX_ITERS
     iterations = 0
-
-    for k in range(cfg.max_iters + 1):
-        n_feps = float(np.linalg.norm(F))
-        delta = min(delta, n_feps)
-        n_f0 = float(np.linalg.norm(np.concatenate([F[:n], phi_eps(v, y, 0.0)])))
-        n_fnr = float(np.linalg.norm(np.concatenate([F[:n], np.minimum(y, v)])))
-        rec = IterationRecord(
-            k=k, norm_Feps=n_feps, norm_F0=n_f0, norm_Fnr=n_fnr,
-            t=0.0, delta=delta, eps=eps, backtracks=0,
-        )
-        trace.append(rec)
-        if n_f0 <= cfg.tol:
-            status = Status.SOLVED
-            break
-        if k == cfg.max_iters:
-            break
-        try:
-            for shrink in range(4):
-                if shrink:
-                    delta = delta / 10.0
-                dx = _solve_step(_newton_system(p, F, y, v, eps, delta))
-                try:
+    # overflow and NaN are statuses here (a failed Armijo test or a
+    # non-finite direction), not warnings
+    with np.errstate(all="ignore"):
+        F, y = _evaluate(p, z, v, eps)
+        for k in range(cfg.max_iters + 1):
+            n_feps = float(np.linalg.norm(F))
+            delta = min(delta, n_feps)
+            n_f0 = float(np.linalg.norm(np.concatenate([F[:n], phi_eps(v, y, 0.0)])))
+            n_fnr = float(np.linalg.norm(np.concatenate([F[:n], np.minimum(y, v)])))
+            rec = IterationRecord(
+                k=k, norm_Feps=n_feps, norm_F0=n_f0, norm_Fnr=n_fnr,
+                t=0.0, delta=delta, eps=eps, backtracks=0,
+            )
+            trace.append(rec)
+            if n_f0 <= cfg.tol:
+                status = Status.SOLVED
+                break
+            if k == cfg.max_iters:
+                break
+            try:
+                for shrink in range(4):
+                    if shrink:
+                        delta = delta / 10.0
+                    dx = _solve_step(p, *_coefficients(y, v, eps, delta), -F)
+                    try:
+                        t, nb, z, v, F, y = linesearch(p, z, v, F, dx, eps)
+                        break
+                    except LinesearchError:
+                        pass
+                else:
+                    dx = -_merit_gradient(p, F, *_coefficients(y, v, eps, 0.0))
                     t, nb, z, v, F, y = linesearch(p, z, v, F, dx, eps)
-                    break
-                except LinesearchError:
-                    pass
-            else:
-                dx = -_merit_gradient(_newton_system(p, F, y, v, eps, 0.0))
-                t, nb, z, v, F, y = linesearch(p, z, v, F, dx, eps)
-        except LinesearchError:
-            status = Status.LINESEARCH_FAILURE
-            break
-        except (InvalidProblem, SingularSystem):
-            # non-finite direction or singular Newton system; (z, v) is
-            # still the last accepted iterate
-            status = Status.INVALID_PROBLEM
-            break
-        rec.t = t
-        rec.backtracks = nb
-        iterations += 1
+            except LinesearchError:
+                status = Status.LINESEARCH_FAILURE
+                break
+            except (InvalidProblem, SingularSystem):
+                # non-finite direction or singular Newton system; (z, v) is
+                # still the last accepted iterate
+                status = Status.INVALID_PROBLEM
+                break
+            rec.t = t
+            rec.backtracks = nb
+            iterations += 1
 
     last = trace[-1]
     return SolverResult(

@@ -23,13 +23,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _frozen(value, name: str, shape: tuple, error: type[FbrsError] = InvalidProblem) -> np.ndarray:
-    """Caller input as a read-only float copy with finite entries and the given
-    shape, where None is any length >= 1; lower-rank input gains leading unit
-    axes (as np.atleast_2d). Raises `error`, naming `name`, otherwise."""
+    """Caller input as a read-only float copy with real, finite entries and the
+    given shape, where None is any length >= 1; lower-rank input gains leading
+    unit axes (as np.atleast_2d). Raises `error`, naming `name`, otherwise."""
     try:
-        arr = np.array(value, dtype=float, ndmin=len(shape))
+        arr = np.array(value, ndmin=len(shape))
+        if arr.dtype.kind == "c":
+            raise TypeError(f"complex dtype {arr.dtype}")
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
-        raise error(f"{name} is not a numeric array: {exc}") from None
+        raise error(f"{name} is not a real numeric array: {exc}") from None
     expected = tuple(got if want is None else want for got, want in zip(arr.shape, shape))
     if arr.shape != expected:
         raise error(f"{name} must have shape {expected}, got {arr.shape}")
@@ -38,11 +41,11 @@ def _frozen(value, name: str, shape: tuple, error: type[FbrsError] = InvalidProb
     return _readonly(arr)
 
 
-def _positive(value, name: str, error: type[FbrsError] = InvalidProblem, zero_ok: bool = False) -> float:
-    """A real (not a bool) in (0, inf), or [0, inf) when zero_ok, as a float."""
+def _positive(value, name: str, error: type[FbrsError] = InvalidProblem) -> float:
+    """A real (not a bool) in (0, inf) as a float."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and (0 < value < math.inf or (zero_ok and value == 0))):
-        raise error(f"{name} must be a finite real {'>=' if zero_ok else '>'} 0, got {value!r}")
+    if not (real and 0 < value < math.inf):
+        raise error(f"{name} must be a finite real > 0, got {value!r}")
     return float(value)
 
 
@@ -104,10 +107,6 @@ class PrimalDualPoint:
     @staticmethod
     def zeros(n: int, q: int) -> "PrimalDualPoint":
         return PrimalDualPoint(np.zeros(n), np.zeros(q))
-
-    @staticmethod
-    def from_vector(vec: np.ndarray, n: int) -> "PrimalDualPoint":
-        return PrimalDualPoint(vec[:n], vec[n:])
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,13 @@ import pytest
 
 from fbrs import PrimalDualPoint, QpProblem
 from fbrs.cli import TRACE_HEADER, main
-from fbrs.fb import smoothing_gap_bound_check
+from fbrs.fb import _coefficients, _evaluate
 from fbrs.mpc import double_integrator, run_sequence
 from fbrs.newton import (
     SolverConfig,
     Status,
-    assemble_system,
+    _merit_gradient,
     fbrs_solve,
-    merit,
-    merit_gradient,
     solve_condensed,
     solve_full,
 )
@@ -118,7 +116,8 @@ def test_smoothing_bound():
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(5 * rng.standard_normal(n), 5 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-6, 0)
-        gap, bound = smoothing_gap_bound_check(p, x, eps)
+        gap = float(np.linalg.norm(_evaluate(p, x.z, x.v, eps)[0] - _evaluate(p, x.z, x.v, 0.0)[0]))
+        bound = math.sqrt(p.q) * eps
         worst = max(worst, gap - bound)
         violations += gap > bound + 1e-14
     assert _report(
@@ -136,16 +135,16 @@ def test_merit_gradient_identity():
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(2 * rng.standard_normal(n), 2 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-4, 0)
-        g = merit_gradient(p, x, eps)
+        F, y = _evaluate(p, x.z, x.v, eps)
+        g = _merit_gradient(p, F, *_coefficients(y, x.v, eps, 0.0))
         vec = x.as_vector()
         fd = np.empty_like(g)
         for i in range(n + q):
             e = np.zeros(n + q)
             e[i] = h
-            fd[i] = (
-                merit(p, PrimalDualPoint.from_vector(vec + e, n), eps)
-                - merit(p, PrimalDualPoint.from_vector(vec - e, n), eps)
-            ) / (2 * h)
+            F_up = _evaluate(p, (vec + e)[:n], (vec + e)[n:], eps)[0]
+            F_down = _evaluate(p, (vec - e)[:n], (vec - e)[n:], eps)[0]
+            fd[i] = (0.5 * float(F_up @ F_up) - 0.5 * float(F_down @ F_down)) / (2 * h)
         rel = np.linalg.norm(g - fd) / (1 + np.linalg.norm(g))
         worst = max(worst, rel)
         failures += rel > 1e-5
@@ -165,10 +164,11 @@ def test_solve_path_equivalence():
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-6, 0)
         delta = 10.0 ** rng.uniform(-10, -2)
-        sys = assemble_system(p, x, eps, delta)
+        F, y = _evaluate(p, x.z, x.v, eps)
+        gamma, mu = _coefficients(y, x.v, eps, delta)
         try:
-            dx_full = solve_full(sys)
-            dx_cond = solve_condensed(sys)
+            dx_full = solve_full(p, gamma, mu, -F)
+            dx_cond = solve_condensed(p, gamma, mu, -F)
         except Exception:
             failures += 1
             continue

@@ -120,6 +120,18 @@ def test_solve_non_finite_step_exits_one(tmp_path, capsys):
     assert "status InvalidProblem" in capsys.readouterr().out
 
 
+def test_solve_overflow_exits_one_without_warnings(tmp_path):
+    # a child process, so that a floating-point warning would reach stderr
+    path = tmp_path / "overflow.qp"
+    path.write_text(serialize_qp(QpProblem([[1.0]], [0.0], [[1e300]], [0.0])) + "x0\n1e10 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fbrs", "solve", "--input", str(path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert "status InvalidProblem" in proc.stdout
+    assert proc.stderr == ""
+
+
 def test_solve_singular_system_exits_one(tmp_path, capsys):
     path = tmp_path / "singular.qp"
     path.write_text(serialize_qp(QpProblem([[0.0]], [1.0], [[0.0]], [1.0])))
@@ -244,14 +256,13 @@ def test_public_names():
         "BUNDLED_EXAMPLES", "CholeskyFailure", "DegenerateKkt", "DimensionMismatch",
         "EnumerationTooLarge", "FbrsError", "InfeasibleProblem", "InvalidConfig", "InvalidProblem",
         "InvalidSpec", "IterationRecord", "KktReport", "LinesearchError", "LtiMpcSpec",
-        "MpcSequenceError", "NewtonSystem", "OracleError", "ParseError", "PrimalDualPoint",
-        "QpProblem", "SequenceStats", "SingularSystem", "SolverConfig", "SolverResult", "Status",
-        "Trajectory", "UnboundedProblem", "ValidationReport", "assemble_system", "condense",
-        "constraint_slack", "double_integrator", "fb_coefficients", "fbrs_solve", "kkt_matrix",
-        "linesearch", "mass_spring_chain", "merit", "merit_gradient", "objective", "parse_qp",
-        "phi_eps", "random_infeasible_start", "random_strictly_convex_qp", "residual_map",
-        "run_sequence", "serialize_qp", "shift_solution", "smoothing_gap_bound_check",
-        "solve_by_enumeration", "solve_condensed", "solve_full", "validate_problem", "verify_kkt",
+        "MpcSequenceError", "OracleError", "ParseError", "PrimalDualPoint", "QpProblem",
+        "SequenceStats", "SingularSystem", "SolverConfig", "SolverResult", "Status", "Trajectory",
+        "UnboundedProblem", "ValidationReport", "condense", "constraint_slack", "double_integrator",
+        "fbrs_solve", "kkt_matrix", "linesearch", "mass_spring_chain", "objective", "parse_qp",
+        "phi_eps", "random_infeasible_start", "random_strictly_convex_qp", "run_sequence",
+        "serialize_qp", "shift_solution", "solve_by_enumeration", "solve_condensed", "solve_full",
+        "validate_problem", "verify_kkt",
     ]
 
 

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbrs import (
-    InvalidConfig,
-    InvalidProblem,
-    PrimalDualPoint,
-    QpProblem,
-    fb_coefficients,
-    phi_eps,
-    residual_map,
-    smoothing_gap_bound_check,
-)
+from fbrs import QpProblem, phi_eps
+from fbrs.fb import _coefficients, _evaluate
 
 moderate = st.floats(-1e3, 1e3, allow_nan=False)
 wide = st.floats(-1e8, 1e8, allow_nan=False)
@@ -51,7 +43,7 @@ def test_phi_no_cancellation_when_sum_positive():
 def test_coefficients_ratio_endpoints():
     # y = 0 gives gamma = 1 exactly; v >> eps drives mu to 0, and at
     # v / eps = 1e8 the ratio v / r rounds to 1
-    gamma, mu = fb_coefficients(np.zeros(2), np.array([1.0, 1e4]), 1e-4, 0.0)
+    gamma, mu = _coefficients(np.zeros(2), np.array([1.0, 1e4]), 1e-4, 0.0)
     assert gamma.tolist() == [1.0, 1.0]
     assert mu[0] == pytest.approx(5e-9, rel=1e-6)  # 1 - 1 / sqrt(1 + 1e-8)
     assert mu[1] == 0.0
@@ -59,36 +51,17 @@ def test_coefficients_ratio_endpoints():
 
 def test_coefficients_three_four_five():
     # r = sqrt(3^2 + 4^2 + 12^2) = 13
-    gamma, mu = fb_coefficients(np.array([3.0]), np.array([4.0]), 12.0, 0.01)
+    gamma, mu = _coefficients(np.array([3.0]), np.array([4.0]), 12.0, 0.01)
     assert gamma[0] == pytest.approx(10.0 / 13.0 + 0.01, abs=1e-15)
     assert mu[0] == pytest.approx(9.0 / 13.0 + 0.01, abs=1e-15)
 
 
 def test_coefficients_delta_is_additive():
     y, v = np.array([0.3, -0.7]), np.array([1.5, 0.0])
-    gamma, mu = fb_coefficients(y, v, 0.2, 0.0)
-    gamma_shifted, mu_shifted = fb_coefficients(y, v, 0.2, 0.05)
+    gamma, mu = _coefficients(y, v, 0.2, 0.0)
+    gamma_shifted, mu_shifted = _coefficients(y, v, 0.2, 0.05)
     assert gamma_shifted == pytest.approx(gamma + 0.05)
     assert mu_shifted == pytest.approx(mu + 0.05)
-
-
-def test_coefficients_errors():
-    with pytest.raises(InvalidConfig):
-        fb_coefficients(np.zeros(1), np.zeros(1), 0.0, 0.0)
-    with pytest.raises(InvalidConfig):
-        fb_coefficients(np.zeros(1), np.zeros(1), -0.1, 0.0)
-    with pytest.raises(InvalidConfig):
-        fb_coefficients(np.zeros(1), np.zeros(1), 0.1, -1.0)
-    with pytest.raises(InvalidConfig, match="eps"):
-        fb_coefficients(np.zeros(1), np.zeros(1), math.nan, 0.0)
-    with pytest.raises(InvalidConfig, match="delta"):
-        fb_coefficients(np.zeros(1), np.zeros(1), 0.1, math.nan)
-    with pytest.raises(InvalidConfig, match="delta"):
-        fb_coefficients(np.zeros(1), np.zeros(1), 0.1, math.inf)
-    with pytest.raises(InvalidProblem, match="v must have shape"):
-        fb_coefficients(np.zeros(2), np.zeros(1), 0.1, 0.0)
-    with pytest.raises(InvalidProblem, match="y"):
-        fb_coefficients(np.array([np.nan]), np.zeros(1), 0.1, 0.0)
 
 
 # strict interval bounds hold in exact arithmetic; keep eps large enough
@@ -97,15 +70,25 @@ def test_coefficients_errors():
 @given(a=st.floats(-100, 100), b=st.floats(-100, 100), eps=st.floats(1e-2, 10.0),
        delta=st.floats(0.0, 1.0))
 def test_coefficient_ranges(a, b, eps, delta):
-    gamma, mu = fb_coefficients(np.array([a]), np.array([b]), eps, delta)
+    gamma, mu = _coefficients(np.array([a]), np.array([b]), eps, delta)
     assert delta < gamma[0] < 2.0 + delta
     assert delta < mu[0] < 2.0 + delta
 
 
+def _residual(p, z, v, eps):
+    return _evaluate(p, np.asarray(z, dtype=float), np.asarray(v, dtype=float), eps)[0]
+
+
+def _smoothing_gap(p, z, v, eps):
+    # (||F_eps - F_0||, sqrt(q) eps): the gap never exceeds the bound, and
+    # equality needs every (v_i, y_i) at the origin
+    gap = float(np.linalg.norm(_residual(p, z, v, eps) - _residual(p, z, v, 0.0)))
+    return gap, math.sqrt(p.q) * eps
+
+
 def test_residual_map_at_kkt_point(qp_1d):
-    x = PrimalDualPoint([0.5], [0.5])
-    assert residual_map(qp_1d, x, 0.0) == pytest.approx([0.0, 0.0], abs=1e-15)
-    out = residual_map(qp_1d, x, 0.1)
+    assert _residual(qp_1d, [0.5], [0.5], 0.0) == pytest.approx([0.0, 0.0], abs=1e-15)
+    out = _residual(qp_1d, [0.5], [0.5], 0.1)
     assert out[0] == pytest.approx(0.0, abs=1e-15)
     assert out[1] == pytest.approx(0.5 - math.sqrt(0.26))
 
@@ -114,26 +97,25 @@ def test_residual_map_at_origin():
     rng = np.random.default_rng(11)
     p = QpProblem(np.eye(3), rng.standard_normal(3), rng.standard_normal((4, 3)),
                   rng.standard_normal(4))
-    out = residual_map(p, PrimalDualPoint(np.zeros(3), np.zeros(4)), 0.0)
+    out = _residual(p, np.zeros(3), np.zeros(4), 0.0)
     assert out[:3] == pytest.approx(p.f)
     assert out[3:] == pytest.approx(p.b - np.abs(p.b))
 
 
 def test_smoothing_gap_equality_at_origin():
     p = QpProblem(np.eye(1), np.zeros(1), np.eye(1), np.zeros(1))
-    gap, bound = smoothing_gap_bound_check(p, PrimalDualPoint.zeros(1, 1), 0.1)
+    gap, bound = _smoothing_gap(p, np.zeros(1), np.zeros(1), 0.1)
     assert gap == pytest.approx(0.1)
     assert bound == pytest.approx(0.1)
     p4 = QpProblem(np.eye(4), np.zeros(4), np.eye(4), np.zeros(4))
-    gap, bound = smoothing_gap_bound_check(p4, PrimalDualPoint.zeros(4, 4), 0.5)
+    gap, bound = _smoothing_gap(p4, np.zeros(4), np.zeros(4), 0.5)
     assert gap == pytest.approx(1.0)
     assert bound == pytest.approx(1.0)
 
 
 def test_smoothing_gap_small_away_from_origin():
     p = QpProblem(np.eye(2), np.zeros(2), np.eye(2), [50.0, 50.0])
-    x = PrimalDualPoint(np.zeros(2), np.array([40.0, 40.0]))
-    gap, bound = smoothing_gap_bound_check(p, x, 0.01)
+    gap, bound = _smoothing_gap(p, np.zeros(2), np.array([40.0, 40.0]), 0.01)
     assert gap <= 1e-4 * bound
 
 
@@ -199,7 +181,7 @@ def test_phi_lipschitz(a, b, s, t, eps):
 @given(a=st.floats(-10, 10), b=st.floats(-10, 10), eps=st.floats(1e-2, 1.0))
 def test_partials_match_finite_differences(a, b, eps):
     # coefficients at delta = 0 are exactly the partials of phi in (b, a) order
-    gamma, mu = fb_coefficients(np.array([b]), np.array([a]), eps, 0.0)
+    gamma, mu = _coefficients(np.array([b]), np.array([a]), eps, 0.0)
     h = 1e-6
     fd_a = (phi_eps(a + h, b, eps) - phi_eps(a - h, b, eps)) / (2 * h)
     fd_b = (phi_eps(a, b + h, eps) - phi_eps(a, b - h, eps)) / (2 * h)

@@ -58,6 +58,7 @@ def test_spec_validation():
         (dict(x_lo=np.ones(2), x_hi=-np.ones(2)), "x_lo"),
         (dict(R=np.array([[np.nan]])), "R"),
         (dict(Q=[["a", 0.0], [0.0, 1.0]]), "Q"),
+        (dict(Q=np.eye(2) * (1 + 0j)), "Q"),
     ]
     for changed, name in cases:
         with pytest.raises(InvalidSpec, match=name):

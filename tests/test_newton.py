@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,16 +16,13 @@ from fbrs import (
     validate_problem,
 )
 from fbrs import newton
-from fbrs.fb import residual_map
+from fbrs.fb import _coefficients, _evaluate
 from fbrs.newton import (
-    NewtonSystem,
     SolverConfig,
-    assemble_system,
+    _merit_gradient,
     fbrs_solve,
     kkt_matrix,
     linesearch,
-    merit,
-    merit_gradient,
     solve_condensed,
     solve_full,
 )
@@ -79,14 +77,32 @@ def test_effective_eps_policies():
 
 # --- system assembly --------------------------------------------------------
 
+def _system(p, x, eps, delta):
+    # the Newton system the solve loop builds at x: (gamma, mu, rhs = -F_eps)
+    F, y = _evaluate(p, x.z, x.v, eps)
+    return (*_coefficients(y, x.v, eps, delta), -F)
+
+
+def _theta(p, z, v, eps):
+    # the merit 0.5 ||F_eps||^2 at (z, v)
+    F = _evaluate(p, z, v, eps)[0]
+    return 0.5 * float(F @ F)
+
+
+def _gradient(p, x, eps):
+    # grad theta_eps at x, as the loop's merit-gradient fallback forms it
+    F, y = _evaluate(p, x.z, x.v, eps)
+    return _merit_gradient(p, F, *_coefficients(y, x.v, eps, 0.0))
+
+
 def test_assemble_frozen_values(qp_1d):
     # independent scripted evaluation of the coefficient and residual formulas
     # at (z, v) = (0, 0), eps = 0.1: y = 0.5, r = sqrt(0.26)
-    sys = assemble_system(qp_1d, PrimalDualPoint.zeros(1, 1), 0.1, 0.0)
-    assert sys.gamma[0] == pytest.approx(0.01941932430907989, abs=1e-15)
-    assert sys.mu[0] == pytest.approx(1.0)
-    assert sys.r_s[0] == pytest.approx(1.0)
-    assert sys.r_c[0] == pytest.approx(0.009901951359278516, abs=1e-15)
+    gamma, mu, rhs = _system(qp_1d, PrimalDualPoint.zeros(1, 1), 0.1, 0.0)
+    assert gamma[0] == pytest.approx(0.01941932430907989, abs=1e-15)
+    assert mu[0] == pytest.approx(1.0)
+    assert rhs[0] == pytest.approx(1.0)
+    assert rhs[1] == pytest.approx(0.009901951359278516, abs=1e-15)
 
 
 def _qp_1d_root(eps):
@@ -98,81 +114,63 @@ def _qp_1d_root(eps):
 
 def test_assemble_rhs_vanishes_at_root(qp_1d):
     # at eps = 1 the root is (z, v) = (0, 1), exact in floating point
-    sys = assemble_system(qp_1d, PrimalDualPoint([0.0], [1.0]), 1.0, 0.0)
-    assert sys.r_s[0] == 0.0 and sys.r_c[0] == 0.0
+    rhs = _system(qp_1d, PrimalDualPoint([0.0], [1.0]), 1.0, 0.0)[2]
+    assert rhs[0] == 0.0 and rhs[1] == 0.0
     for eps in (0.1, 1e-4):
-        sys = assemble_system(qp_1d, _qp_1d_root(eps), eps, 0.0)
-        assert abs(sys.r_s[0]) <= 1e-15
-        assert abs(sys.r_c[0]) <= 1e-15
+        rhs = _system(qp_1d, _qp_1d_root(eps), eps, 0.0)[2]
+        assert abs(rhs[0]) <= 1e-15
+        assert abs(rhs[1]) <= 1e-15
 
 
 def test_assemble_delta_shift(qp_1d):
     x = PrimalDualPoint([0.2], [-0.3])
-    base = assemble_system(qp_1d, x, 0.1, 0.0)
-    reg = assemble_system(qp_1d, x, 0.1, 1e-3)
-    assert reg.gamma == pytest.approx(base.gamma + 1e-3)
-    assert reg.mu == pytest.approx(base.mu + 1e-3)
-    assert np.array_equal(reg.r_s, base.r_s)
-    assert np.array_equal(reg.r_c, base.r_c)
+    base = _system(qp_1d, x, 0.1, 0.0)
+    reg = _system(qp_1d, x, 0.1, 1e-3)
+    assert reg[0] == pytest.approx(base[0] + 1e-3)
+    assert reg[1] == pytest.approx(base[1] + 1e-3)
+    assert np.array_equal(reg[2], base[2])
 
 
 def _toy_system(r_s=0.3, r_c=-0.7):
-    return NewtonSystem(
-        H=np.array([[2.0]]),
-        A=np.array([[1.0]]),
-        gamma=np.array([1.0]),
-        mu=np.array([1.0]),
-        r_s=np.array([r_s]),
-        r_c=np.array([r_c]),
-    )
+    # H = 2, A = 1, gamma = mu = 1; f and b do not enter the linear solve
+    p = QpProblem([[2.0]], [0.0], [[1.0]], [0.0])
+    return p, np.array([1.0]), np.array([1.0]), np.array([r_s, r_c])
 
 
-def _solve_residual(sys, dx):
+def _solve_residual(p, gamma, mu, rhs, dx):
     # relative residual ||K dx - rhs|| / (1 + ||rhs||) of a linear solve
-    rhs = np.concatenate([sys.r_s, sys.r_c])
-    return np.linalg.norm(kkt_matrix(sys) @ dx - rhs) / (1.0 + np.linalg.norm(rhs))
+    return np.linalg.norm(kkt_matrix(p, gamma, mu) @ dx - rhs) / (1.0 + np.linalg.norm(rhs))
 
 
 def test_solve_full_closed_form():
     sys = _toy_system()
-    dx = solve_full(sys)
+    dx = solve_full(*sys)
     assert dx[0] == pytest.approx((0.3 - (-0.7)) / 3.0)
     assert dx[1] == pytest.approx((0.3 + 2 * (-0.7)) / 3.0)
-    assert _solve_residual(sys, dx) <= 1e-15
+    assert _solve_residual(*sys, dx) <= 1e-15
 
 
 def test_solve_condensed_matches_full_on_toy():
     sys = _toy_system()
-    dx_full = solve_full(sys)
-    dx_cond = solve_condensed(sys)
+    dx_full = solve_full(*sys)
+    dx_cond = solve_condensed(*sys)
     assert dx_cond == pytest.approx(dx_full)
-    assert _solve_residual(sys, dx_cond) <= 1e-14
+    assert _solve_residual(*sys, dx_cond) <= 1e-14
 
 
 def test_solve_full_raises_on_singular():
-    sys = NewtonSystem(
-        H=np.zeros((1, 1)), A=np.zeros((1, 1)),
-        gamma=np.ones(1), mu=np.ones(1),
-        r_s=np.ones(1), r_c=np.ones(1),
-    )
+    p = QpProblem(np.zeros((1, 1)), [0.0], np.zeros((1, 1)), [0.0])
     with pytest.raises(SingularSystem):
-        solve_full(sys)
+        solve_full(p, np.ones(1), np.ones(1), np.ones(2))
 
 
 def test_solve_condensed_raises_on_indefinite_schur():
-    sys = NewtonSystem(
-        H=np.array([[-2.0]]), A=np.array([[1.0]]),
-        gamma=np.ones(1), mu=np.ones(1),
-        r_s=np.ones(1), r_c=np.ones(1),
-    )
+    p = QpProblem([[-2.0]], [0.0], [[1.0]], [0.0])
     with pytest.raises(CholeskyFailure):
-        solve_condensed(sys)
-    zero_mu = NewtonSystem(
-        H=np.eye(1), A=np.eye(1), gamma=np.ones(1), mu=np.zeros(1),
-        r_s=np.ones(1), r_c=np.ones(1),
-    )
+        solve_condensed(p, np.ones(1), np.ones(1), np.ones(2))
+    p = QpProblem(np.eye(1), [0.0], np.eye(1), [0.0])
     with pytest.raises(CholeskyFailure):
-        solve_condensed(zero_mu)
+        solve_condensed(p, np.ones(1), np.zeros(1), np.ones(2))
 
 
 def test_full_lu_accuracy_random():
@@ -181,8 +179,8 @@ def test_full_lu_accuracy_random():
         n, q = int(rng.integers(2, 10)), int(rng.integers(1, 15))
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(rng.standard_normal(n), rng.standard_normal(q))
-        sys = assemble_system(p, x, 0.1, 1e-8)
-        assert _solve_residual(sys, solve_full(sys)) <= 1e-10
+        sys = _system(p, x, 0.1, 1e-8)
+        assert _solve_residual(p, *sys, solve_full(p, *sys)) <= 1e-10
 
 
 def test_jacobian_nonsingular_under_a3():
@@ -193,8 +191,8 @@ def test_jacobian_nonsingular_under_a3():
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-3, 0)
-        sys = assemble_system(p, x, eps, 0.0)
-        assert _solve_residual(sys, solve_full(sys)) <= 1e-10
+        sys = _system(p, x, eps, 0.0)
+        assert _solve_residual(p, *sys, solve_full(p, *sys)) <= 1e-10
 
 
 def test_condensed_full_agreement_random():
@@ -203,9 +201,9 @@ def test_condensed_full_agreement_random():
         n, q = int(rng.integers(2, 10)), int(rng.integers(1, 8))  # includes q < n
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(q))
-        sys = assemble_system(p, x, 10.0 ** rng.uniform(-6, 0), 10.0 ** rng.uniform(-10, -2))
-        dx_full = solve_full(sys)
-        dx_cond = solve_condensed(sys)
+        sys = _system(p, x, 10.0 ** rng.uniform(-6, 0), 10.0 ** rng.uniform(-10, -2))
+        dx_full = solve_full(p, *sys)
+        dx_cond = solve_condensed(p, *sys)
         assert np.linalg.norm(dx_full - dx_cond) <= 1e-8 * (1 + np.linalg.norm(dx_full))
 
 
@@ -215,27 +213,24 @@ def test_condensed_survives_tiny_mu():
     p = random_strictly_convex_qp(4, 6, rng)
     z = np.zeros(4)
     p = QpProblem(p.H, p.f, p.A, p.A @ z)  # all slacks zero at z
-    sys = assemble_system(p, PrimalDualPoint(z, 1e4 * np.ones(6)), 1e-8, 1e-8)
-    assert sys.mu.min() <= 1e-7
-    dx = solve_condensed(sys)
+    sys = _system(p, PrimalDualPoint(z, 1e4 * np.ones(6)), 1e-8, 1e-8)
+    assert sys[1].min() <= 1e-7
+    dx = solve_condensed(p, *sys)
     assert np.all(np.isfinite(dx))
-    assert _solve_residual(sys, dx) <= 1e-6
+    assert _solve_residual(p, *sys, dx) <= 1e-6
 
 
 # --- merit function and linesearch -----------------------------------------
 
 def test_merit_basics(qp_1d):
-    star = PrimalDualPoint([0.5], [0.5])
-    assert merit(qp_1d, star, 0.0) <= 1e-30
-    x = PrimalDualPoint([0.1], [-0.4])
-    r = residual_map(qp_1d, x, 0.05)
-    assert merit(qp_1d, x, 0.05) == pytest.approx(0.5 * r @ r)
-    assert merit(qp_1d, x, 0.05) >= 0.0
+    assert _theta(qp_1d, np.array([0.5]), np.array([0.5]), 0.0) <= 1e-30
+    # F_eps = (0.1 - 1 - 0.4, -sqrt(0.4^2 + 0.4^2 + 0.05^2)) = (-1.3, -sqrt(0.3225))
+    assert _theta(qp_1d, np.array([0.1]), np.array([-0.4]), 0.05) == pytest.approx(1.00625)
 
 
 def test_merit_gradient_zero_at_root(qp_1d):
     for eps in (1.0, 0.1, 1e-4):
-        g = merit_gradient(qp_1d, _qp_1d_root(eps), eps)
+        g = _gradient(qp_1d, _qp_1d_root(eps), eps)
         assert np.linalg.norm(g) <= 1e-14
 
 
@@ -245,7 +240,7 @@ def test_merit_gradient_frozen_1d(qp_1d):
     gamma = 1.0 - 0.5 / math.sqrt(0.26)
     phi = 0.5 - math.sqrt(0.26)
     expected = np.array([1.0 * -1.0 + (-gamma) * phi, 1.0 * -1.0 + 1.0 * phi])
-    assert merit_gradient(qp_1d, x, 0.1) == pytest.approx(expected, abs=1e-15)
+    assert _gradient(qp_1d, x, 0.1) == pytest.approx(expected, abs=1e-15)
 
 
 def test_merit_gradient_matches_finite_differences():
@@ -255,24 +250,23 @@ def test_merit_gradient_matches_finite_differences():
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(2 * rng.standard_normal(n), 2 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-4, 0)
-        g = merit_gradient(p, x, eps)
+        g = _gradient(p, x, eps)
         vec, h = x.as_vector(), 1e-6
         fd = np.empty_like(g)
         for i in range(n + q):
             e = np.zeros(n + q)
             e[i] = h
-            fd[i] = (
-                merit(p, PrimalDualPoint.from_vector(vec + e, n), eps)
-                - merit(p, PrimalDualPoint.from_vector(vec - e, n), eps)
-            ) / (2 * h)
+            up, down = vec + e, vec - e
+            fd[i] = (_theta(p, up[:n], up[n:], eps) - _theta(p, down[:n], down[n:], eps)) / (2 * h)
         assert np.linalg.norm(g - fd) <= 1e-5 * (1 + np.linalg.norm(g))
 
 
 def test_linesearch_unit_step_near_solution(qp_1d):
     x = PrimalDualPoint([0.5 + 1e-5], [0.5 - 1e-5])
     eps = 1e-9
-    dx = solve_full(assemble_system(qp_1d, x, eps, 0.0))
-    t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, eps), dx, eps)
+    F = _evaluate(qp_1d, x.z, x.v, eps)[0]
+    dx = solve_full(qp_1d, *_system(qp_1d, x, eps, 0.0))
+    t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, F, dx, eps)
     assert t == 1.0
     assert backtracks == 0
 
@@ -281,16 +275,16 @@ def test_linesearch_newton_step_decreases_merit():
     rng = np.random.default_rng(12)
     p = random_strictly_convex_qp(4, 6, rng)
     x = PrimalDualPoint(rng.standard_normal(4), rng.standard_normal(6))
-    dx = solve_full(assemble_system(p, x, 0.01, 1e-8))
-    _, _, z, v, *_ = linesearch(p, x.z, x.v, residual_map(p, x, 0.01), dx, 0.01)
-    assert merit(p, PrimalDualPoint(z, v), 0.01) < merit(p, x, 0.01)
+    dx = solve_full(p, *_system(p, x, 0.01, 1e-8))
+    _, _, z, v, *_ = linesearch(p, x.z, x.v, _evaluate(p, x.z, x.v, 0.01)[0], dx, 0.01)
+    assert _theta(p, z, v, 0.01) < _theta(p, x.z, x.v, 0.01)
 
 
 def test_linesearch_backtracks_on_overshoot(qp_1d, monkeypatch):
     monkeypatch.setattr(SolverConfig, "sigma", 0.499)
     x = PrimalDualPoint([100.0], [50.0])
-    dx = solve_full(assemble_system(qp_1d, x, 0.1, 0.0))
-    t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, 0.1), 3.0 * dx, 0.1)
+    dx = solve_full(qp_1d, *_system(qp_1d, x, 0.1, 0.0))
+    t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, _evaluate(qp_1d, x.z, x.v, 0.1)[0], 3.0 * dx, 0.1)
     assert backtracks >= 1
     assert t == pytest.approx(0.7**backtracks)
 
@@ -298,9 +292,9 @@ def test_linesearch_backtracks_on_overshoot(qp_1d, monkeypatch):
 def test_linesearch_fails_on_ascent_direction(qp_1d, monkeypatch):
     monkeypatch.setattr(SolverConfig, "max_backtracks", 10)
     x = PrimalDualPoint([100.0], [50.0])
-    up = merit_gradient(qp_1d, x, 0.1)
+    up = _gradient(qp_1d, x, 0.1)
     with pytest.raises(LinesearchError, match="after 10 backtracks"):
-        linesearch(qp_1d, x.z, x.v, residual_map(qp_1d, x, 0.1), up, 0.1)
+        linesearch(qp_1d, x.z, x.v, _evaluate(qp_1d, x.z, x.v, 0.1)[0], up, 0.1)
 
 
 # --- the full solve ---------------------------------------------------------
@@ -338,12 +332,12 @@ def test_solve_paths_agree(monkeypatch):
     condensed = fbrs_solve(p, x0, cfg)
     calls = []
 
-    def fail_cholesky(sys):
+    def fail_cholesky(*args):
         raise CholeskyFailure("forced")
 
-    def counting_solve_full(sys):
-        calls.append(sys)
-        return solve_full(sys)
+    def counting_solve_full(*args):
+        calls.append(args)
+        return solve_full(*args)
 
     monkeypatch.setattr(newton, "solve_condensed", fail_cholesky)
     monkeypatch.setattr(newton, "solve_full", counting_solve_full)
@@ -372,9 +366,9 @@ def test_lu_fallback_reaches_solution(monkeypatch):
     assert validate_problem(p).passed
     calls = []
 
-    def counting_solve_full(sys):
-        calls.append(sys)
-        return solve_full(sys)
+    def counting_solve_full(*args):
+        calls.append(args)
+        return solve_full(*args)
 
     monkeypatch.setattr(newton, "solve_full", counting_solve_full)
     result = fbrs_solve(p, PrimalDualPoint.zeros(n, q), SolverConfig(tol=1e-10, max_iters=100))
@@ -423,22 +417,27 @@ def test_warmstart_at_solution_takes_zero_iterations(qp_1d):
 
 
 def test_non_finite_step_returns_invalid_problem(qp_1d):
-    # at this start the residual overflows and the Newton direction is not
-    # finite: the solve reports it and keeps the last finite iterate
-    x0 = PrimalDualPoint([1.7e308], [1.7e308])
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = fbrs_solve(qp_1d, x0)
-    assert result.status == Status.INVALID_PROBLEM
-    assert result.iterations == 0
-    assert np.array_equal(result.x.z, x0.z) and np.array_equal(result.x.v, x0.v)
+    # at these starts the residual overflows (at the second, Az = 1e310) and
+    # the Newton direction is not finite: the solve reports it, keeps the last
+    # finite iterate and lets no floating-point warning escape
+    for p, x0 in [
+        (qp_1d, PrimalDualPoint([1.7e308], [1.7e308])),
+        (QpProblem([[1.0]], [0.0], [[1e300]], [0.0]), PrimalDualPoint([1e10], [0.0])),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fbrs_solve(p, x0)
+        assert result.status == Status.INVALID_PROBLEM
+        assert result.iterations == 0
+        assert np.array_equal(result.x.z, x0.z) and np.array_equal(result.x.v, x0.v)
 
 
 def test_trace_shape_and_delta_monotonicity(monkeypatch):
     residuals = []
 
-    def checked_solve(sys):
-        dx = solve_condensed(sys)
-        residuals.append(_solve_residual(sys, dx))
+    def checked_solve(*sys):
+        dx = solve_condensed(*sys)
+        residuals.append(_solve_residual(*sys, dx))
         return dx
 
     monkeypatch.setattr(newton, "solve_condensed", checked_solve)
@@ -478,9 +477,9 @@ def test_recovery_keeps_descent_and_shrinks_delta(monkeypatch):
     gradient_steps = []
     merit_gradient_step = newton._merit_gradient
 
-    def counting(sys0):
-        gradient_steps.append(sys0)
-        return merit_gradient_step(sys0)
+    def counting(*args):
+        gradient_steps.append(args)
+        return merit_gradient_step(*args)
 
     monkeypatch.setattr(newton, "_merit_gradient", counting)
     rng = np.random.default_rng(3)

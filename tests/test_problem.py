@@ -13,15 +13,15 @@ from fbrs import (
     constraint_slack,
     fbrs_solve,
     objective,
-    residual_map,
     validate_problem,
 )
+from fbrs.fb import _evaluate
 from fbrs.oracle import random_strictly_convex_qp, solve_by_enumeration, verify_kkt
 
 
 def lagrangian_gradient(p, x):
     # Hz + f + A'v, the stationarity block of the residual
-    return residual_map(p, x, 0.0)[:p.n]
+    return _evaluate(p, x.z, x.v, 0.0)[0][:p.n]
 
 
 def natural_residual_norm(p, x):
@@ -58,6 +58,13 @@ def test_rejects_nonfinite_and_bad_shapes():
         PrimalDualPoint([[1.0], [1.0, 2.0]], [0.0])
     with pytest.raises(InvalidProblem, match="v"):
         PrimalDualPoint([0.0], ["x"])
+    # a complex array is not cast to its real part
+    with pytest.raises(InvalidProblem, match="H is not a real"):
+        QpProblem(np.eye(1) * (1 + 1j), [0.0], [[1.0]], [1.0])
+    with pytest.raises(InvalidProblem, match="z is not a real"):
+        PrimalDualPoint(np.array([1 + 2j]), [0.0])
+    with pytest.raises(InvalidProblem, match="b is not a real"):
+        QpProblem(np.eye(1), [0.0], [[1.0]], [np.complex128(1.0)])
 
 
 def test_problem_arrays_immutable(qp_1d):
@@ -125,7 +132,7 @@ def test_objective_values(qp_1d):
 
 def test_dimension_mismatch_raises(qp_1d):
     with pytest.raises(InvalidProblem):
-        lagrangian_gradient(qp_1d, PrimalDualPoint([0.0, 0.0], [0.0]))
+        fbrs_solve(qp_1d, PrimalDualPoint([0.0, 0.0], [0.0]))
     with pytest.raises(InvalidProblem):
         constraint_slack(qp_1d, np.zeros(2))
     with pytest.raises(InvalidProblem, match="z"):
