@@ -2,9 +2,10 @@
 
 The equality dynamics x_{k+1} = Ad x_k + Bd u_k are eliminated by substitution,
 so each QP decides the stacked input sequence U and carries only box
-inequalities. A closed-loop run re-condenses from the measured state at every
-step and can seed each QP with the previous solution, as it is or shifted by
-one stage.
+inequalities. Only the linear term f and, with a state box, the state-box rows
+of b depend on the measured state: a closed-loop run builds the rest of the
+condensed QP once, forms f and b at every step, and can seed each QP with the
+previous solution, as it is or shifted by one stage.
 """
 
 from __future__ import annotations
@@ -86,11 +87,37 @@ def prediction_matrices(spec: LtiMpcSpec):
     for _ in range(N):
         powers.append(spec.Ad @ powers[-1])
     Phi = np.vstack(powers[1:])
+    # G is block-Toeplitz, block (i, j) = A^(i-j) B: form each product once and
+    # copy it down its diagonal. A recursion A (A^(k-1) B) would round differently.
+    column = np.vstack([power @ spec.Bd for power in powers[:N]])
     G = np.zeros((N * nx, N * nu))
-    for i in range(N):
-        for j in range(i + 1):
-            G[i * nx:(i + 1) * nx, j * nu:(j + 1) * nu] = powers[i - j] @ spec.Bd
+    for j in range(N):
+        G[j * nx:, j * nu:(j + 1) * nu] = column[:(N - j) * nx]
     return Phi, G
+
+
+def _condenser(spec: LtiMpcSpec):
+    """Build the state-independent part of condense(spec) once and return the
+    map x0 -> QpProblem, which forms only f and the state-box rows of b."""
+    N = spec.horizon
+    Phi, G = prediction_matrices(spec)
+    Qbar = np.kron(np.eye(N), spec.Q)
+    Rbar = np.kron(np.eye(N), spec.R)
+    H = G.T @ Qbar @ G + Rbar
+    eye_u = np.eye(N * spec.nu)
+    rows = [eye_u, -eye_u]
+    input_rhs = [np.tile(spec.u_hi, N), -np.tile(spec.u_lo, N)]
+    if spec.x_lo is not None:
+        rows += [G, -G]
+        x_hi, x_lo = np.tile(spec.x_hi, N), np.tile(spec.x_lo, N)
+    A = np.vstack(rows)
+
+    def build(x0: np.ndarray) -> QpProblem:
+        predicted = Phi @ x0
+        rhs = input_rhs if spec.x_lo is None else input_rhs + [x_hi - predicted, predicted - x_lo]
+        return QpProblem(H, G.T @ (Qbar @ predicted), A, np.concatenate(rhs))
+
+    return build
 
 
 def condense(spec: LtiMpcSpec, x_init: np.ndarray | None = None) -> QpProblem:
@@ -99,23 +126,12 @@ def condense(spec: LtiMpcSpec, x_init: np.ndarray | None = None) -> QpProblem:
     H = G' Qbar G + Rbar and f = G' Qbar Phi x0 with Qbar, Rbar the
     block-diagonal stage weights; H is strictly positive definite because Rbar
     is. Constraints are the input box (2 N nu rows) followed, when state
-    bounds are present, by the predicted-state box (2 N nx rows). An x_init
-    given here, a finite nx-vector (else InvalidSpec), replaces spec.x_init.
+    bounds are present, by the predicted-state box (2 N nx rows). Only f and
+    the state-box rows of b depend on x0. An x_init given here, a finite
+    nx-vector (else InvalidSpec), replaces spec.x_init.
     """
     x0 = spec.x_init if x_init is None else _frozen(x_init, "x_init", (spec.nx,), InvalidSpec)
-    N, nu, nx = spec.horizon, spec.nu, spec.nx
-    Phi, G = prediction_matrices(spec)
-    Qbar = np.kron(np.eye(N), spec.Q)
-    Rbar = np.kron(np.eye(N), spec.R)
-    H = G.T @ Qbar @ G + Rbar
-    f = G.T @ (Qbar @ (Phi @ x0))
-    eye_u = np.eye(N * nu)
-    rows = [eye_u, -eye_u]
-    rhs = [np.tile(spec.u_hi, N), -np.tile(spec.u_lo, N)]
-    if spec.x_lo is not None:
-        rows += [G, -G]
-        rhs += [np.tile(spec.x_hi, N) - Phi @ x0, Phi @ x0 - np.tile(spec.x_lo, N)]
-    return QpProblem(H, f, np.vstack(rows), np.concatenate(rhs))
+    return _condenser(spec)(x0)
 
 
 def _shift_stages(vec: np.ndarray, width: int) -> np.ndarray:
@@ -194,7 +210,9 @@ def run_sequence(
     cfg: SolverConfig | None = None,
 ):
     """Closed-loop simulation: condense at the current state, solve, apply the
-    first input, advance through (Ad, Bd).
+    first input, advance through (Ad, Bd). The state-independent part of the
+    condensed QP is built once; each step forms only f and the state-box rows
+    of b, so its QP equals condense(spec, state) bit for bit.
 
     start_mode "cold" always starts from zero, "warm" seeds each QP with the
     previous primal-dual solution and "shift" with that solution advanced by
@@ -211,8 +229,9 @@ def run_sequence(
     states = [state]
     inputs = []
     records = []
+    condensed = _condenser(spec)
     for step in range(steps):
-        qp = condense(spec, state)
+        qp = condensed(state)
         if previous is None or start_mode == "cold":
             x0 = PrimalDualPoint.zeros(qp.n, qp.q)
         elif start_mode == "shift":

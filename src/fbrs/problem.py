@@ -169,9 +169,11 @@ def constraint_slack(p: QpProblem, z: np.ndarray) -> np.ndarray:
 
 
 def objective(p: QpProblem, z: np.ndarray) -> float:
-    """0.5 z'Hz + f'z. Raises InvalidProblem unless z is a finite vector of length n."""
+    """0.5 z'Hz + f'z, which is inf or nan without a warning when it overflows.
+    Raises InvalidProblem unless z is a finite vector of length n."""
     z = _frozen(z, "z", (p.n,))
-    return float(0.5 * z @ (p.H @ z) + p.f @ z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(0.5 * z @ (p.H @ z) + p.f @ z)
 
 
 def _check_dims(x: PrimalDualPoint, n: int, q: int, name: str, error: type[FbrsError] = InvalidProblem):

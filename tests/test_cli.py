@@ -114,10 +114,10 @@ def test_solve_nonconverged_exits_one(toy_file, capsys):
 def test_solve_non_finite_step_exits_one(tmp_path, capsys):
     path = tmp_path / "huge.qp"
     path.write_text(TOY + "x0\n1.7e308 1.7e308\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["solve", "--input", str(path)])
-    assert code == 1
-    assert "status InvalidProblem" in capsys.readouterr().out
+    assert main(["solve", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "status InvalidProblem" in captured.out
+    assert captured.err == ""
 
 
 def test_solve_overflow_exits_one_without_warnings(tmp_path):

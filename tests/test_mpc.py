@@ -9,6 +9,7 @@ from fbrs import (
     Status,
     validate_problem,
 )
+from fbrs import mpc
 from fbrs.mpc import (
     BUNDLED_EXAMPLES,
     LtiMpcSpec,
@@ -96,6 +97,23 @@ def test_condense_zero_input_matrix():
     assert result.x.z == pytest.approx([0.0], abs=1e-7)
 
 
+def test_prediction_matrices_toeplitz_blocks_are_exact_products():
+    # each block is the product powers[i - j] @ Bd with the powers formed by
+    # left-multiplication, bit for bit; A (A^(k-1) B) would round differently
+    spec = mass_spring_chain(horizon=40)
+    nx, nu = spec.nx, spec.nu
+    powers = [np.eye(nx)]
+    for _ in range(40):
+        powers.append(spec.Ad @ powers[-1])
+    Phi, G = prediction_matrices(spec)
+    assert np.array_equal(Phi, np.vstack(powers[1:]))
+    for i in range(40):
+        for j in range(40):
+            block = G[i * nx:(i + 1) * nx, j * nu:(j + 1) * nu]
+            expected = powers[i - j] @ spec.Bd if j <= i else np.zeros((nx, nu))
+            assert np.array_equal(block, expected), (i, j)
+
+
 def test_prediction_matrices_match_simulation():
     spec = _simple_spec(horizon=4)
     rng = np.random.default_rng(1)
@@ -128,9 +146,9 @@ def test_condense_matches_enumeration_oracle():
     assert result.x.v == pytest.approx(star.v, abs=1e-7)
 
 
-def test_state_bound_rows_bind():
+def _velocity_capped_spec():
     # velocity cap forces the predicted states onto the bound
-    spec = LtiMpcSpec(
+    return LtiMpcSpec(
         Ad=np.array([[1.0, 0.1], [0.0, 1.0]]),
         Bd=np.array([[0.005], [0.1]]),
         Q=np.diag([1.0, 0.0]),
@@ -142,6 +160,10 @@ def test_state_bound_rows_bind():
         x_lo=np.array([-100.0, -0.2]),
         x_hi=np.array([100.0, 0.2]),
     )
+
+
+def test_state_bound_rows_bind():
+    spec = _velocity_capped_spec()
     qp = condense(spec)
     result = fbrs_solve(qp, PrimalDualPoint.zeros(qp.n, qp.q), SolverConfig(tol=1e-10))
     assert result.status == Status.SOLVED
@@ -149,6 +171,45 @@ def test_state_bound_rows_bind():
     states = (Phi @ spec.x_init + G @ result.x.z).reshape(4, 2)
     assert np.all(states[:, 1] >= -0.2 - 1e-8)
     assert np.min(states[:, 1]) == pytest.approx(-0.2, abs=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["cold", "warm", "shift"])
+def test_run_sequence_matches_condense_loop_with_state_box(mode):
+    # the state-dependent rows of b change at every step here
+    spec = _velocity_capped_spec()
+    cfg = SolverConfig(tol=1e-8)
+    trajectory, stats = run_sequence(spec, 12, mode, cfg)
+    state, previous = spec.x_init, None
+    states, inputs, iterations = [state], [], []
+    for _ in range(12):
+        qp = condense(spec, state)
+        if previous is None or mode == "cold":
+            x0 = PrimalDualPoint.zeros(qp.n, qp.q)
+        else:
+            x0 = shift_solution(spec, previous) if mode == "shift" else previous
+        result = fbrs_solve(qp, x0, cfg)
+        u0 = result.x.z[:spec.nu]
+        state = spec.Ad @ state + spec.Bd @ u0
+        states.append(state)
+        inputs.append(u0)
+        iterations.append(result.iterations)
+        previous = result.x
+    assert np.array_equal(trajectory.states, np.array(states))
+    assert np.array_equal(trajectory.inputs, np.array(inputs))
+    assert [r.iterations for r in stats.records] == iterations
+    assert np.min(trajectory.states[:, 1]) == pytest.approx(-0.2, abs=1e-6)
+
+
+def test_run_sequence_builds_prediction_matrices_once(monkeypatch):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return prediction_matrices(spec)
+
+    monkeypatch.setattr(mpc, "prediction_matrices", counting)
+    run_sequence(double_integrator(), 20, "warm")
+    assert len(calls) == 1
 
 
 def test_run_sequence_single_step_modes_agree():
