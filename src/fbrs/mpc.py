@@ -223,7 +223,7 @@ def run_sequence(
     _count(steps, "steps", InvalidSpec)
     if start_mode not in ("cold", "warm", "shift"):
         raise InvalidSpec(f"start_mode must be 'cold', 'warm' or 'shift', got {start_mode!r}")
-    cfg = cfg or SolverConfig(tol=1e-6)
+    cfg = SolverConfig(tol=1e-6) if cfg is None else cfg
     state = spec.x_init
     previous: PrimalDualPoint | None = None
     states = [state]

@@ -6,9 +6,10 @@ Each iteration assembles the block system
     [-CA   D  ] [dv] = [r_c]          r_c = -phi_eps(v, y)
 
 with C = diag(gamma), D = diag(mu) from the FB kernel, solves it through the
-condensed SPD Schur complement H + A' C D^-1 A (falling back to a dense LU of
-the full matrix when the Cholesky factorization fails; when that is singular
-too, the solve ends with INVALID_PROBLEM), and globalizes with a
+condensed SPD Schur complement H + A' C D^-1 A with LAPACK potrf/potrs
+(falling back to a dense LU of the full matrix, getrf/getrs, when the
+Cholesky factorization fails; when that is singular too, the solve ends with
+INVALID_PROBLEM), and globalizes with a
 backtracking linesearch on the merit function theta = 0.5 ||F_eps||^2. The
 smoothing eps stays fixed; the regularization delta shrinks with ||F_eps||.
 The solve stops once ||F_0|| <= tol. The Armijo constants and the starting
@@ -26,7 +27,6 @@ arrays unchecked, and overflow in the loop becomes a status, not a warning.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar
@@ -41,8 +41,12 @@ from .errors import (
     LinesearchError,
     SingularSystem,
 )
-from .fb import _coefficients, _evaluate, phi_eps
+from .fb import _coefficients, _evaluate, _phi
 from .problem import PrimalDualPoint, QpProblem, _check_dims, _count, _positive
+
+# LAPACK's float64 routines, called without the per-call work of scipy's wrappers
+_potrf, _potrs, _getrf, _getrs = scipy.linalg.get_lapack_funcs(
+    ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64)
 
 
 class Status(Enum):
@@ -117,41 +121,40 @@ def kkt_matrix(p: QpProblem, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def solve_full(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve kkt_matrix(p, gamma, mu) dx = rhs by dense LU with partial
-    pivoting and return the step dx = (dz, dv). Arguments are not checked.
+    pivoting (LAPACK getrf, then getrs) and return the step dx = (dz, dv).
+    Arguments are not checked.
 
     Raises SingularSystem when a pivot falls below 1e-14 times the matrix
     scale, which signals an A3 violation or, on a PSD H, an unbounded problem.
     """
     K = kkt_matrix(p, gamma, mu)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(K, check_finite=False)
-    scale = np.max(np.abs(K))
-    if np.min(np.abs(np.diag(lu))) <= 1e-14 * scale:
+    lu, piv, info = _getrf(K)
+    if info < 0:
+        raise ValueError(f"getrf: illegal value in argument {-info}")
+    if np.abs(lu.diagonal()).min() <= 1e-14 * np.abs(K).max():
         raise SingularSystem("negligible pivot in the full Newton system")
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    return _getrs(lu, piv, rhs)[0]
 
 
 def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve kkt_matrix(p, gamma, mu) dx = rhs, rhs = (r_s, r_c), via the Schur
-    complement (H + A' C D^-1 A) dz = r_s - A' D^-1 r_c, then the diagonal
-    back-substitution D dv = r_c + C A dz, and return the step dx = (dz, dv).
-    Arguments are not checked.
+    complement (H + A' C D^-1 A) dz = r_s - A' D^-1 r_c (LAPACK potrf, potrs),
+    then the diagonal back-substitution D dv = r_c + C A dz, and return the
+    step dx = (dz, dv). Arguments are not checked.
 
     Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix is not
     numerically positive definite; fbrs_solve then falls back to solve_full.
     """
-    if np.min(mu) <= 0.0:
+    if mu.min() <= 0.0:
         raise CholeskyFailure("D has a nonpositive diagonal entry")
     A, r_s, r_c = p.A, rhs[:p.n], rhs[p.n:]
     w = gamma / mu
     S = p.H + A.T @ (w[:, None] * A)
     S = 0.5 * (S + S.T)
-    try:
-        factor = scipy.linalg.cho_factor(S, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise CholeskyFailure(str(exc)) from exc
-    dz = scipy.linalg.cho_solve(factor, r_s - A.T @ (r_c / mu), check_finite=False)
+    c, info = _potrf(S, lower=False, clean=False)
+    if info:
+        raise CholeskyFailure(f"potrf info {info}: Schur matrix not numerically positive definite")
+    dz = _potrs(c, r_s - A.T @ (r_c / mu), lower=False)[0]
     dv = (r_c + gamma * (A @ dz)) / mu
     return np.concatenate([dz, dv])
 
@@ -176,7 +179,7 @@ def linesearch(p: QpProblem, z, v, F, dx, eps: float):
     theta0 = 0.5 * float(F @ F)
     if theta0 <= 0.0:
         raise LinesearchError("merit already zero; no descent possible")
-    if not np.all(np.isfinite(dx)):
+    if not np.isfinite(dx).all():
         raise InvalidProblem("non-finite search direction")
     n = p.n
     for j in range(SolverConfig.max_backtracks + 1):
@@ -210,7 +213,9 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     INVALID_PROBLEM at the last accepted iterate. The loop emits no
     floating-point warnings.
     """
-    cfg = cfg or SolverConfig()
+    cfg = SolverConfig() if cfg is None else cfg
+    if not isinstance(cfg, SolverConfig):
+        raise InvalidConfig(f"cfg must be a SolverConfig or None, got {type(cfg).__name__}")
     _check_dims(x0, p.n, p.q, "x0")
     n = p.n
     eps = cfg.effective_eps(p.q)
@@ -224,10 +229,11 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     with np.errstate(all="ignore"):
         F, y = _evaluate(p, z, v, eps)
         for k in range(cfg.max_iters + 1):
-            n_feps = float(np.linalg.norm(F))
+            r0 = np.hypot(v, y)
+            F0 = np.concatenate([F[:n], _phi(v, y, 0.0, r0)])
+            Fnr = np.concatenate([F[:n], np.minimum(y, v)])
+            n_feps, n_f0, n_fnr = math.sqrt(F @ F), math.sqrt(F0 @ F0), math.sqrt(Fnr @ Fnr)
             delta = min(delta, n_feps)
-            n_f0 = float(np.linalg.norm(np.concatenate([F[:n], phi_eps(v, y, 0.0)])))
-            n_fnr = float(np.linalg.norm(np.concatenate([F[:n], np.minimum(y, v)])))
             rec = IterationRecord(
                 k=k, norm_Feps=n_feps, norm_F0=n_f0, norm_Fnr=n_fnr,
                 t=0.0, delta=delta, eps=eps, backtracks=0,
@@ -242,14 +248,14 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
                 for shrink in range(4):
                     if shrink:
                         delta = delta / 10.0
-                    dx = _solve_step(p, *_coefficients(y, v, eps, delta), -F)
+                    dx = _solve_step(p, *_coefficients(y, v, eps, delta, r0), -F)
                     try:
                         t, nb, z, v, F, y = linesearch(p, z, v, F, dx, eps)
                         break
                     except LinesearchError:
                         pass
                 else:
-                    dx = -_merit_gradient(p, F, *_coefficients(y, v, eps, 0.0))
+                    dx = -_merit_gradient(p, F, *_coefficients(y, v, eps, 0.0, r0))
                     t, nb, z, v, F, y = linesearch(p, z, v, F, dx, eps)
             except LinesearchError:
                 status = Status.LINESEARCH_FAILURE

@@ -177,6 +177,8 @@ def objective(p: QpProblem, z: np.ndarray) -> float:
 
 
 def _check_dims(x: PrimalDualPoint, n: int, q: int, name: str, error: type[FbrsError] = InvalidProblem):
-    """Raise `error`, naming `name`, unless point x has len z = n and len v = q."""
+    """Raise `error`, naming `name`, unless x is a PrimalDualPoint of len z = n, len v = q."""
+    if not isinstance(x, PrimalDualPoint):
+        raise error(f"{name} must be a PrimalDualPoint, got {type(x).__name__}")
     if x.z.shape != (n,) or x.v.shape != (q,):
         raise error(f"{name} has (len z, len v) = ({x.z.size}, {x.v.size}), expected ({n}, {q})")

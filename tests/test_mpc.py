@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fbrs import (
+    InvalidConfig,
     InvalidSpec,
     MpcSequenceError,
     PrimalDualPoint,
@@ -257,6 +258,8 @@ def test_shift_solution_rejects_mismatched_point():
     # double_integrator() condenses to (n, q) = (8, 16)
     with pytest.raises(InvalidSpec, match="x has"):
         shift_solution(double_integrator(), PrimalDualPoint.zeros(3, 5))
+    with pytest.raises(InvalidSpec, match="x must be a PrimalDualPoint"):
+        shift_solution(double_integrator(), np.zeros(3))
 
 
 def test_shift_solution_moves_stages():
@@ -299,6 +302,9 @@ def test_run_sequence_rejects_bad_arguments():
         run_sequence(spec, 5, "tepid")
     with pytest.raises(InvalidSpec, match="steps"):
         run_sequence(spec, 2.5)
+    # a falsy cfg is not taken for None
+    with pytest.raises(InvalidConfig, match="cfg"):
+        run_sequence(spec, 2, "cold", {})
 
 
 def test_mass_spring_chain_shapes():

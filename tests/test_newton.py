@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fbrs import (
     CholeskyFailure,
@@ -15,7 +16,7 @@ from fbrs import (
     objective,
     validate_problem,
 )
-from fbrs import newton
+from fbrs import mass_spring_chain, mpc, newton, run_sequence
 from fbrs.fb import _coefficients, _evaluate
 from fbrs.newton import (
     SolverConfig,
@@ -63,6 +64,12 @@ def test_config_defaults():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(InvalidConfig, match=next(iter(kwargs))):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("cfg", [{"tol": 1e-8}, {}, 1e-8], ids=["dict", "empty-dict", "float"])
+def test_solve_rejects_a_config_that_is_not_solver_config(qp_1d, cfg):
+    with pytest.raises(InvalidConfig, match="cfg must be a SolverConfig"):
+        fbrs_solve(qp_1d, PrimalDualPoint.zeros(1, 1), cfg)
 
 
 def test_config_constants_are_not_settings():
@@ -218,6 +225,24 @@ def test_condensed_survives_tiny_mu():
     dx = solve_condensed(p, *sys)
     assert np.all(np.isfinite(dx))
     assert _solve_residual(p, *sys, dx) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20, 40, 80])
+def test_direct_lapack_matches_scipy_wrappers(n):
+    # the step functions call potrf/potrs and getrf/getrs themselves; the
+    # scipy wrappers around the same routines give the same bits
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        p = random_strictly_convex_qp(n, 2 * n, rng)
+        x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(2 * n))
+        gamma, mu, rhs = _system(p, x, 10.0 ** rng.uniform(-6, 0), 10.0 ** rng.uniform(-10, -2))
+        r_s, r_c = rhs[:n], rhs[n:]
+        S = p.H + p.A.T @ ((gamma / mu)[:, None] * p.A)
+        dz = scipy.linalg.cho_solve(scipy.linalg.cho_factor(0.5 * (S + S.T)), r_s - p.A.T @ (r_c / mu))
+        dv = (r_c + gamma * (p.A @ dz)) / mu
+        assert np.array_equal(solve_condensed(p, gamma, mu, rhs), np.concatenate([dz, dv]))
+        lu = scipy.linalg.lu_factor(kkt_matrix(p, gamma, mu))
+        assert np.array_equal(solve_full(p, gamma, mu, rhs), scipy.linalg.lu_solve(lu, rhs))
 
 
 # --- merit function and linesearch -----------------------------------------
@@ -406,6 +431,39 @@ def test_max_iters_returns_best_iterate(qp_1d):
     assert len(result.trace) == 3
     # still made progress toward the solution
     assert result.final_norm_F0 < result.trace[0].norm_F0
+
+
+def _assert_final_norms_of_returned_point(p, result, eps):
+    # the loop shares one hypot(v, y) between the ||F_0|| tail and the
+    # coefficients; its norms must still be those of phi_eps at the point
+    z, v = result.x.z, result.x.v
+    F, y = _evaluate(p, z, v, eps)
+    assert result.final_norm_F0 == np.linalg.norm(_evaluate(p, z, v, 0.0)[0])
+    assert result.final_norm_Feps == np.linalg.norm(F)
+    assert result.final_norm_Fnr == np.linalg.norm(np.concatenate([F[:p.n], np.minimum(y, v)]))
+
+
+def test_final_norms_belong_to_the_returned_point(monkeypatch):
+    rng = np.random.default_rng(31)
+    statuses = set()
+    for max_iters in (3, 100, 5, 100):
+        p = random_strictly_convex_qp(20, 40, rng)
+        cfg = SolverConfig(tol=1e-8, max_iters=max_iters)
+        result = fbrs_solve(p, random_infeasible_start(p, rng), cfg)
+        statuses.add(result.status)
+        _assert_final_norms_of_returned_point(p, result, cfg.effective_eps(p.q))
+    assert statuses == {Status.SOLVED, Status.MAX_ITERS}
+    solves = []
+
+    def recording_solve(p, x0, cfg):
+        solves.append((p, cfg, fbrs_solve(p, x0, cfg)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(mpc, "fbrs_solve", recording_solve)
+    run_sequence(mass_spring_chain(8), 10, "warm")
+    assert len(solves) == 10
+    for p, cfg, result in solves:
+        _assert_final_norms_of_returned_point(p, result, cfg.effective_eps(p.q))
 
 
 def test_warmstart_at_solution_takes_zero_iterations(qp_1d):

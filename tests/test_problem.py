@@ -17,6 +17,7 @@ from fbrs import (
 )
 from fbrs.fb import _evaluate
 from fbrs.oracle import random_strictly_convex_qp, solve_by_enumeration, verify_kkt
+from fbrs.qpfile import serialize_qp
 
 
 def lagrangian_gradient(p, x):
@@ -147,8 +148,13 @@ def test_dimension_mismatch_raises(qp_1d):
         (lambda p: verify_kkt(p, PrimalDualPoint.zeros(1, 2), 1e-8), "x"),
         (lambda p: verify_kkt(p, PrimalDualPoint.zeros(1, 1), math.nan), "tol"),
         (lambda p: verify_kkt(p, PrimalDualPoint.zeros(1, 1), 0.0), "tol"),
+        # a bare array where a PrimalDualPoint belongs
+        (lambda p: verify_kkt(p, np.zeros(2), 1e-8), "x must be a PrimalDualPoint"),
+        (lambda p: fbrs_solve(p, np.zeros(2)), "x0 must be a PrimalDualPoint"),
+        (lambda p: serialize_qp(p, np.zeros(2)), "x0 must be a PrimalDualPoint"),
     ],
-    ids=["objective-shape", "objective-nan", "verify_kkt-x", "verify_kkt-tol-nan", "verify_kkt-tol-zero"],
+    ids=["objective-shape", "objective-nan", "verify_kkt-x", "verify_kkt-tol-nan", "verify_kkt-tol-zero",
+         "verify_kkt-array", "fbrs_solve-array", "serialize_qp-array"],
 )
 def test_point_functions_reject_bad_input(qp_1d, call, name):
     with pytest.raises(InvalidProblem, match=name):
