@@ -7,6 +7,7 @@ and the fraction of unit steps near the solution.
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -23,6 +24,13 @@ def main():
     parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    for flag, value in [("--instances", args.instances), ("--starts", args.starts), ("-n", args.n), ("-q", args.q)]:
+        if value < 1:
+            parser.error(f"{flag} must be >= 1, got {value}")
+    if not 0 < args.tol < math.inf:
+        parser.error(f"--tol must be a finite real > 0, got {args.tol:g}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     rng = np.random.default_rng(args.seed)
     cfg = SolverConfig(tol=args.tol, max_iters=100)
@@ -48,12 +56,13 @@ def main():
             unit_tail_steps += sum(a.t == 1.0 for a, _ in tail)
 
     total = args.instances * args.starts
-    iterations = np.array(iterations)
     print(f"solved {total - failures}/{total} (n={args.n}, q={args.q}, tol={args.tol:g})")
-    print(
-        f"iterations: mean {iterations.mean():.2f}, median {np.median(iterations):.0f},"
-        f" max {iterations.max()}"
-    )
+    if iterations:
+        iterations = np.array(iterations)
+        print(
+            f"iterations: mean {iterations.mean():.2f}, median {np.median(iterations):.0f},"
+            f" max {iterations.max()}"
+        )
     if contractions:
         contractions = np.array(contractions)
         print(

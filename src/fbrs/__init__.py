@@ -37,7 +37,6 @@ from .newton import (
     Status,
     fbrs_solve,
     kkt_matrix,
-    linesearch,
     solve_condensed,
     solve_full,
 )

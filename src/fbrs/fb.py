@@ -6,13 +6,17 @@ coefficients of the Newton system. The residual
 
     F_eps(z, v) = [Hz + f + A'v; phi_eps(v, y)],   y = b - Az,
 
-is formed in one place, _evaluate, and the coefficients in one place,
-_coefficients. The solve loop calls both on its own arrays; neither checks
-its arguments. The loop forms one hypot(v, y) per accepted point and shares
-it between the ||F_0|| tail (_phi at eps = 0) and the coefficients.
+is formed in one place, _evaluate, which returns the evaluated point
+(_Point): the flat iterate x = [z; v] with F_eps, y, r0 = hypot(v, y),
+r = hypot(r0, eps) and F_eps'F_eps. The solve loop reads every per-point
+quantity from it: the ||F_0|| tail (_phi at eps = 0 with r0), the
+coefficients (_coefficients with r) and the merit. Neither _evaluate nor
+_coefficients checks its arguments.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,18 +47,32 @@ def _phi(a: np.ndarray, b: np.ndarray, eps: float, r: np.ndarray) -> np.ndarray:
     return np.where(pos, 2.0 * (b * (a / d)) - eps * (eps / d), s - r)
 
 
-def _coefficients(y: np.ndarray, v: np.ndarray, eps: float, delta: float, r0=None):
+def _coefficients(y: np.ndarray, v: np.ndarray, r: np.ndarray, delta: float):
     """(gamma, mu), the diagonals of the blocks C, D of the Newton system:
-    gamma_i = 1 - y_i/r_i + delta, mu_i = 1 - v_i/r_i + delta with
-    r = hypot(r0, eps) = sqrt(y^2 + v^2 + eps^2), where r0 = hypot(y, v) unless
-    the caller passes it. Arguments are not checked; the solve loop passes
-    eps > 0, which keeps every r_i positive, and delta >= 0."""
-    r = np.hypot(np.hypot(y, v) if r0 is None else r0, eps)
+    gamma_i = 1 - y_i/r_i + delta, mu_i = 1 - v_i/r_i + delta, given
+    r = sqrt(y^2 + v^2 + eps^2) (a point's r). Arguments are not checked; the
+    solve loop's eps > 0 keeps every r_i positive, and it passes delta >= 0."""
     return (1.0 - y / r) + delta, (1.0 - v / r) + delta
 
 
-def _evaluate(p: QpProblem, z: np.ndarray, v: np.ndarray, eps: float):
-    """(F_eps, y) at (z, v): the residual [Hz + f + A'v; phi_eps(v, y)] and the
-    slack y = b - Az. Arguments are not checked."""
+class _Point(NamedTuple):
+    """An evaluated iterate: x = [z; v], F = F_eps(x), y = b - Az,
+    r0 = hypot(v, y), r = hypot(r0, eps) and ff = F'F."""
+
+    x: np.ndarray
+    F: np.ndarray
+    y: np.ndarray
+    r0: np.ndarray
+    r: np.ndarray
+    ff: float
+
+
+def _evaluate(p: QpProblem, x: np.ndarray, eps: float) -> _Point:
+    """The _Point of x = [z; v], whose F is [Hz + f + A'v; phi_eps(v, y)].
+    Arguments are not checked."""
+    z, v = x[:p.n], x[p.n:]
     y = p.b - p.A @ z
-    return np.concatenate([p.H @ z + p.f + p.A.T @ v, phi_eps(v, y, eps)]), y
+    r0 = np.hypot(v, y)
+    r = np.hypot(r0, eps)
+    F = np.concatenate([p.H @ z + p.f + p.A.T @ v, _phi(v, y, eps, r)])
+    return _Point(x, F, y, r0, r, float(F @ F))

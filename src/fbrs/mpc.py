@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .errors import InvalidSpec, MpcSequenceError
 from .newton import SolverConfig, Status, fbrs_solve
-from .problem import PrimalDualPoint, QpProblem, _check_dims, _count, _frozen, _readonly
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _frozen, _readonly
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,7 @@ def condense(spec: LtiMpcSpec, x_init: np.ndarray | None = None) -> QpProblem:
     the state-box rows of b depend on x0. An x_init given here, a finite
     nx-vector (else InvalidSpec), replaces spec.x_init.
     """
+    _check_type(spec, LtiMpcSpec, "spec", InvalidSpec)
     x0 = spec.x_init if x_init is None else _frozen(x_init, "x_init", (spec.nx,), InvalidSpec)
     return _condenser(spec)(x0)
 
@@ -142,6 +143,7 @@ def _shift_stages(vec: np.ndarray, width: int) -> np.ndarray:
 def shift_solution(spec: LtiMpcSpec, x: PrimalDualPoint) -> PrimalDualPoint:
     """Advance a solution x of condense(spec)'s QP (else InvalidSpec) by one
     stage for reuse at the next sampling instant."""
+    _check_type(spec, LtiMpcSpec, "spec", InvalidSpec)
     # per-stage widths of the condensed constraint row groups: input box, then state box
     groups = [spec.nu, spec.nu] + ([spec.nx, spec.nx] if spec.x_lo is not None else [])
     _check_dims(x, spec.horizon * spec.nu, spec.horizon * sum(groups), "x", InvalidSpec)
@@ -220,6 +222,7 @@ def run_sequence(
     MpcSequenceError carries the failing step index. Returns
     (Trajectory, SequenceStats). InvalidSpec unless steps is an integer >= 1.
     """
+    _check_type(spec, LtiMpcSpec, "spec", InvalidSpec)
     _count(steps, "steps", InvalidSpec)
     if start_mode not in ("cold", "warm", "shift"):
         raise InvalidSpec(f"start_mode must be 'cold', 'warm' or 'shift', got {start_mode!r}")

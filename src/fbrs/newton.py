@@ -16,12 +16,14 @@ The solve stops once ||F_0|| <= tol. The Armijo constants and the starting
 regularization are fixed (SolverConfig.sigma, .beta, .max_backtracks,
 .delta0); tol and max_iters are the only settings.
 
-fbrs_solve holds the iterate as plain arrays (z, v) and evaluates each point
-it visits once, with fb._evaluate (the one definition of F_eps): the residual
-F_eps and slack y of the point the linesearch accepts give the next pass its
-norms, its Newton right-hand side -F_eps, its FB coefficients and theta.
-Inputs are validated at entry only; the step functions take the loop's
-arrays unchecked, and overflow in the loop becomes a status, not a warning.
+fbrs_solve holds one evaluated point, fb._evaluate's record of the flat
+iterate x = [z; v] with F_eps, y, hypot(v, y), hypot(hypot(v, y), eps) and
+F_eps'F_eps, and the linesearch returns the point it accepts. That point gives
+the next pass its norms, its Newton right-hand side -F_eps, its FB
+coefficients and theta; the loop itself forms only the ||F_0|| and
+natural-residual vectors of its trace. Inputs are validated at entry only;
+the step functions take the loop's arrays unchecked, and overflow in the loop
+becomes a status, not a warning.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .errors import (
     LinesearchError,
     SingularSystem,
 )
-from .fb import _coefficients, _evaluate, _phi
-from .problem import PrimalDualPoint, QpProblem, _check_dims, _count, _positive
+from .fb import _coefficients, _evaluate, _phi, _Point
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive
 
 # LAPACK's float64 routines, called without the per-call work of scipy's wrappers
 _potrf, _potrs, _getrf, _getrs = scipy.linalg.get_lapack_funcs(
@@ -168,26 +170,24 @@ def _merit_gradient(p: QpProblem, F: np.ndarray, gamma: np.ndarray, mu: np.ndarr
     return np.concatenate([gz, gv])
 
 
-def linesearch(p: QpProblem, z, v, F, dx, eps: float):
+def linesearch(p: QpProblem, point: _Point, dx, eps: float):
     """First t in {1, beta, beta^2, ...} with theta(x + t dx) < (1 - 2 t sigma) theta(x),
-    where x = (z, v), F = F_eps(x), theta = 0.5 ||F_eps||^2 and sigma, beta are
-    SolverConfig's. Returns (t, backtracks, z', v', F', y') at the accepted point,
-    y' = b - Az'. Raises LinesearchError when SolverConfig.max_backtracks
-    reductions were not enough (delta too large or a defective direction),
-    InvalidProblem when dx is not finite.
+    where x = point.x, theta = 0.5 ||F_eps||^2 = 0.5 point.ff and sigma, beta
+    are SolverConfig's. Returns (t, backtracks, point') with point' the
+    evaluated accepted point. Raises LinesearchError when
+    SolverConfig.max_backtracks reductions were not enough (delta too large or
+    a defective direction), InvalidProblem when dx is not finite.
     """
-    theta0 = 0.5 * float(F @ F)
+    theta0 = 0.5 * point.ff
     if theta0 <= 0.0:
         raise LinesearchError("merit already zero; no descent possible")
     if not np.isfinite(dx).all():
         raise InvalidProblem("non-finite search direction")
-    n = p.n
     for j in range(SolverConfig.max_backtracks + 1):
         t = SolverConfig.beta**j
-        z_t, v_t = z + t * dx[:n], v + t * dx[n:]
-        F_t, y_t = _evaluate(p, z_t, v_t, eps)
-        if 0.5 * float(F_t @ F_t) < (1.0 - 2.0 * t * SolverConfig.sigma) * theta0:
-            return t, j, z_t, v_t, F_t, y_t
+        trial = _evaluate(p, point.x + t * dx, eps)
+        if 0.5 * trial.ff < (1.0 - 2.0 * t * SolverConfig.sigma) * theta0:
+            return t, j, trial
     raise LinesearchError(f"no acceptable step after {SolverConfig.max_backtracks} backtracks")
 
 
@@ -207,32 +207,34 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     Newton step, delta shrinks by 10 (up to 3 times, carried forward) and the
     step is recomputed; as a last resort a merit-gradient step is taken. The
     trace gets one record per pass including the terminal one, so it has
-    iterations + 1 entries. A non-finite step direction, or a Newton system
-    that neither the Cholesky nor the LU step can solve (SingularSystem, as on
-    an unbounded problem with a singular H), ends the solve with
-    INVALID_PROBLEM at the last accepted iterate. The loop emits no
-    floating-point warnings.
+    iterations + 1 entries. Each pass reads the evaluated point (fb._evaluate)
+    that the previous linesearch accepted, so every point is evaluated once.
+    A non-finite step direction, or a Newton system that neither the Cholesky
+    nor the LU step can solve (SingularSystem, as on an unbounded problem with
+    a singular H), ends the solve with INVALID_PROBLEM at the last accepted
+    iterate. The loop emits no floating-point warnings. InvalidProblem unless
+    p is a QpProblem and x0 a PrimalDualPoint of its (n, q); InvalidConfig
+    unless cfg is a SolverConfig or None.
     """
+    _check_type(p, QpProblem, "p")
     cfg = SolverConfig() if cfg is None else cfg
-    if not isinstance(cfg, SolverConfig):
-        raise InvalidConfig(f"cfg must be a SolverConfig or None, got {type(cfg).__name__}")
+    _check_type(cfg, SolverConfig, "cfg", InvalidConfig)
     _check_dims(x0, p.n, p.q, "x0")
     n = p.n
     eps = cfg.effective_eps(p.q)
     delta = cfg.delta0
-    z, v = x0.z, x0.v
     trace: list[IterationRecord] = []
     status = Status.MAX_ITERS
     iterations = 0
     # overflow and NaN are statuses here (a failed Armijo test or a
     # non-finite direction), not warnings
     with np.errstate(all="ignore"):
-        F, y = _evaluate(p, z, v, eps)
+        point = _evaluate(p, x0.as_vector(), eps)
         for k in range(cfg.max_iters + 1):
-            r0 = np.hypot(v, y)
-            F0 = np.concatenate([F[:n], _phi(v, y, 0.0, r0)])
+            F, y, v = point.F, point.y, point.x[n:]
+            F0 = np.concatenate([F[:n], _phi(v, y, 0.0, point.r0)])
             Fnr = np.concatenate([F[:n], np.minimum(y, v)])
-            n_feps, n_f0, n_fnr = math.sqrt(F @ F), math.sqrt(F0 @ F0), math.sqrt(Fnr @ Fnr)
+            n_feps, n_f0, n_fnr = math.sqrt(point.ff), math.sqrt(F0 @ F0), math.sqrt(Fnr @ Fnr)
             delta = min(delta, n_feps)
             rec = IterationRecord(
                 k=k, norm_Feps=n_feps, norm_F0=n_f0, norm_Fnr=n_fnr,
@@ -248,20 +250,20 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
                 for shrink in range(4):
                     if shrink:
                         delta = delta / 10.0
-                    dx = _solve_step(p, *_coefficients(y, v, eps, delta, r0), -F)
+                    dx = _solve_step(p, *_coefficients(y, v, point.r, delta), -F)
                     try:
-                        t, nb, z, v, F, y = linesearch(p, z, v, F, dx, eps)
+                        t, nb, point = linesearch(p, point, dx, eps)
                         break
                     except LinesearchError:
                         pass
                 else:
-                    dx = -_merit_gradient(p, F, *_coefficients(y, v, eps, 0.0, r0))
-                    t, nb, z, v, F, y = linesearch(p, z, v, F, dx, eps)
+                    dx = -_merit_gradient(p, F, *_coefficients(y, v, point.r, 0.0))
+                    t, nb, point = linesearch(p, point, dx, eps)
             except LinesearchError:
                 status = Status.LINESEARCH_FAILURE
                 break
             except (InvalidProblem, SingularSystem):
-                # non-finite direction or singular Newton system; (z, v) is
+                # non-finite direction or singular Newton system; point is
                 # still the last accepted iterate
                 status = Status.INVALID_PROBLEM
                 break
@@ -271,7 +273,7 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
 
     last = trace[-1]
     return SolverResult(
-        x=PrimalDualPoint(z, v),
+        x=PrimalDualPoint(point.x[:n], point.x[n:]),
         status=status,
         iterations=iterations,
         final_norm_F0=last.norm_F0,

@@ -20,7 +20,7 @@ from .errors import (
     InfeasibleProblem,
     UnboundedProblem,
 )
-from .problem import PrimalDualPoint, QpProblem, _check_dims, _positive, constraint_slack
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _positive, constraint_slack
 
 MAX_ENUM_CONSTRAINTS = 16
 MAX_ENUM_VARIABLES = 8
@@ -43,6 +43,7 @@ class KktReport:
 def verify_kkt(p: QpProblem, x: PrimalDualPoint, tol: float) -> KktReport:
     """Evaluate stationarity, feasibility, and complementarity at x; x must match
     p's (n, q) and tol be a finite real > 0 (else InvalidProblem)."""
+    _check_type(p, QpProblem, "p")
     _check_dims(x, p.n, p.q, "x")
     tol = _positive(tol, "tol")
     y = constraint_slack(p, x.z)
@@ -63,6 +64,7 @@ def solve_by_enumeration(p: QpProblem) -> PrimalDualPoint:
     Returns the accepted candidate with the lowest objective (ties broken
     lexicographically on z). Budget: q <= 16 and n <= 8.
     """
+    _check_type(p, QpProblem, "p")
     n, q = p.n, p.q
     if q > MAX_ENUM_CONSTRAINTS or n > MAX_ENUM_VARIABLES:
         raise EnumerationTooLarge(

@@ -31,7 +31,7 @@ def _frozen(value, name: str, shape: tuple, error: type[FbrsError] = InvalidProb
         if arr.dtype.kind == "c":
             raise TypeError(f"complex dtype {arr.dtype}")
         arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{name} is not a real numeric array: {exc}") from None
     expected = tuple(got if want is None else want for got, want in zip(arr.shape, shape))
     if arr.shape != expected:
@@ -41,18 +41,31 @@ def _frozen(value, name: str, shape: tuple, error: type[FbrsError] = InvalidProb
     return _readonly(arr)
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message; Python refuses to print an int of
+    more than sys.get_int_max_str_digits() digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "an int too long to print"
+
+
 def _positive(value, name: str, error: type[FbrsError] = InvalidProblem) -> float:
-    """A real (not a bool) in (0, inf) as a float."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and 0 < value < math.inf):
-        raise error(f"{name} must be a finite real > 0, got {value!r}")
-    return float(value)
+    """A real (not a bool) whose float lies in (0, inf), as that float; an int
+    too large for a float is out of range."""
+    try:
+        out = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        out = math.inf
+    if not 0 < out < math.inf:
+        raise error(f"{name} must be a finite real > 0, got {_shown(value)}")
+    return out
 
 
 def _count(value, name: str, error: type[FbrsError] = InvalidProblem) -> int:
     """An integer >= 1 (not a bool) as an int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise error(f"{name} must be an integer >= 1, got {value!r}")
+        raise error(f"{name} must be an integer >= 1, got {_shown(value)}")
     return int(value)
 
 
@@ -133,6 +146,7 @@ def validate_problem(p: QpProblem, tol: float = 1e-10) -> ValidationReport:
     and sigma_min([H; A]) > tol * sigma_max([H; A]). Raises InvalidProblem
     unless tol is a finite real > 0.
     """
+    _check_type(p, QpProblem, "p")
     tol = _positive(tol, "tol")
     h_scale = 1.0 + float(np.linalg.norm(p.H))
     symmetry_ok = p.symmetry_defect <= tol * h_scale
@@ -165,20 +179,27 @@ def validate_problem(p: QpProblem, tol: float = 1e-10) -> ValidationReport:
 
 def constraint_slack(p: QpProblem, z: np.ndarray) -> np.ndarray:
     """y = b - Az. Raises InvalidProblem unless z is a finite vector of length n."""
+    _check_type(p, QpProblem, "p")
     return p.b - p.A @ _frozen(z, "z", (p.n,))
 
 
 def objective(p: QpProblem, z: np.ndarray) -> float:
     """0.5 z'Hz + f'z, which is inf or nan without a warning when it overflows.
     Raises InvalidProblem unless z is a finite vector of length n."""
+    _check_type(p, QpProblem, "p")
     z = _frozen(z, "z", (p.n,))
     with np.errstate(over="ignore", invalid="ignore"):
         return float(0.5 * z @ (p.H @ z) + p.f @ z)
 
 
+def _check_type(value, cls: type, name: str, error: type[FbrsError] = InvalidProblem):
+    """Raise `error`, naming `name`, unless value is an instance of cls."""
+    if not isinstance(value, cls):
+        raise error(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_dims(x: PrimalDualPoint, n: int, q: int, name: str, error: type[FbrsError] = InvalidProblem):
     """Raise `error`, naming `name`, unless x is a PrimalDualPoint of len z = n, len v = q."""
-    if not isinstance(x, PrimalDualPoint):
-        raise error(f"{name} must be a PrimalDualPoint, got {type(x).__name__}")
+    _check_type(x, PrimalDualPoint, name, error)
     if x.z.shape != (n,) or x.v.shape != (q,):
         raise error(f"{name} has (len z, len v) = ({x.z.size}, {x.v.size}), expected ({n}, {q})")

@@ -23,7 +23,7 @@ parse(serialize(p)) reproduces every value exactly.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, ParseError
-from .problem import PrimalDualPoint, QpProblem, _check_dims
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type
 
 MAGIC = "FBQP"
 VERSION = "1"
@@ -122,6 +122,7 @@ def _fmt_row(values) -> str:
 def serialize_qp(p: QpProblem, x0: PrimalDualPoint | None = None) -> str:
     """Render a problem and an optional warmstart x0 (InvalidProblem unless it
     matches p's (n, q)) as FBQP text."""
+    _check_type(p, QpProblem, "p")
     lines = [f"{MAGIC} {VERSION}", f"n {p.n}", f"q {p.q}", "H"]
     lines += [_fmt_row(row) for row in p.H]
     lines += ["f", _fmt_row(p.f), "A"]

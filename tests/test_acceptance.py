@@ -116,7 +116,7 @@ def test_smoothing_bound():
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(5 * rng.standard_normal(n), 5 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-6, 0)
-        gap = float(np.linalg.norm(_evaluate(p, x.z, x.v, eps)[0] - _evaluate(p, x.z, x.v, 0.0)[0]))
+        gap = float(np.linalg.norm(_evaluate(p, x.as_vector(), eps).F - _evaluate(p, x.as_vector(), 0.0).F))
         bound = math.sqrt(p.q) * eps
         worst = max(worst, gap - bound)
         violations += gap > bound + 1e-14
@@ -135,15 +135,15 @@ def test_merit_gradient_identity():
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(2 * rng.standard_normal(n), 2 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-4, 0)
-        F, y = _evaluate(p, x.z, x.v, eps)
-        g = _merit_gradient(p, F, *_coefficients(y, x.v, eps, 0.0))
+        _, F, y, _, r, _ = _evaluate(p, x.as_vector(), eps)
+        g = _merit_gradient(p, F, *_coefficients(y, x.v, r, 0.0))
         vec = x.as_vector()
         fd = np.empty_like(g)
         for i in range(n + q):
             e = np.zeros(n + q)
             e[i] = h
-            F_up = _evaluate(p, (vec + e)[:n], (vec + e)[n:], eps)[0]
-            F_down = _evaluate(p, (vec - e)[:n], (vec - e)[n:], eps)[0]
+            F_up = _evaluate(p, vec + e, eps).F
+            F_down = _evaluate(p, vec - e, eps).F
             fd[i] = (0.5 * float(F_up @ F_up) - 0.5 * float(F_down @ F_down)) / (2 * h)
         rel = np.linalg.norm(g - fd) / (1 + np.linalg.norm(g))
         worst = max(worst, rel)
@@ -164,8 +164,8 @@ def test_solve_path_equivalence():
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-6, 0)
         delta = 10.0 ** rng.uniform(-10, -2)
-        F, y = _evaluate(p, x.z, x.v, eps)
-        gamma, mu = _coefficients(y, x.v, eps, delta)
+        _, F, y, _, r, _ = _evaluate(p, x.as_vector(), eps)
+        gamma, mu = _coefficients(y, x.v, r, delta)
         try:
             dx_full = solve_full(p, gamma, mu, -F)
             dx_cond = solve_condensed(p, gamma, mu, -F)

@@ -259,7 +259,7 @@ def test_public_names():
         "MpcSequenceError", "OracleError", "ParseError", "PrimalDualPoint", "QpProblem",
         "SequenceStats", "SingularSystem", "SolverConfig", "SolverResult", "Status", "Trajectory",
         "UnboundedProblem", "ValidationReport", "condense", "constraint_slack", "double_integrator",
-        "fbrs_solve", "kkt_matrix", "linesearch", "mass_spring_chain", "objective", "parse_qp",
+        "fbrs_solve", "kkt_matrix", "mass_spring_chain", "objective", "parse_qp",
         "phi_eps", "random_infeasible_start", "random_strictly_convex_qp", "run_sequence",
         "serialize_qp", "shift_solution", "solve_by_enumeration", "solve_condensed", "solve_full",
         "validate_problem", "verify_kkt",

@@ -40,10 +40,16 @@ def test_phi_no_cancellation_when_sum_positive():
     assert phi_eps(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1e-9) == pytest.approx([-5e-19, -5e-19], rel=1e-15)
 
 
+def _r(y, v, eps):
+    # sqrt(y^2 + v^2 + eps^2), as _evaluate forms it for a point
+    return np.hypot(np.hypot(y, v), eps)
+
+
 def test_coefficients_ratio_endpoints():
     # y = 0 gives gamma = 1 exactly; v >> eps drives mu to 0, and at
     # v / eps = 1e8 the ratio v / r rounds to 1
-    gamma, mu = _coefficients(np.zeros(2), np.array([1.0, 1e4]), 1e-4, 0.0)
+    y, v = np.zeros(2), np.array([1.0, 1e4])
+    gamma, mu = _coefficients(y, v, _r(y, v, 1e-4), 0.0)
     assert gamma.tolist() == [1.0, 1.0]
     assert mu[0] == pytest.approx(5e-9, rel=1e-6)  # 1 - 1 / sqrt(1 + 1e-8)
     assert mu[1] == 0.0
@@ -51,15 +57,15 @@ def test_coefficients_ratio_endpoints():
 
 def test_coefficients_three_four_five():
     # r = sqrt(3^2 + 4^2 + 12^2) = 13
-    gamma, mu = _coefficients(np.array([3.0]), np.array([4.0]), 12.0, 0.01)
+    gamma, mu = _coefficients(np.array([3.0]), np.array([4.0]), np.array([13.0]), 0.01)
     assert gamma[0] == pytest.approx(10.0 / 13.0 + 0.01, abs=1e-15)
     assert mu[0] == pytest.approx(9.0 / 13.0 + 0.01, abs=1e-15)
 
 
 def test_coefficients_delta_is_additive():
     y, v = np.array([0.3, -0.7]), np.array([1.5, 0.0])
-    gamma, mu = _coefficients(y, v, 0.2, 0.0)
-    gamma_shifted, mu_shifted = _coefficients(y, v, 0.2, 0.05)
+    gamma, mu = _coefficients(y, v, _r(y, v, 0.2), 0.0)
+    gamma_shifted, mu_shifted = _coefficients(y, v, _r(y, v, 0.2), 0.05)
     assert gamma_shifted == pytest.approx(gamma + 0.05)
     assert mu_shifted == pytest.approx(mu + 0.05)
 
@@ -70,13 +76,14 @@ def test_coefficients_delta_is_additive():
 @given(a=st.floats(-100, 100), b=st.floats(-100, 100), eps=st.floats(1e-2, 10.0),
        delta=st.floats(0.0, 1.0))
 def test_coefficient_ranges(a, b, eps, delta):
-    gamma, mu = _coefficients(np.array([a]), np.array([b]), eps, delta)
+    y, v = np.array([a]), np.array([b])
+    gamma, mu = _coefficients(y, v, _r(y, v, eps), delta)
     assert delta < gamma[0] < 2.0 + delta
     assert delta < mu[0] < 2.0 + delta
 
 
 def _residual(p, z, v, eps):
-    return _evaluate(p, np.asarray(z, dtype=float), np.asarray(v, dtype=float), eps)[0]
+    return _evaluate(p, np.concatenate([z, v]).astype(float), eps).F
 
 
 def _smoothing_gap(p, z, v, eps):
@@ -181,7 +188,8 @@ def test_phi_lipschitz(a, b, s, t, eps):
 @given(a=st.floats(-10, 10), b=st.floats(-10, 10), eps=st.floats(1e-2, 1.0))
 def test_partials_match_finite_differences(a, b, eps):
     # coefficients at delta = 0 are exactly the partials of phi in (b, a) order
-    gamma, mu = _coefficients(np.array([b]), np.array([a]), eps, 0.0)
+    y, v = np.array([b]), np.array([a])
+    gamma, mu = _coefficients(y, v, _r(y, v, eps), 0.0)
     h = 1e-6
     fd_a = (phi_eps(a + h, b, eps) - phi_eps(a - h, b, eps)) / (2 * h)
     fd_b = (phi_eps(a, b + h, eps) - phi_eps(a, b - h, eps)) / (2 * h)

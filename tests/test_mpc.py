@@ -61,10 +61,21 @@ def test_spec_validation():
         (dict(R=np.array([[np.nan]])), "R"),
         (dict(Q=[["a", 0.0], [0.0, 1.0]]), "Q"),
         (dict(Q=np.eye(2) * (1 + 0j)), "Q"),
+        (dict(x_init=[10**400, 0.0]), "x_init"),
     ]
     for changed, name in cases:
         with pytest.raises(InvalidSpec, match=name):
             LtiMpcSpec(**{**fields, **changed})
+    # the functions that take a spec: (call, text the error must contain)
+    calls = [
+        (lambda: condense(good, [10**400] * 2), "x_init"),
+        (lambda: condense(fields), "spec must be a LtiMpcSpec, got dict"),
+        (lambda: run_sequence(None, 1), "spec must be a LtiMpcSpec, got NoneType"),
+        (lambda: shift_solution([good], PrimalDualPoint.zeros(3, 6)), "spec must be a LtiMpcSpec, got list"),
+    ]
+    for call, text in calls:
+        with pytest.raises(InvalidSpec, match=text):
+            call()
 
 
 def test_spec_arrays_read_only():

@@ -59,6 +59,9 @@ def test_config_defaults():
         dict(max_iters=True),
         dict(tol=True),
         dict(tol="1e-8"),
+        dict(tol=10**400),
+        dict(tol=10**5000),
+        dict(max_iters=-10**5000),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -86,20 +89,19 @@ def test_effective_eps_policies():
 
 def _system(p, x, eps, delta):
     # the Newton system the solve loop builds at x: (gamma, mu, rhs = -F_eps)
-    F, y = _evaluate(p, x.z, x.v, eps)
-    return (*_coefficients(y, x.v, eps, delta), -F)
+    point = _evaluate(p, x.as_vector(), eps)
+    return (*_coefficients(point.y, x.v, point.r, delta), -point.F)
 
 
 def _theta(p, z, v, eps):
     # the merit 0.5 ||F_eps||^2 at (z, v)
-    F = _evaluate(p, z, v, eps)[0]
-    return 0.5 * float(F @ F)
+    return 0.5 * _evaluate(p, np.concatenate([z, v]), eps).ff
 
 
 def _gradient(p, x, eps):
     # grad theta_eps at x, as the loop's merit-gradient fallback forms it
-    F, y = _evaluate(p, x.z, x.v, eps)
-    return _merit_gradient(p, F, *_coefficients(y, x.v, eps, 0.0))
+    point = _evaluate(p, x.as_vector(), eps)
+    return _merit_gradient(p, point.F, *_coefficients(point.y, x.v, point.r, 0.0))
 
 
 def test_assemble_frozen_values(qp_1d):
@@ -289,9 +291,8 @@ def test_merit_gradient_matches_finite_differences():
 def test_linesearch_unit_step_near_solution(qp_1d):
     x = PrimalDualPoint([0.5 + 1e-5], [0.5 - 1e-5])
     eps = 1e-9
-    F = _evaluate(qp_1d, x.z, x.v, eps)[0]
     dx = solve_full(qp_1d, *_system(qp_1d, x, eps, 0.0))
-    t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, F, dx, eps)
+    t, backtracks, _ = linesearch(qp_1d, _evaluate(qp_1d, x.as_vector(), eps), dx, eps)
     assert t == 1.0
     assert backtracks == 0
 
@@ -301,15 +302,15 @@ def test_linesearch_newton_step_decreases_merit():
     p = random_strictly_convex_qp(4, 6, rng)
     x = PrimalDualPoint(rng.standard_normal(4), rng.standard_normal(6))
     dx = solve_full(p, *_system(p, x, 0.01, 1e-8))
-    _, _, z, v, *_ = linesearch(p, x.z, x.v, _evaluate(p, x.z, x.v, 0.01)[0], dx, 0.01)
-    assert _theta(p, z, v, 0.01) < _theta(p, x.z, x.v, 0.01)
+    _, _, accepted = linesearch(p, _evaluate(p, x.as_vector(), 0.01), dx, 0.01)
+    assert _theta(p, accepted.x[:4], accepted.x[4:], 0.01) < _theta(p, x.z, x.v, 0.01)
 
 
 def test_linesearch_backtracks_on_overshoot(qp_1d, monkeypatch):
     monkeypatch.setattr(SolverConfig, "sigma", 0.499)
     x = PrimalDualPoint([100.0], [50.0])
     dx = solve_full(qp_1d, *_system(qp_1d, x, 0.1, 0.0))
-    t, backtracks, *_ = linesearch(qp_1d, x.z, x.v, _evaluate(qp_1d, x.z, x.v, 0.1)[0], 3.0 * dx, 0.1)
+    t, backtracks, _ = linesearch(qp_1d, _evaluate(qp_1d, x.as_vector(), 0.1), 3.0 * dx, 0.1)
     assert backtracks >= 1
     assert t == pytest.approx(0.7**backtracks)
 
@@ -319,7 +320,36 @@ def test_linesearch_fails_on_ascent_direction(qp_1d, monkeypatch):
     x = PrimalDualPoint([100.0], [50.0])
     up = _gradient(qp_1d, x, 0.1)
     with pytest.raises(LinesearchError, match="after 10 backtracks"):
-        linesearch(qp_1d, x.z, x.v, _evaluate(qp_1d, x.z, x.v, 0.1)[0], up, 0.1)
+        linesearch(qp_1d, _evaluate(qp_1d, x.as_vector(), 0.1), up, 0.1)
+
+
+def test_linesearch_returns_the_evaluated_point(monkeypatch):
+    # the loop reads every per-point quantity from the point the linesearch
+    # returns: it must be _evaluate's point at x + t dx, field for field, and
+    # each cached field must be the quantity it names
+    points = []
+
+    def checked_linesearch(p, point, dx, eps):
+        t, backtracks, accepted = linesearch(p, point, dx, eps)
+        fresh = _evaluate(p, point.x + t * dx, eps)
+        for name in ("x", "F", "y", "r0", "r"):
+            assert np.array_equal(getattr(accepted, name), getattr(fresh, name)), name
+        assert accepted.ff == fresh.ff
+        points.extend([point, accepted])
+        return t, backtracks, accepted
+
+    monkeypatch.setattr(newton, "linesearch", checked_linesearch)
+    rng = np.random.default_rng(41)
+    cfg = SolverConfig(tol=1e-10)
+    for _ in range(5):
+        p = random_strictly_convex_qp(20, 40, rng)
+        assert fbrs_solve(p, random_infeasible_start(p, rng), cfg).status == Status.SOLVED
+    assert len(points) >= 50
+    eps = cfg.effective_eps(40)
+    for point in points:
+        assert np.array_equal(point.r0, np.hypot(point.x[20:], point.y))
+        assert np.array_equal(point.r, np.hypot(point.r0, eps))
+        assert point.ff == point.F @ point.F
 
 
 # --- the full solve ---------------------------------------------------------
@@ -434,11 +464,11 @@ def test_max_iters_returns_best_iterate(qp_1d):
 
 
 def _assert_final_norms_of_returned_point(p, result, eps):
-    # the loop shares one hypot(v, y) between the ||F_0|| tail and the
-    # coefficients; its norms must still be those of phi_eps at the point
-    z, v = result.x.z, result.x.v
-    F, y = _evaluate(p, z, v, eps)
-    assert result.final_norm_F0 == np.linalg.norm(_evaluate(p, z, v, 0.0)[0])
+    # the loop reads its norms from the evaluated point it carries; they must
+    # still be those of phi_eps at the returned point
+    point = _evaluate(p, result.x.as_vector(), eps)
+    F, y, v = point.F, point.y, result.x.v
+    assert result.final_norm_F0 == np.linalg.norm(_evaluate(p, point.x, 0.0).F)
     assert result.final_norm_Feps == np.linalg.norm(F)
     assert result.final_norm_Fnr == np.linalg.norm(np.concatenate([F[:p.n], np.minimum(y, v)]))
 

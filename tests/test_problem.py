@@ -22,7 +22,7 @@ from fbrs.qpfile import serialize_qp
 
 def lagrangian_gradient(p, x):
     # Hz + f + A'v, the stationarity block of the residual
-    return _evaluate(p, x.z, x.v, 0.0)[0][:p.n]
+    return _evaluate(p, x.as_vector(), 0.0).F[:p.n]
 
 
 def natural_residual_norm(p, x):
@@ -66,6 +66,11 @@ def test_rejects_nonfinite_and_bad_shapes():
         PrimalDualPoint(np.array([1 + 2j]), [0.0])
     with pytest.raises(InvalidProblem, match="b is not a real"):
         QpProblem(np.eye(1), [0.0], [[1.0]], [np.complex128(1.0)])
+    # nor is an int too large for a float
+    with pytest.raises(InvalidProblem, match="H is not a real"):
+        QpProblem([[10**400]], [0.0], [[1.0]], [1.0])
+    with pytest.raises(InvalidProblem, match="z is not a real"):
+        PrimalDualPoint([10**400], [0.0])
 
 
 def test_problem_arrays_immutable(qp_1d):
@@ -152,9 +157,21 @@ def test_dimension_mismatch_raises(qp_1d):
         (lambda p: verify_kkt(p, np.zeros(2), 1e-8), "x must be a PrimalDualPoint"),
         (lambda p: fbrs_solve(p, np.zeros(2)), "x0 must be a PrimalDualPoint"),
         (lambda p: serialize_qp(p, np.zeros(2)), "x0 must be a PrimalDualPoint"),
+        (lambda p: verify_kkt(p, PrimalDualPoint.zeros(1, 1), 10**400), "tol"),
+        (lambda p: validate_problem(p, tol=10**400), "tol"),
+        # a problem that is not a QpProblem
+        (lambda p: fbrs_solve({"H": p.H}, PrimalDualPoint.zeros(1, 1)), "p must be a QpProblem, got dict"),
+        (lambda p: verify_kkt(None, PrimalDualPoint.zeros(1, 1), 1e-8), "p must be a QpProblem, got NoneType"),
+        (lambda p: validate_problem([p.H, p.f, p.A, p.b]), "p must be a QpProblem, got list"),
+        (lambda p: solve_by_enumeration({"H": p.H}), "p must be a QpProblem"),
+        (lambda p: objective(None, np.zeros(1)), "p must be a QpProblem"),
+        (lambda p: constraint_slack([p.H, p.f, p.A, p.b], np.zeros(1)), "p must be a QpProblem"),
+        (lambda p: serialize_qp(None), "p must be a QpProblem"),
     ],
     ids=["objective-shape", "objective-nan", "verify_kkt-x", "verify_kkt-tol-nan", "verify_kkt-tol-zero",
-         "verify_kkt-array", "fbrs_solve-array", "serialize_qp-array"],
+         "verify_kkt-array", "fbrs_solve-array", "serialize_qp-array", "verify_kkt-tol-huge",
+         "validate_problem-tol-huge", "fbrs_solve-dict", "verify_kkt-none", "validate_problem-list",
+         "solve_by_enumeration-dict", "objective-none", "constraint_slack-list", "serialize_qp-none"],
 )
 def test_point_functions_reject_bad_input(qp_1d, call, name):
     with pytest.raises(InvalidProblem, match=name):
