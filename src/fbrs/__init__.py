@@ -2,7 +2,6 @@
 method with an enumeration oracle and a condensed-MPC warmstart harness."""
 
 from .errors import (
-    CholeskyFailure,
     DegenerateKkt,
     DimensionMismatch,
     EnumerationTooLarge,
@@ -11,14 +10,11 @@ from .errors import (
     InvalidConfig,
     InvalidProblem,
     InvalidSpec,
-    LinesearchError,
     MpcSequenceError,
     OracleError,
     ParseError,
-    SingularSystem,
     UnboundedProblem,
 )
-from .fb import phi_eps
 from .mpc import (
     BUNDLED_EXAMPLES,
     LtiMpcSpec,
@@ -36,9 +32,6 @@ from .newton import (
     SolverResult,
     Status,
     fbrs_solve,
-    kkt_matrix,
-    solve_condensed,
-    solve_full,
 )
 from .oracle import (
     KktReport,

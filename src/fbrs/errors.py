@@ -1,4 +1,4 @@
-"""Exception types shared across the solver, oracle, harness, and CLI."""
+"""Exception types a caller can catch from the solver, oracle, harness, and CLI."""
 
 
 class FbrsError(Exception):
@@ -11,18 +11,6 @@ class InvalidProblem(FbrsError):
 
 class InvalidConfig(FbrsError):
     """SolverConfig setting (tol, max_iters) out of its valid range."""
-
-
-class SingularSystem(FbrsError):
-    """The full Newton system factorization hit a negligible pivot."""
-
-
-class CholeskyFailure(FbrsError):
-    """The condensed Schur matrix was not numerically positive definite."""
-
-
-class LinesearchError(FbrsError):
-    """No acceptable steplength within the backtracking budget."""
 
 
 class OracleError(FbrsError):

@@ -98,12 +98,17 @@ def prediction_matrices(spec: LtiMpcSpec):
 
 def _condenser(spec: LtiMpcSpec):
     """Build the state-independent part of condense(spec) once and return the
-    map x0 -> QpProblem, which forms only f and the state-box rows of b."""
+    map x0 -> QpProblem, which forms only f and the state-box rows of b.
+    InvalidSpec when an unstable Ad overflows Phi or H over the horizon."""
     N = spec.horizon
-    Phi, G = prediction_matrices(spec)
     Qbar = np.kron(np.eye(N), spec.Q)
     Rbar = np.kron(np.eye(N), spec.R)
-    H = G.T @ Qbar @ G + Rbar
+    with np.errstate(over="ignore", invalid="ignore"):
+        Phi, G = prediction_matrices(spec)
+        H = G.T @ Qbar @ G + Rbar
+    # a non-finite entry of G makes the diagonal of G' Qbar G non-finite too
+    if not (np.isfinite(Phi).all() and np.isfinite(H).all()):
+        raise InvalidSpec(f"Ad over horizon {N} overflows the condensed QP: Ad^k or G' Qbar G is not finite")
     eye_u = np.eye(N * spec.nu)
     rows = [eye_u, -eye_u]
     input_rhs = [np.tile(spec.u_hi, N), -np.tile(spec.u_lo, N)]

@@ -36,19 +36,28 @@ from typing import ClassVar
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    CholeskyFailure,
-    InvalidConfig,
-    InvalidProblem,
-    LinesearchError,
-    SingularSystem,
-)
+from .errors import InvalidConfig
 from .fb import _coefficients, _evaluate, _phi, _Point
 from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive
 
 # LAPACK's float64 routines, called without the per-call work of scipy's wrappers
 _potrf, _potrs, _getrf, _getrs = scipy.linalg.get_lapack_funcs(
     ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64)
+
+
+# The step's failure signals. fbrs_solve catches each and turns it into a
+# Status, so none reaches its caller; they are not FbrsErrors.
+class CholeskyFailure(Exception):
+    """The condensed Schur matrix is not numerically positive definite."""
+
+
+class NoDirection(Exception):
+    """No usable Newton direction: the full system has a negligible pivot, or
+    the direction is not finite."""
+
+
+class LinesearchError(Exception):
+    """No acceptable steplength within the backtracking budget."""
 
 
 class Status(Enum):
@@ -126,7 +135,7 @@ def solve_full(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray)
     pivoting (LAPACK getrf, then getrs) and return the step dx = (dz, dv).
     Arguments are not checked.
 
-    Raises SingularSystem when a pivot falls below 1e-14 times the matrix
+    Raises NoDirection when a pivot falls below 1e-14 times the matrix
     scale, which signals an A3 violation or, on a PSD H, an unbounded problem.
     """
     K = kkt_matrix(p, gamma, mu)
@@ -134,7 +143,7 @@ def solve_full(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray)
     if info < 0:
         raise ValueError(f"getrf: illegal value in argument {-info}")
     if np.abs(lu.diagonal()).min() <= 1e-14 * np.abs(K).max():
-        raise SingularSystem("negligible pivot in the full Newton system")
+        raise NoDirection("negligible pivot in the full Newton system")
     return _getrs(lu, piv, rhs)[0]
 
 
@@ -176,13 +185,11 @@ def linesearch(p: QpProblem, point: _Point, dx, eps: float):
     are SolverConfig's. Returns (t, backtracks, point') with point' the
     evaluated accepted point. Raises LinesearchError when
     SolverConfig.max_backtracks reductions were not enough (delta too large or
-    a defective direction), InvalidProblem when dx is not finite.
+    a defective direction), NoDirection when dx is not finite.
     """
-    theta0 = 0.5 * point.ff
-    if theta0 <= 0.0:
-        raise LinesearchError("merit already zero; no descent possible")
     if not np.isfinite(dx).all():
-        raise InvalidProblem("non-finite search direction")
+        raise NoDirection("non-finite search direction")
+    theta0 = 0.5 * point.ff
     for j in range(SolverConfig.max_backtracks + 1):
         t = SolverConfig.beta**j
         trial = _evaluate(p, point.x + t * dx, eps)
@@ -210,11 +217,12 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     iterations + 1 entries. Each pass reads the evaluated point (fb._evaluate)
     that the previous linesearch accepted, so every point is evaluated once.
     A non-finite step direction, or a Newton system that neither the Cholesky
-    nor the LU step can solve (SingularSystem, as on an unbounded problem with
-    a singular H), ends the solve with INVALID_PROBLEM at the last accepted
-    iterate. The loop emits no floating-point warnings. InvalidProblem unless
-    p is a QpProblem and x0 a PrimalDualPoint of its (n, q); InvalidConfig
-    unless cfg is a SolverConfig or None.
+    nor the LU step can solve (as on an unbounded problem with a singular H),
+    ends the solve with status INVALID_PROBLEM at the last accepted iterate.
+    The loop emits no floating-point warnings, and each step failure ends in
+    a status. The InvalidProblem exception comes only from the entry checks:
+    p must be a QpProblem and x0 a PrimalDualPoint of its (n, q).
+    InvalidConfig unless cfg is a SolverConfig or None.
     """
     _check_type(p, QpProblem, "p")
     cfg = SolverConfig() if cfg is None else cfg
@@ -262,9 +270,8 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
             except LinesearchError:
                 status = Status.LINESEARCH_FAILURE
                 break
-            except (InvalidProblem, SingularSystem):
-                # non-finite direction or singular Newton system; point is
-                # still the last accepted iterate
+            except NoDirection:
+                # point is still the last accepted iterate
                 status = Status.INVALID_PROBLEM
                 break
             rec.t = t

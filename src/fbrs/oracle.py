@@ -42,15 +42,20 @@ class KktReport:
 
 def verify_kkt(p: QpProblem, x: PrimalDualPoint, tol: float) -> KktReport:
     """Evaluate stationarity, feasibility, and complementarity at x; x must match
-    p's (n, q) and tol be a finite real > 0 (else InvalidProblem)."""
+    p's (n, q) and tol be a finite real > 0 (else InvalidProblem). A measure
+    that overflows reads inf or nan, without a warning, and fails the check.
+
+    Complementarity is the unscaled max_i |v_i y_i|, so a point that meets
+    ||F_0|| <= tol can still fail it where a slack y_i is large."""
     _check_type(p, QpProblem, "p")
     _check_dims(x, p.n, p.q, "x")
     tol = _positive(tol, "tol")
-    y = constraint_slack(p, x.z)
-    stat = float(np.linalg.norm(p.H @ x.z + p.f + p.A.T @ x.v))
-    primal = float(max(0.0, np.max(-y)))
-    dual = float(max(0.0, -np.min(x.v)))
-    comp = float(np.max(np.abs(x.v * y)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = constraint_slack(p, x.z)
+        stat = float(np.linalg.norm(p.H @ x.z + p.f + p.A.T @ x.v))
+        primal = float(max(0.0, np.max(-y)))
+        dual = float(max(0.0, -np.min(x.v)))
+        comp = float(np.max(np.abs(x.v * y)))
     passed = stat <= tol and primal <= tol and dual <= tol and comp <= tol
     return KktReport(stat, primal, dual, comp, tol, passed)
 

@@ -253,15 +253,15 @@ def test_public_names():
         name for name, obj in vars(fbrs).items() if not name.startswith("_") and not inspect.ismodule(obj)
     )
     assert names == [
-        "BUNDLED_EXAMPLES", "CholeskyFailure", "DegenerateKkt", "DimensionMismatch",
+        "BUNDLED_EXAMPLES", "DegenerateKkt", "DimensionMismatch",
         "EnumerationTooLarge", "FbrsError", "InfeasibleProblem", "InvalidConfig", "InvalidProblem",
-        "InvalidSpec", "IterationRecord", "KktReport", "LinesearchError", "LtiMpcSpec",
+        "InvalidSpec", "IterationRecord", "KktReport", "LtiMpcSpec",
         "MpcSequenceError", "OracleError", "ParseError", "PrimalDualPoint", "QpProblem",
-        "SequenceStats", "SingularSystem", "SolverConfig", "SolverResult", "Status", "Trajectory",
+        "SequenceStats", "SolverConfig", "SolverResult", "Status", "Trajectory",
         "UnboundedProblem", "ValidationReport", "condense", "constraint_slack", "double_integrator",
-        "fbrs_solve", "kkt_matrix", "mass_spring_chain", "objective", "parse_qp",
-        "phi_eps", "random_infeasible_start", "random_strictly_convex_qp", "run_sequence",
-        "serialize_qp", "shift_solution", "solve_by_enumeration", "solve_condensed", "solve_full",
+        "fbrs_solve", "mass_spring_chain", "objective", "parse_qp",
+        "random_infeasible_start", "random_strictly_convex_qp", "run_sequence",
+        "serialize_qp", "shift_solution", "solve_by_enumeration",
         "validate_problem", "verify_kkt",
     ]
 

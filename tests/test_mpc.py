@@ -305,6 +305,21 @@ def test_sequence_stats_aggregates_and_csv(tmp_path):
     assert len(lines) == 11
 
 
+def test_overflowing_predictions_are_an_invalid_spec():
+    # 10^400 overflows Phi at horizon 400; at horizon 300 Phi is finite but
+    # G' Qbar G overflows. Both name the fields at fault, and no floating-point
+    # warning escapes
+    for horizon in (400, 300):
+        spec = LtiMpcSpec(
+            Ad=[[10.0]], Bd=[[1.0]], Q=[[1.0]], R=[[1.0]], horizon=horizon,
+            u_lo=[-1.0], u_hi=[1.0], x_init=[1.0],
+        )
+        with pytest.raises(InvalidSpec, match="Ad over horizon"):
+            condense(spec)
+        with pytest.raises(InvalidSpec, match="Ad over horizon"):
+            run_sequence(spec, 2)
+
+
 def test_run_sequence_rejects_bad_arguments():
     spec = _simple_spec()
     with pytest.raises(InvalidSpec):

@@ -6,12 +6,9 @@ import pytest
 import scipy.linalg
 
 from fbrs import (
-    CholeskyFailure,
     InvalidConfig,
-    LinesearchError,
     PrimalDualPoint,
     QpProblem,
-    SingularSystem,
     Status,
     objective,
     validate_problem,
@@ -19,6 +16,9 @@ from fbrs import (
 from fbrs import mass_spring_chain, mpc, newton, run_sequence
 from fbrs.fb import _coefficients, _evaluate
 from fbrs.newton import (
+    CholeskyFailure,
+    LinesearchError,
+    NoDirection,
     SolverConfig,
     _merit_gradient,
     fbrs_solve,
@@ -169,7 +169,7 @@ def test_solve_condensed_matches_full_on_toy():
 
 def test_solve_full_raises_on_singular():
     p = QpProblem(np.zeros((1, 1)), [0.0], np.zeros((1, 1)), [0.0])
-    with pytest.raises(SingularSystem):
+    with pytest.raises(NoDirection):
         solve_full(p, np.ones(1), np.ones(1), np.ones(2))
 
 
@@ -433,6 +433,42 @@ def test_lu_fallback_reaches_solution(monkeypatch):
     assert verify_kkt(p, result.x, 1e-8).passed
     star = solve_by_enumeration(p)
     assert objective(p, result.x.z) == pytest.approx(objective(p, star.z), abs=1e-10)
+
+
+def test_spd_traffic_stays_on_the_cholesky_path(monkeypatch):
+    # strictly convex QPs from infeasible starts and a warm closed loop take
+    # every first Cholesky step: no LU step, no rejected linesearch (so no
+    # delta shrink) and no gradient step; the LU fallback would otherwise
+    # hide a broken Cholesky step behind correct answers
+    calls = {"lu": 0, "rejected": 0, "gradient": 0, "linesearch": 0}
+
+    def counting_solve_full(*args):
+        calls["lu"] += 1
+        return solve_full(*args)
+
+    def counting_gradient(*args):
+        calls["gradient"] += 1
+        return _merit_gradient(*args)
+
+    def counting_linesearch(*args):
+        calls["linesearch"] += 1
+        try:
+            return linesearch(*args)
+        except LinesearchError:
+            calls["rejected"] += 1
+            raise
+
+    monkeypatch.setattr(newton, "solve_full", counting_solve_full)
+    monkeypatch.setattr(newton, "_merit_gradient", counting_gradient)
+    monkeypatch.setattr(newton, "linesearch", counting_linesearch)
+    cfg = SolverConfig(tol=1e-8, max_iters=100)
+    for i in range(20):
+        rng = np.random.default_rng([1, i])
+        p = random_strictly_convex_qp(20, 40, rng)
+        assert fbrs_solve(p, random_infeasible_start(p, rng), cfg).status == Status.SOLVED
+    run_sequence(mass_spring_chain(40), 50, "warm", SolverConfig(tol=1e-6))
+    assert calls["linesearch"] > 200
+    assert (calls["lu"], calls["rejected"], calls["gradient"]) == (0, 0, 0)
 
 
 def test_singular_newton_system_returns_invalid_problem():

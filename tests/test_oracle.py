@@ -7,7 +7,10 @@ from fbrs import (
     InfeasibleProblem,
     PrimalDualPoint,
     QpProblem,
+    SolverConfig,
+    Status,
     UnboundedProblem,
+    fbrs_solve,
     validate_problem,
 )
 from fbrs.oracle import (
@@ -39,6 +42,26 @@ def test_verify_kkt_flags_negative_dual(qp_box_2d):
 def test_verify_kkt_flags_primal_violation(qp_1d):
     report = verify_kkt(qp_1d, PrimalDualPoint([2.0], [0.0]), 1e-10)
     assert report.primal_infeasibility == pytest.approx(1.5)
+
+
+def test_verify_kkt_overflow_reads_inf_without_a_warning():
+    p = QpProblem([[1.0]], [-1.0], [[1.0]], [0.5])
+    report = verify_kkt(p, PrimalDualPoint([1e200], [1e200]), 1e-6)
+    assert report.stationarity_norm == np.inf
+    assert report.complementarity == np.inf
+    assert not report.passed
+
+
+def test_verify_kkt_complementarity_is_unscaled():
+    # the solve meets ||F_0|| <= 1e-8, but the inactive row's slack of 1e8
+    # times its multiplier of about -1e-13 fails the 1e-6 complementarity check
+    p = QpProblem([[1.0]], [-1.0], [[1.0], [1.0]], [0.5, 1e8])
+    result = fbrs_solve(p, PrimalDualPoint([3.0], [-1.0, 2.0]), SolverConfig(tol=1e-8))
+    assert result.status == Status.SOLVED and result.final_norm_F0 <= 1e-8
+    report = verify_kkt(p, result.x, 1e-6)
+    assert report.stationarity_norm <= 1e-6 and report.dual_infeasibility <= 1e-6
+    assert report.complementarity > 1e-6
+    assert not report.passed
 
 
 def test_enumeration_1d(qp_1d):
