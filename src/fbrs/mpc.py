@@ -51,7 +51,7 @@ class LtiMpcSpec:
         nu = Bd.shape[1]
         Q = _frozen(self.Q, "Q", (nx, nx), InvalidSpec)
         R = _frozen(self.R, "R", (nu, nu), InvalidSpec)
-        Q, R = _readonly(0.5 * (Q + Q.T)), _readonly(0.5 * (R + R.T))
+        Q, R = _readonly(0.5 * Q + 0.5 * Q.T), _readonly(0.5 * R + 0.5 * R.T)
         if np.min(np.linalg.eigvalsh(Q)) < -1e-10:
             raise InvalidSpec("Q must be positive semidefinite")
         try:

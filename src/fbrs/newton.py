@@ -7,19 +7,19 @@ Each iteration assembles the block system
 
 with C = diag(gamma), D = diag(mu) from the FB kernel, solves it through the
 condensed SPD Schur complement H + A' C D^-1 A with LAPACK potrf/potrs
-(falling back to a dense LU of the full matrix, getrf/getrs, when the
-Cholesky factorization fails; when that is singular too, the solve ends with
-INVALID_PROBLEM), and globalizes with a
-backtracking linesearch on the merit function theta = 0.5 ||F_eps||^2. The
-smoothing eps stays fixed; the regularization delta shrinks with ||F_eps||.
-The solve stops once ||F_0|| <= tol. The Armijo constants and the starting
-regularization are fixed (SolverConfig.sigma, .beta, .max_backtracks,
-.delta0); tol and max_iters are the only settings.
+(falling back to a dense LU of the full matrix, getrf/getrs, when the Cholesky
+factorization fails; when that is singular too, the solve ends with
+INVALID_PROBLEM), and globalizes with a backtracking linesearch on the merit
+function theta = 0.5 ||F_eps||^2, with a merit-gradient step when the Newton
+step fails it. The smoothing eps stays fixed; each point is regularized with
+delta = min(delta0, ||F_eps||). The solve stops once ||F_0|| <= tol. The
+Armijo constants and the regularization cap are fixed (SolverConfig.sigma,
+.beta, .max_backtracks, .delta0); tol and max_iters are the only settings.
 
 fbrs_solve holds one evaluated point, fb._evaluate's record of the flat
 iterate x = [z; v] with F_eps, y, hypot(v, y), hypot(hypot(v, y), eps) and
 F_eps'F_eps, and the linesearch returns the point it accepts. That point gives
-the next pass its norms, its Newton right-hand side -F_eps, its FB
+the next pass its norms, its delta, its Newton right-hand side -F_eps, its FB
 coefficients and theta; the loop itself forms only the ||F_0|| and
 natural-residual vectors of its trace. Inputs are validated at entry only;
 the step functions take the loop's arrays unchecked, and overflow in the loop
@@ -73,8 +73,8 @@ class SolverConfig:
     max_iters Newton steps (a finite real > 0 and an int >= 1, else InvalidConfig).
 
     tol also fixes the smoothing (see effective_eps). The class constants are
-    the Armijo parameters of the linesearch and the starting regularization,
-    which shrinks to min(delta, ||F_eps||) each pass.
+    the Armijo parameters of the linesearch and the regularization cap delta0:
+    each pass regularizes with delta = min(delta0, ||F_eps||) at its point.
     """
 
     tol: float = 1e-8
@@ -136,7 +136,7 @@ def solve_full(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray)
     Arguments are not checked.
 
     Raises NoDirection when a pivot falls below 1e-14 times the matrix
-    scale, which signals an A3 violation or, on a PSD H, an unbounded problem.
+    scale, which signals an A3 violation, as with H = 0 and A = 0.
     """
     K = kkt_matrix(p, gamma, mu)
     lu, piv, info = _getrf(K)
@@ -184,8 +184,8 @@ def linesearch(p: QpProblem, point: _Point, dx, eps: float):
     where x = point.x, theta = 0.5 ||F_eps||^2 = 0.5 point.ff and sigma, beta
     are SolverConfig's. Returns (t, backtracks, point') with point' the
     evaluated accepted point. Raises LinesearchError when
-    SolverConfig.max_backtracks reductions were not enough (delta too large or
-    a defective direction), NoDirection when dx is not finite.
+    SolverConfig.max_backtracks reductions were not enough (dx is no usable
+    descent direction), NoDirection when dx is not finite.
     """
     if not np.isfinite(dx).all():
         raise NoDirection("non-finite search direction")
@@ -208,21 +208,20 @@ def _solve_step(p: QpProblem, gamma, mu, rhs):
 def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = None) -> SolverResult:
     """Run the damped Newton iteration from x0 (feasibility not required).
 
-    Per pass: shrink delta to min(delta, ||F_eps||), stop if ||F_0|| <= tol
-    already holds (so a warmstart at the solution costs zero Newton
-    solves), otherwise take a globalized step. When the linesearch rejects the
-    Newton step, delta shrinks by 10 (up to 3 times, carried forward) and the
-    step is recomputed; as a last resort a merit-gradient step is taken. The
+    Per pass: set delta = min(delta0, ||F_eps||) at the current point, stop if
+    ||F_0|| <= tol already holds (so a warmstart at the solution costs zero
+    Newton solves), otherwise take a globalized step. When the linesearch
+    rejects the Newton step, a merit-gradient step is taken instead. The
     trace gets one record per pass including the terminal one, so it has
     iterations + 1 entries. Each pass reads the evaluated point (fb._evaluate)
     that the previous linesearch accepted, so every point is evaluated once.
     A non-finite step direction, or a Newton system that neither the Cholesky
-    nor the LU step can solve (as on an unbounded problem with a singular H),
-    ends the solve with status INVALID_PROBLEM at the last accepted iterate.
-    The loop emits no floating-point warnings, and each step failure ends in
-    a status. The InvalidProblem exception comes only from the entry checks:
-    p must be a QpProblem and x0 a PrimalDualPoint of its (n, q).
-    InvalidConfig unless cfg is a SolverConfig or None.
+    nor the LU step can solve (as with H = 0 and A = 0), ends the solve with
+    status INVALID_PROBLEM at the last accepted iterate. The loop emits no
+    floating-point warnings, and each step failure ends in a status. The
+    InvalidProblem exception comes only from the entry checks: p must be a
+    QpProblem and x0 a PrimalDualPoint of its (n, q). InvalidConfig unless
+    cfg is a SolverConfig or None.
     """
     _check_type(p, QpProblem, "p")
     cfg = SolverConfig() if cfg is None else cfg
@@ -230,10 +229,8 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     _check_dims(x0, p.n, p.q, "x0")
     n = p.n
     eps = cfg.effective_eps(p.q)
-    delta = cfg.delta0
     trace: list[IterationRecord] = []
     status = Status.MAX_ITERS
-    iterations = 0
     # overflow and NaN are statuses here (a failed Armijo test or a
     # non-finite direction), not warnings
     with np.errstate(all="ignore"):
@@ -243,7 +240,7 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
             F0 = np.concatenate([F[:n], _phi(v, y, 0.0, point.r0)])
             Fnr = np.concatenate([F[:n], np.minimum(y, v)])
             n_feps, n_f0, n_fnr = math.sqrt(point.ff), math.sqrt(F0 @ F0), math.sqrt(Fnr @ Fnr)
-            delta = min(delta, n_feps)
+            delta = min(cfg.delta0, n_feps)
             rec = IterationRecord(
                 k=k, norm_Feps=n_feps, norm_F0=n_f0, norm_Fnr=n_fnr,
                 t=0.0, delta=delta, eps=eps, backtracks=0,
@@ -255,16 +252,10 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
             if k == cfg.max_iters:
                 break
             try:
-                for shrink in range(4):
-                    if shrink:
-                        delta = delta / 10.0
-                    dx = _solve_step(p, *_coefficients(y, v, point.r, delta), -F)
-                    try:
-                        t, nb, point = linesearch(p, point, dx, eps)
-                        break
-                    except LinesearchError:
-                        pass
-                else:
+                dx = _solve_step(p, *_coefficients(y, v, point.r, delta), -F)
+                try:
+                    t, nb, point = linesearch(p, point, dx, eps)
+                except LinesearchError:
                     dx = -_merit_gradient(p, F, *_coefficients(y, v, point.r, 0.0))
                     t, nb, point = linesearch(p, point, dx, eps)
             except LinesearchError:
@@ -276,13 +267,12 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
                 break
             rec.t = t
             rec.backtracks = nb
-            iterations += 1
 
     last = trace[-1]
     return SolverResult(
         x=PrimalDualPoint(point.x[:n], point.x[n:]),
         status=status,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         final_norm_F0=last.norm_F0,
         final_norm_Feps=last.norm_Feps,
         final_norm_Fnr=last.norm_Fnr,

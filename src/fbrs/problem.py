@@ -71,11 +71,13 @@ def _count(value, name: str, error: type[FbrsError] = InvalidProblem) -> int:
 
 @dataclass(frozen=True)
 class QpProblem:
-    """The quadruple (H, f, A, b) as read-only float copies, H symmetrized.
+    """The quadruple (H, f, A, b) as read-only float copies, H symmetrized
+    as 0.5 H + 0.5 H', which cannot overflow.
 
     InvalidProblem names an array that is not finite or not of shape H (n, n),
     f (n,), A (q, n), b (q,) with n, q >= 1. The Frobenius asymmetry of the
-    supplied Hessian is kept in `symmetry_defect` so validation can report it.
+    supplied Hessian is kept in `symmetry_defect` so validation can report it;
+    it reads inf, without a warning, when it overflows.
     """
 
     H: np.ndarray
@@ -91,8 +93,9 @@ class QpProblem:
             raise InvalidProblem(f"H must be square, got shape {H.shape}")
         A = _frozen(self.A, "A", (None, n))
         f, b = _frozen(self.f, "f", (n,)), _frozen(self.b, "b", (A.shape[0],))
-        defect = float(np.linalg.norm(H - H.T))
-        vars(self).update(H=_readonly(0.5 * (H + H.T)), f=f, A=A, b=b, symmetry_defect=defect)
+        with np.errstate(over="ignore"):
+            defect = float(np.linalg.norm(H - H.T))
+        vars(self).update(H=_readonly(0.5 * H + 0.5 * H.T), f=f, A=A, b=b, symmetry_defect=defect)
 
     @property
     def n(self) -> int:
@@ -143,20 +146,23 @@ def validate_problem(p: QpProblem, tol: float = 1e-10) -> ValidationReport:
     """Check symmetry of the supplied Hessian and the kernel condition.
 
     Passes iff the construction-time asymmetry is below tol * (1 + ||H||)
-    and sigma_min([H; A]) > tol * sigma_max([H; A]). Raises InvalidProblem
-    unless tol is a finite real > 0.
+    and sigma_min([H; A]) > tol * sigma_max([H; A]); an asymmetry too large
+    to measure (inf) fails. Raises InvalidProblem unless tol is a finite
+    real > 0.
     """
     _check_type(p, QpProblem, "p")
     tol = _positive(tol, "tol")
-    h_scale = 1.0 + float(np.linalg.norm(p.H))
-    symmetry_ok = p.symmetry_defect <= tol * h_scale
+    with np.errstate(over="ignore"):
+        h_scale = 1.0 + float(np.linalg.norm(p.H))
+    unmeasured = p.symmetry_defect == math.inf
+    symmetry_ok = not unmeasured and p.symmetry_defect <= tol * h_scale
     stacked = np.vstack([p.H, p.A])
     svals = np.linalg.svd(stacked, compute_uv=False)
     sigma_max = float(svals[0])
     sigma_min = float(svals[-1])
     a3_ok = sigma_min > tol * sigma_max
     notes = []
-    if p.symmetry_defect > 1e-8 * h_scale:
+    if unmeasured or p.symmetry_defect > 1e-8 * h_scale:
         notes.append(
             f"supplied Hessian asymmetry {p.symmetry_defect:.3e} exceeds 1e-8 relative;"
             " the symmetrized matrix is being used"
@@ -178,9 +184,12 @@ def validate_problem(p: QpProblem, tol: float = 1e-10) -> ValidationReport:
 
 
 def constraint_slack(p: QpProblem, z: np.ndarray) -> np.ndarray:
-    """y = b - Az. Raises InvalidProblem unless z is a finite vector of length n."""
+    """y = b - Az, whose entries are inf or nan without a warning where they
+    overflow. Raises InvalidProblem unless z is a finite vector of length n."""
     _check_type(p, QpProblem, "p")
-    return p.b - p.A @ _frozen(z, "z", (p.n,))
+    z = _frozen(z, "z", (p.n,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return p.b - p.A @ z
 
 
 def objective(p: QpProblem, z: np.ndarray) -> float:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linprog
 
 from fbrs import (
     InvalidConfig,
@@ -406,19 +407,10 @@ def test_solve_paths_agree(monkeypatch):
 
 
 def test_lu_fallback_reaches_solution(monkeypatch):
-    # a rank-2 PSD Hessian that passes the A3 check: one Schur complement on
-    # the way is not numerically positive definite, so that Newton step goes
-    # through the LU fallback, and the solve still reaches the optimum
-    rng = np.random.default_rng(58)
-    n = int(rng.integers(2, 6))
-    q = int(rng.integers(n + 1, 2 * n + 3))
-    M = rng.standard_normal((n // 2, n))
-    A = rng.standard_normal((q, n))
-    b = rng.uniform(0.1, 1, q)
-    f = rng.standard_normal(n)
-    p = QpProblem(M.T @ M, f, A, b)
-    assert (n, q) == (4, 6)
-    assert validate_problem(p).passed
+    # rank-n/2 PSD Hessians that pass the A3 check. On seed 58 every Schur
+    # complement factors; on seed 96851 two on the way are not numerically
+    # positive definite, so those Newton steps go through the LU fallback.
+    # Both solves still reach the optimum.
     calls = []
 
     def counting_solve_full(*args):
@@ -426,20 +418,32 @@ def test_lu_fallback_reaches_solution(monkeypatch):
         return solve_full(*args)
 
     monkeypatch.setattr(newton, "solve_full", counting_solve_full)
-    result = fbrs_solve(p, PrimalDualPoint.zeros(n, q), SolverConfig(tol=1e-10, max_iters=100))
-    assert result.status == Status.SOLVED
-    assert result.iterations == 19
-    assert len(calls) == 1
-    assert verify_kkt(p, result.x, 1e-8).passed
-    star = solve_by_enumeration(p)
-    assert objective(p, result.x.z) == pytest.approx(objective(p, star.z), abs=1e-10)
+    for seed, dims, iterations, lu_steps in [(58, (4, 6), 19, 0), (96851, (5, 6), 21, 2)]:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        q = int(rng.integers(n + 1, 2 * n + 3))
+        M = rng.standard_normal((n // 2, n))
+        A = rng.standard_normal((q, n))
+        b = rng.uniform(0.1, 1, q)
+        f = rng.standard_normal(n)
+        p = QpProblem(M.T @ M, f, A, b)
+        assert (n, q) == dims
+        assert validate_problem(p).passed
+        calls.clear()
+        result = fbrs_solve(p, PrimalDualPoint.zeros(n, q), SolverConfig(tol=1e-10, max_iters=100))
+        assert result.status == Status.SOLVED
+        assert result.iterations == iterations
+        assert len(calls) == lu_steps
+        assert verify_kkt(p, result.x, 1e-8).passed
+        star = solve_by_enumeration(p)
+        assert objective(p, result.x.z) == pytest.approx(objective(p, star.z), abs=1e-10)
 
 
 def test_spd_traffic_stays_on_the_cholesky_path(monkeypatch):
     # strictly convex QPs from infeasible starts and a warm closed loop take
-    # every first Cholesky step: no LU step, no rejected linesearch (so no
-    # delta shrink) and no gradient step; the LU fallback would otherwise
-    # hide a broken Cholesky step behind correct answers
+    # every first Cholesky step: no LU step, no rejected linesearch and no
+    # gradient step; the LU fallback would otherwise hide a broken Cholesky
+    # step behind correct answers
     calls = {"lu": 0, "rejected": 0, "gradient": 0, "linesearch": 0}
 
     def counting_solve_full(*args):
@@ -594,9 +598,16 @@ def test_monotone_armijo_descent_along_trace():
             assert theta_b < (1.0 - 2.0 * a.t * sigma) * theta_a
 
 
-def test_recovery_keeps_descent_and_shrinks_delta(monkeypatch):
-    # one backtrack per linesearch forces the delta shrinks and the
-    # merit-gradient fallback, which the fixed constants rarely reach
+def _assert_delta_is_a_function_of_the_point(result):
+    # the regularization is min(delta0, ||F_eps||) at each record's own point,
+    # whatever recovery the earlier passes took
+    for rec in result.trace:
+        assert rec.delta == min(SolverConfig.delta0, rec.norm_Feps)
+
+
+def test_recovery_keeps_descent_and_delta_follows_the_point(monkeypatch):
+    # one backtrack per linesearch forces the merit-gradient fallback, which
+    # the fixed constants rarely reach
     monkeypatch.setattr(SolverConfig, "max_backtracks", 1)
     gradient_steps = []
     merit_gradient_step = newton._merit_gradient
@@ -618,8 +629,43 @@ def test_recovery_keeps_descent_and_shrinks_delta(monkeypatch):
             theta_a, theta_b = 0.5 * a.norm_Feps**2, 0.5 * b.norm_Feps**2
             assert theta_b < (1.0 - 2.0 * a.t * cfg.sigma) * theta_a
             assert b.delta <= a.delta
+        _assert_delta_is_a_function_of_the_point(result)
         fallbacks += bool(gradient_steps)
     assert fallbacks >= 1
+
+
+def _is_unbounded(p):
+    # a direction d in [-1, 1]^n with Hd = 0, Ad <= 0 and f'd < 0 makes the
+    # objective fall without bound along any feasible ray z + s d
+    res = linprog(p.f, A_ub=p.A, b_ub=np.zeros(p.q), A_eq=p.H, b_eq=np.zeros(p.n),
+                  bounds=[(-1.0, 1.0)] * p.n, method="highs")
+    return res.status == 0 and res.fun < -1e-9
+
+
+def test_psd_recovery_traffic_solves_or_meets_an_unbounded_problem():
+    # natural rank-n/2 PSD Hessians from zeros, where rejected Newton steps
+    # and gradient steps are common: every bounded instance is solved, and
+    # every other one is unbounded
+    rng = np.random.default_rng(7)
+    cfg = SolverConfig(tol=1e-8, max_iters=100)
+    solved = unbounded = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        q = int(rng.integers(n + 1, 2 * n + 3))
+        M = rng.standard_normal((max(n // 2, 1), n))
+        A = rng.standard_normal((q, n))
+        b = rng.uniform(0.1, 1, q)
+        f = rng.standard_normal(n)
+        p = QpProblem(M.T @ M, f, A, b)
+        result = fbrs_solve(p, PrimalDualPoint.zeros(n, q), cfg)
+        _assert_delta_is_a_function_of_the_point(result)
+        if result.status == Status.SOLVED:
+            assert verify_kkt(p, result.x, 1e-6).passed
+            solved += 1
+        else:
+            assert _is_unbounded(p)
+            unbounded += 1
+    assert (solved, unbounded) == (93, 7)
 
 
 def test_termination_sandwich():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fbrs import (
     InvalidProblem,
+    LtiMpcSpec,
     PrimalDualPoint,
     QpProblem,
     SolverConfig,
@@ -35,6 +36,29 @@ def test_hessian_symmetrized_and_defect_recorded():
     assert np.array_equal(p.H, p.H.T)
     assert p.H[0, 1] == 1.0
     assert p.symmetry_defect == pytest.approx(np.sqrt(8.0))
+
+
+def test_finite_input_near_the_float_limit_raises_no_warning():
+    # the suite turns warnings into errors: symmetrizing, the norms and the
+    # slack must not overflow on finite input, and a measure that does
+    # overflow reads inf and fails its check
+    p = QpProblem([[1.7e308]], [0.0], [[1.0]], [1.0])
+    assert p.H[0, 0] == 1.7e308
+    lopsided = QpProblem([[1.0, 1e200], [0.0, 1.0]], [0.0, 0.0], [[1.0, 0.0]], [1.0])
+    assert lopsided.H[0, 1] == 0.5e200
+    assert lopsided.symmetry_defect == math.inf
+    assert not validate_problem(lopsided).symmetry_ok
+    # ||H|| overflows too, so inf <= tol * inf must not pass the check
+    huge = QpProblem([[1e308, 1e308], [-1e308, 1e308]], [0.0, 0.0], [[1.0, 0.0]], [1.0])
+    assert huge.symmetry_defect == math.inf and not validate_problem(huge).symmetry_ok
+    report = validate_problem(QpProblem(np.diag([1e200, 1.0]), [0.0, 0.0], [[1.0, 0.0]], [1.0]))
+    assert report.symmetry_ok and not report.a3_ok
+    spec = dict(Ad=[[1.0]], Bd=[[1.0]], Q=[[1.0]], R=[[1.0]], horizon=2,
+                u_lo=[-1.0], u_hi=[1.0], x_init=[0.0])
+    for name in ("Q", "R"):
+        assert getattr(LtiMpcSpec(**{**spec, name: [[1.7e308]]}), name)[0, 0] == 1.7e308
+    slack = constraint_slack(QpProblem([[1.0]], [0.0], [[1e200]], [1.0]), [1e200])
+    assert np.array_equal(slack, [-np.inf])
 
 
 def test_rejects_empty_constraint_set():
