@@ -5,16 +5,19 @@ Each iteration assembles the block system
     [ H    A' ] [dz]   [r_s]          r_s = -(Hz + f + A'v)
     [-CA   D  ] [dv] = [r_c]          r_c = -phi_eps(v, y)
 
-with C = diag(gamma), D = diag(mu) from the FB kernel, solves it through the
-condensed SPD Schur complement H + A' C D^-1 A with LAPACK potrf/potrs
-(falling back to a dense LU of the full matrix, getrf/getrs, when the Cholesky
-factorization fails; when that is singular too, the solve ends with
-INVALID_PROBLEM), and globalizes with a backtracking linesearch on the merit
-function theta = 0.5 ||F_eps||^2, with a merit-gradient step when the Newton
-step fails it. The smoothing eps stays fixed; each point is regularized with
-delta = min(delta0, ||F_eps||). The solve stops once ||F_0|| <= tol. The
-Armijo constants and the regularization cap are fixed (SolverConfig.sigma,
-.beta, .max_backtracks, .delta0); tol and max_iters are the only settings.
+with C = diag(gamma), D = diag(mu) from the FB kernel, and solves it through
+the condensed SPD Schur complement H + A' C D^-1 A with LAPACK potrf/potrs.
+When every row of A is a signed unit vector, as in an input-boxed MPC QP, the
+Schur matrix is H plus the row weights summed onto its diagonal, with no dense
+product. When the Cholesky factorization fails, the step falls back to a
+dense LU of the full matrix (getrf/getrs); when that is singular too, the
+solve ends with INVALID_PROBLEM. The loop globalizes with a backtracking
+linesearch on the merit function theta = 0.5 ||F_eps||^2, with a
+merit-gradient step when the Newton step fails it. The smoothing eps stays
+fixed; each point is regularized with delta = min(delta0, ||F_eps||). The
+solve stops once ||F_0|| <= tol. The Armijo constants and the regularization
+cap are fixed (SolverConfig.sigma, .beta, .max_backtracks, .delta0); tol and
+max_iters are the only settings.
 
 fbrs_solve holds one evaluated point, fb._evaluate's record of the flat
 iterate x = [z; v] with F_eps, y, hypot(v, y), hypot(hypot(v, y), eps) and
@@ -153,6 +156,11 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     then the diagonal back-substitution D dv = r_c + C A dz, and return the
     step dx = (dz, dv). Arguments are not checked.
 
+    A box-only problem (p._box_cols set) adds each row's w = gamma / mu onto
+    the diagonal of H in place of A'WA: the same bits, as the dense product
+    adds only exact zeros, except perhaps the last bit of a column hit by
+    three or more rows (duplicate bounds). Other problems symmetrize H + A'WA.
+
     Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix is not
     numerically positive definite; fbrs_solve then falls back to solve_full.
     """
@@ -160,8 +168,11 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
         raise CholeskyFailure("D has a nonpositive diagonal entry")
     A, r_s, r_c = p.A, rhs[:p.n], rhs[p.n:]
     w = gamma / mu
-    S = p.H + A.T @ (w[:, None] * A)
-    S = 0.5 * (S + S.T)
+    if p._box_cols is None:
+        S = p.H + A.T @ (w[:, None] * A)
+        S = 0.5 * (S + S.T)
+    else:
+        S = p.H + np.diag(np.bincount(p._box_cols, w, p.n))
     c, info = _potrf(S, lower=False, clean=False)
     if info:
         raise CholeskyFailure(f"potrf info {info}: Schur matrix not numerically positive definite")

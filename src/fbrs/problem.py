@@ -12,6 +12,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dnrm2
 
 from .errors import FbrsError, InvalidProblem
 
@@ -69,6 +70,24 @@ def _count(value, name: str, error: type[FbrsError] = InvalidProblem) -> int:
     return int(value)
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F by BLAS dnrm2, which scales instead of squaring: finite for
+    every finite M, inf when an entry is."""
+    return float(dnrm2(M.ravel()))
+
+
+def _unit_row_columns(A: np.ndarray) -> np.ndarray | None:
+    """The column of each row of A when every row is a signed unit vector
+    (one nonzero, of magnitude 1), else None. The nonzero count goes first,
+    so a dense A costs one pass; -0.0 counts as zero."""
+    q = A.shape[0]
+    nonzero = A != 0.0
+    if np.count_nonzero(nonzero) != q:
+        return None
+    cols = nonzero.argmax(axis=1)
+    return _readonly(cols) if (np.abs(A[np.arange(q), cols]) == 1.0).all() else None
+
+
 @dataclass(frozen=True)
 class QpProblem:
     """The quadruple (H, f, A, b) as read-only float copies, H symmetrized
@@ -77,7 +96,11 @@ class QpProblem:
     InvalidProblem names an array that is not finite or not of shape H (n, n),
     f (n,), A (q, n), b (q,) with n, q >= 1. The Frobenius asymmetry of the
     supplied Hessian is kept in `symmetry_defect` so validation can report it;
-    it reads inf, without a warning, when it overflows.
+    it reads inf, without a warning, only when H - H' itself overflows.
+
+    When every row of A is a signed unit vector, as in [I; -I], the private
+    `_box_cols` holds each row's column (read-only), else None; the Newton
+    step then skips the product A'WA.
     """
 
     H: np.ndarray
@@ -85,6 +108,7 @@ class QpProblem:
     A: np.ndarray
     b: np.ndarray
     symmetry_defect: float = field(init=False, default=0.0)
+    _box_cols: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         H = _frozen(self.H, "H", (None, None))
@@ -94,8 +118,9 @@ class QpProblem:
         A = _frozen(self.A, "A", (None, n))
         f, b = _frozen(self.f, "f", (n,)), _frozen(self.b, "b", (A.shape[0],))
         with np.errstate(over="ignore"):
-            defect = float(np.linalg.norm(H - H.T))
-        vars(self).update(H=_readonly(0.5 * H + 0.5 * H.T), f=f, A=A, b=b, symmetry_defect=defect)
+            defect = _frobenius(H - H.T)
+        vars(self).update(H=_readonly(0.5 * H + 0.5 * H.T), f=f, A=A, b=b, symmetry_defect=defect,
+                          _box_cols=_unit_row_columns(A))
 
     @property
     def n(self) -> int:
@@ -152,8 +177,7 @@ def validate_problem(p: QpProblem, tol: float = 1e-10) -> ValidationReport:
     """
     _check_type(p, QpProblem, "p")
     tol = _positive(tol, "tol")
-    with np.errstate(over="ignore"):
-        h_scale = 1.0 + float(np.linalg.norm(p.H))
+    h_scale = 1.0 + _frobenius(p.H)
     unmeasured = p.symmetry_defect == math.inf
     symmetry_ok = not unmeasured and p.symmetry_defect <= tol * h_scale
     stacked = np.vstack([p.H, p.A])

@@ -265,6 +265,17 @@ def test_shifted_warmstart_mode_runs():
     assert shift.mean_iterations < warm.mean_iterations
 
 
+def test_warm_mass_spring_episode_iterations_are_pinned():
+    # recorded with the dense Schur product H + A'WA: a rounding change on the
+    # input-box QP's diagonal Schur path shows here
+    _, stats = run_sequence(mass_spring_chain(40), 50, "warm")
+    assert [r.iterations for r in stats.records] == [
+        20, 12, 10, 10, 11, 10, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9,
+        6, 5, 5, 5, 5, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+    ]
+
+
 def test_shift_solution_rejects_mismatched_point():
     # double_integrator() condenses to (n, q) = (8, 16)
     with pytest.raises(InvalidSpec, match="x has"):

@@ -230,6 +230,15 @@ def test_condensed_survives_tiny_mu():
     assert _solve_residual(p, *sys, dx) <= 1e-6
 
 
+def _dense_schur_step(p, gamma, mu, rhs):
+    # the condensed step with the dense Schur matrix H + A'WA, through scipy's
+    # Cholesky wrappers
+    r_s, r_c = rhs[:p.n], rhs[p.n:]
+    S = p.H + p.A.T @ ((gamma / mu)[:, None] * p.A)
+    dz = scipy.linalg.cho_solve(scipy.linalg.cho_factor(0.5 * (S + S.T)), r_s - p.A.T @ (r_c / mu))
+    return np.concatenate([dz, (r_c + gamma * (p.A @ dz)) / mu])
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20, 40, 80])
 def test_direct_lapack_matches_scipy_wrappers(n):
     # the step functions call potrf/potrs and getrf/getrs themselves; the
@@ -239,13 +248,33 @@ def test_direct_lapack_matches_scipy_wrappers(n):
         p = random_strictly_convex_qp(n, 2 * n, rng)
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(2 * n))
         gamma, mu, rhs = _system(p, x, 10.0 ** rng.uniform(-6, 0), 10.0 ** rng.uniform(-10, -2))
-        r_s, r_c = rhs[:n], rhs[n:]
-        S = p.H + p.A.T @ ((gamma / mu)[:, None] * p.A)
-        dz = scipy.linalg.cho_solve(scipy.linalg.cho_factor(0.5 * (S + S.T)), r_s - p.A.T @ (r_c / mu))
-        dv = (r_c + gamma * (p.A @ dz)) / mu
-        assert np.array_equal(solve_condensed(p, gamma, mu, rhs), np.concatenate([dz, dv]))
+        assert np.array_equal(solve_condensed(p, gamma, mu, rhs), _dense_schur_step(p, gamma, mu, rhs))
         lu = scipy.linalg.lu_factor(kkt_matrix(p, gamma, mu))
         assert np.array_equal(solve_full(p, gamma, mu, rhs), scipy.linalg.lu_solve(lu, rhs))
+
+
+def test_box_schur_matrix_gives_the_dense_bits():
+    # A = [I; -I]: the dense product adds only exact zeros to w_j + w_{n+j}
+    p = mpc.condense(mass_spring_chain(40))
+    assert p._box_cols is not None
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        gamma, mu = 10.0 ** rng.uniform(-8, 0.3, (2, p.q))
+        rhs = rng.standard_normal(p.n + p.q)
+        assert np.array_equal(solve_condensed(p, gamma, mu, rhs), _dense_schur_step(p, gamma, mu, rhs))
+
+
+def test_box_schur_matrix_with_a_duplicated_bound_row():
+    # three rows on one column may sum their weights in another order than the
+    # dense product, so only the accuracy is checked
+    base = mpc.condense(mass_spring_chain(8))
+    p = QpProblem(base.H, base.f, np.vstack([base.A, base.A[:3]]), np.concatenate([base.b, base.b[:3]]))
+    assert p._box_cols is not None
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        gamma, mu = 10.0 ** rng.uniform(-3, 0.3, (2, p.q))
+        rhs = rng.standard_normal(p.n + p.q)
+        assert _solve_residual(p, gamma, mu, rhs, solve_condensed(p, gamma, mu, rhs)) <= 1e-12
 
 
 # --- merit function and linesearch -----------------------------------------

@@ -17,6 +17,7 @@ from fbrs import (
     validate_problem,
 )
 from fbrs.fb import _evaluate
+from fbrs.mpc import condense, mass_spring_chain
 from fbrs.oracle import random_strictly_convex_qp, solve_by_enumeration, verify_kkt
 from fbrs.qpfile import serialize_qp
 
@@ -46,9 +47,10 @@ def test_finite_input_near_the_float_limit_raises_no_warning():
     assert p.H[0, 0] == 1.7e308
     lopsided = QpProblem([[1.0, 1e200], [0.0, 1.0]], [0.0, 0.0], [[1.0, 0.0]], [1.0])
     assert lopsided.H[0, 1] == 0.5e200
-    assert lopsided.symmetry_defect == math.inf
+    # the Frobenius norms scale rather than square their entries
+    assert lopsided.symmetry_defect == pytest.approx(math.sqrt(2) * 1e200)
     assert not validate_problem(lopsided).symmetry_ok
-    # ||H|| overflows too, so inf <= tol * inf must not pass the check
+    # H - H' itself overflows here, so the defect reads inf and must not pass
     huge = QpProblem([[1e308, 1e308], [-1e308, 1e308]], [0.0, 0.0], [[1.0, 0.0]], [1.0])
     assert huge.symmetry_defect == math.inf and not validate_problem(huge).symmetry_ok
     report = validate_problem(QpProblem(np.diag([1e200, 1.0]), [0.0, 0.0], [[1.0, 0.0]], [1.0]))
@@ -100,6 +102,53 @@ def test_rejects_nonfinite_and_bad_shapes():
 def test_problem_arrays_immutable(qp_1d):
     with pytest.raises(ValueError):
         qp_1d.H[0, 0] = 5.0
+
+
+def _detected_cols(A):
+    A = np.asarray(A, dtype=float)
+    return QpProblem(np.eye(A.shape[1]), np.zeros(A.shape[1]), A, np.ones(A.shape[0]))._box_cols
+
+
+@pytest.mark.parametrize("A, cols", [
+    (np.vstack([np.eye(3), -np.eye(3)]), [0, 1, 2, 0, 1, 2]),
+    (np.eye(3), [0, 1, 2]),
+    ([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]], [1, 0, 2, 1]),
+    ([[-0.0, 1.0], [-1.0, -0.0]], [1, 0]),
+], ids=["two-sided", "one-sided", "permuted-negated", "negative-zeros"])
+def test_signed_unit_rows_are_detected(A, cols):
+    found = _detected_cols(A)
+    assert np.array_equal(found, cols)
+    assert not found.flags.writeable
+
+
+def test_box_fixture_and_input_box_mpc_are_detected(qp_box_2d):
+    assert np.array_equal(qp_box_2d._box_cols, [0, 1])
+    m = 2 * 8  # mass_spring_chain(8): nu = 2 over 8 stages
+    assert np.array_equal(condense(mass_spring_chain(8))._box_cols, np.tile(np.arange(m), 2))
+
+
+@pytest.mark.parametrize("A", [
+    [[2.0, 0.0], [0.0, 1.0]],
+    [[np.nextafter(1.0, 0.0), 0.0], [0.0, 1.0]],
+    [[1.0, 1.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[1.0, 1.0], [0.0, 0.0]],  # as many nonzeros as rows, but not one per row
+], ids=["scaled", "just-below-one", "two-nonzeros", "zero-row", "zero-row-and-pair"])
+def test_other_rows_are_not_detected(A):
+    assert _detected_cols(A) is None
+
+
+def test_state_box_and_random_problems_are_not_detected():
+    spec = mass_spring_chain(8)
+    x_hi = np.full(spec.nx, 10.0)
+    boxed = LtiMpcSpec(spec.Ad, spec.Bd, spec.Q, spec.R, spec.horizon, spec.u_lo, spec.u_hi,
+                       spec.x_init, -x_hi, x_hi)
+    assert condense(boxed)._box_cols is None
+    rng = np.random.default_rng(13)
+    # at n = 1 every normalized row is +-1, so a random 1-D QP is a box QP
+    for _ in range(200):
+        n = int(rng.integers(2, 10))
+        assert random_strictly_convex_qp(n, int(rng.integers(1, 2 * n)), rng)._box_cols is None
 
 
 def test_validate_identity_hessian_passes():
