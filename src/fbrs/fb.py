@@ -9,9 +9,9 @@ coefficients of the Newton system. The residual
 is formed in one place, _evaluate, which returns the evaluated point
 (_Point): the flat iterate x = [z; v] with F_eps, y, r0 = hypot(v, y),
 r = hypot(r0, eps) and F_eps'F_eps. The solve loop reads every per-point
-quantity from it: the ||F_0|| tail (_phi at eps = 0 with r0), the
-coefficients (_coefficients with r) and the merit. Neither _evaluate nor
-_coefficients checks its arguments.
+quantity from it: the coefficients (_coefficients with r) and the merit, and
+a trace record, when read, the ||F_0|| tail (_phi at eps = 0 with r0).
+Neither _evaluate nor _coefficients checks its arguments.
 """
 
 from __future__ import annotations

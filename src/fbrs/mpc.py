@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidSpec, MpcSequenceError
+from .errors import InvalidProblem, InvalidSpec, MpcSequenceError
 from .newton import SolverConfig, Status, fbrs_solve
 from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _frozen, _readonly
 
@@ -97,9 +97,10 @@ def prediction_matrices(spec: LtiMpcSpec):
 
 
 def _condenser(spec: LtiMpcSpec):
-    """Build the state-independent part of condense(spec) once and return the
-    map x0 -> QpProblem, which forms only f and the state-box rows of b.
-    InvalidSpec when an unstable Ad overflows Phi or H over the horizon."""
+    """Build and check the state-independent part of condense(spec) once and
+    return the map x0 -> QpProblem, which forms only f and the state-box rows
+    of b and shares one H and A. InvalidSpec when an unstable Ad overflows Phi
+    or H over the horizon, or when x0 overflows f or b."""
     N = spec.horizon
     Qbar = np.kron(np.eye(N), spec.Q)
     Rbar = np.kron(np.eye(N), spec.R)
@@ -116,11 +117,17 @@ def _condenser(spec: LtiMpcSpec):
         rows += [G, -G]
         x_hi, x_lo = np.tile(spec.x_hi, N), np.tile(spec.x_lo, N)
     A = np.vstack(rows)
+    base = QpProblem(H, np.zeros(H.shape[0]), A, np.zeros(A.shape[0]))
 
     def build(x0: np.ndarray) -> QpProblem:
-        predicted = Phi @ x0
-        rhs = input_rhs if spec.x_lo is None else input_rhs + [x_hi - predicted, predicted - x_lo]
-        return QpProblem(H, G.T @ (Qbar @ predicted), A, np.concatenate(rhs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            predicted = Phi @ x0
+            f = G.T @ (Qbar @ predicted)
+            rhs = input_rhs if spec.x_lo is None else input_rhs + [x_hi - predicted, predicted - x_lo]
+        try:
+            return base._with_rhs(f, np.concatenate(rhs))
+        except InvalidProblem:
+            raise InvalidSpec(f"state {x0} overflows the condensed QP: f or b is not finite") from None
 
     return build
 
@@ -133,7 +140,8 @@ def condense(spec: LtiMpcSpec, x_init: np.ndarray | None = None) -> QpProblem:
     is. Constraints are the input box (2 N nu rows) followed, when state
     bounds are present, by the predicted-state box (2 N nx rows). Only f and
     the state-box rows of b depend on x0. An x_init given here, a finite
-    nx-vector (else InvalidSpec), replaces spec.x_init.
+    nx-vector (else InvalidSpec), replaces spec.x_init. InvalidSpec, naming
+    the state, when it overflows f or b.
     """
     _check_type(spec, LtiMpcSpec, "spec", InvalidSpec)
     x0 = spec.x_init if x_init is None else _frozen(x_init, "x_init", (spec.nx,), InvalidSpec)
@@ -218,14 +226,16 @@ def run_sequence(
 ):
     """Closed-loop simulation: condense at the current state, solve, apply the
     first input, advance through (Ad, Bd). The state-independent part of the
-    condensed QP is built once; each step forms only f and the state-box rows
-    of b, so its QP equals condense(spec, state) bit for bit.
+    condensed QP is built and checked once; each step forms only f and the
+    state-box rows of b, so its QP, a new object sharing the first step's H
+    and A, equals condense(spec, state) bit for bit.
 
     start_mode "cold" always starts from zero, "warm" seeds each QP with the
     previous primal-dual solution and "shift" with that solution advanced by
     one stage (shift_solution). Every QP must reach Solved, otherwise
     MpcSequenceError carries the failing step index. Returns
-    (Trajectory, SequenceStats). InvalidSpec unless steps is an integer >= 1.
+    (Trajectory, SequenceStats). InvalidSpec unless steps is an integer >= 1,
+    and when a state overflows its QP's f or b.
     """
     _check_type(spec, LtiMpcSpec, "spec", InvalidSpec)
     _count(steps, "steps", InvalidSpec)

@@ -23,14 +23,17 @@ fbrs_solve holds one evaluated point, fb._evaluate's record of the flat
 iterate x = [z; v] with F_eps, y, hypot(v, y), hypot(hypot(v, y), eps) and
 F_eps'F_eps, and the linesearch returns the point it accepts. That point gives
 the next pass its norms, its delta, its Newton right-hand side -F_eps, its FB
-coefficients and theta; the loop itself forms only the ||F_0|| and
-natural-residual vectors of its trace. Inputs are validated at entry only;
+coefficients and theta. Each pass's IterationRecord keeps its point and forms
+||F_0|| and the natural residual ||F_nr|| the first time they are read; the
+loop reads ||F_0|| only once ||F_eps|| <= 2 tol, so a solve whose trace nobody
+reads forms them near the end only. Inputs are validated at entry only;
 the step functions take the loop's arrays unchecked, and overflow in the loop
 becomes a status, not a warning.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -99,16 +102,32 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
-    """Observable state of one loop pass; t = 0 means no step was taken."""
+    """Observable state of one loop pass; t = 0 means no step was taken.
+    norm_F0 and norm_Fnr are formed from the pass's point when first read."""
 
     k: int
     norm_Feps: float
-    norm_F0: float
-    norm_Fnr: float
     t: float
     delta: float
     eps: float
     backtracks: int
+    _point: _Point = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def norm_F0(self) -> float:
+        point = self._point
+        n = point.x.size - point.y.size
+        with np.errstate(all="ignore"):
+            F0 = np.concatenate([point.F[:n], _phi(point.x[n:], point.y, 0.0, point.r0)])
+            return math.sqrt(F0 @ F0)
+
+    @functools.cached_property
+    def norm_Fnr(self) -> float:
+        point = self._point
+        n = point.x.size - point.y.size
+        with np.errstate(all="ignore"):
+            Fnr = np.concatenate([point.F[:n], np.minimum(point.y, point.x[n:])])
+            return math.sqrt(Fnr @ Fnr)
 
 
 @dataclass
@@ -224,7 +243,9 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     Newton solves), otherwise take a globalized step. When the linesearch
     rejects the Newton step, a merit-gradient step is taken instead. The
     trace gets one record per pass including the terminal one, so it has
-    iterations + 1 entries. Each pass reads the evaluated point (fb._evaluate)
+    iterations + 1 entries; its ||F_0|| and ||F_nr|| are formed when first
+    read, and final_norm_F0, final_norm_Fnr read the last record. Each pass
+    reads the evaluated point (fb._evaluate)
     that the previous linesearch accepted, so every point is evaluated once.
     A non-finite step direction, or a Newton system that neither the Cholesky
     nor the LU step can solve (as with H = 0 and A = 0), ends the solve with
@@ -248,16 +269,15 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
         point = _evaluate(p, x0.as_vector(), eps)
         for k in range(cfg.max_iters + 1):
             F, y, v = point.F, point.y, point.x[n:]
-            F0 = np.concatenate([F[:n], _phi(v, y, 0.0, point.r0)])
-            Fnr = np.concatenate([F[:n], np.minimum(y, v)])
-            n_feps, n_f0, n_fnr = math.sqrt(point.ff), math.sqrt(F0 @ F0), math.sqrt(Fnr @ Fnr)
+            n_feps = math.sqrt(point.ff)
             delta = min(cfg.delta0, n_feps)
-            rec = IterationRecord(
-                k=k, norm_Feps=n_feps, norm_F0=n_f0, norm_Fnr=n_fnr,
-                t=0.0, delta=delta, eps=eps, backtracks=0,
-            )
+            rec = IterationRecord(k=k, norm_Feps=n_feps, t=0.0, delta=delta, eps=eps, backtracks=0,
+                                  _point=point)
             trace.append(rec)
-            if n_f0 <= cfg.tol:
+            # |phi_eps - phi_0| <= eps per row, so ||F_0|| >= ||F_eps|| - sqrt(q) eps
+            # = ||F_eps|| - tol / 2: no point with ||F_eps|| > 1.5 tol passes, and
+            # 2 tol leaves a margin for rounding
+            if n_feps <= 2.0 * cfg.tol and rec.norm_F0 <= cfg.tol:
                 status = Status.SOLVED
                 break
             if k == cfg.max_iters:

@@ -122,6 +122,14 @@ class QpProblem:
         vars(self).update(H=_readonly(0.5 * H + 0.5 * H.T), f=f, A=A, b=b, symmetry_defect=defect,
                           _box_cols=_unit_row_columns(A))
 
+    def _with_rhs(self, f, b) -> "QpProblem":
+        """A new QpProblem with this one's H, A, symmetry_defect and _box_cols
+        (read-only, so shared, not copied) and the given f and b, which are
+        checked as the constructor checks them (InvalidProblem)."""
+        new = object.__new__(QpProblem)
+        vars(new).update(vars(self), f=_frozen(f, "f", (self.n,)), b=_frozen(b, "b", (self.q,)))
+        return new
+
     @property
     def n(self) -> int:
         return self.H.shape[0]

@@ -1,8 +1,12 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from fbrs import (
     InvalidConfig,
+    InvalidProblem,
     InvalidSpec,
     MpcSequenceError,
     PrimalDualPoint,
@@ -212,6 +216,44 @@ def test_run_sequence_matches_condense_loop_with_state_box(mode):
     assert np.min(trajectory.states[:, 1]) == pytest.approx(-0.2, abs=1e-6)
 
 
+@pytest.mark.parametrize("make_spec", [_velocity_capped_spec, double_integrator])
+def test_run_sequence_step_qps_share_h_and_a(monkeypatch, make_spec):
+    # H and A are checked once per run: every step's QP is its own object
+    # (perfbench keeps each one beside its result) but holds the first
+    # step's H and A, and still equals condense at the step's state
+    spec = make_spec()
+    qps = []
+
+    def capturing(qp, x0, cfg):
+        qps.append(qp)
+        return fbrs_solve(qp, x0, cfg)
+
+    monkeypatch.setattr(mpc, "fbrs_solve", capturing)
+    trajectory, _ = run_sequence(spec, 8, "warm")
+    assert len({id(qp) for qp in qps}) == 8
+    for qp, state in zip(qps, trajectory.states):
+        assert qp.H is qps[0].H and qp.A is qps[0].A
+        fresh = condense(spec, state)
+        for name in ("H", "f", "A", "b"):
+            assert np.array_equal(getattr(qp, name), getattr(fresh, name))
+        assert qp.symmetry_defect == fresh.symmetry_defect
+        assert (qp._box_cols is None) == (fresh._box_cols is None) == (spec.x_lo is not None)
+        if qp._box_cols is not None:
+            assert np.array_equal(qp._box_cols, fresh._box_cols)
+
+
+def test_with_rhs_checks_f_and_b():
+    qp = condense(_velocity_capped_spec())
+    f, b = qp.f.copy(), qp.b.copy()
+    f[0], b[-1] = np.inf, np.nan
+    with pytest.raises(InvalidProblem, match="f must have finite"):
+        qp._with_rhs(f, qp.b)
+    with pytest.raises(InvalidProblem, match="b must have finite"):
+        qp._with_rhs(qp.f, b)
+    with pytest.raises(InvalidProblem, match="b must have shape"):
+        qp._with_rhs(qp.f, qp.b[1:])
+
+
 def test_run_sequence_builds_prediction_matrices_once(monkeypatch):
     calls = []
 
@@ -329,6 +371,27 @@ def test_overflowing_predictions_are_an_invalid_spec():
             condense(spec)
         with pytest.raises(InvalidSpec, match="Ad over horizon"):
             run_sequence(spec, 2)
+
+
+def test_overflowing_state_is_an_invalid_spec():
+    # finite states whose f (first) or state-box b (second, in x_hi - predicted)
+    # overflows: InvalidSpec names the state, and no floating-point warning escapes
+    box = dict(x_lo=[-1e308], x_hi=[1e308])
+    for Q, kwargs in [([[10.0]], {}), ([[1e-3]], box)]:
+        spec = LtiMpcSpec(
+            Ad=[[1.0]], Bd=[[1.0]], Q=Q, R=[[1.0]], horizon=3,
+            u_lo=[-1.0], u_hi=[1.0], x_init=[-1e308], **kwargs,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpec, match="state"):
+                condense(spec)
+            with pytest.raises(InvalidSpec, match="state"):
+                run_sequence(spec, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpec, match="state"):
+                condense(dataclasses.replace(spec, x_init=[1.0]), [1e308])
 
 
 def test_run_sequence_rejects_bad_arguments():

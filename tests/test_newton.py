@@ -565,6 +565,70 @@ def test_final_norms_belong_to_the_returned_point(monkeypatch):
         _assert_final_norms_of_returned_point(p, result, cfg.effective_eps(p.q))
 
 
+def test_record_norms_are_the_eager_formula_at_every_pass(monkeypatch):
+    # each record forms ||F_0|| and ||F_nr|| when first read; they must be the
+    # norms of pass k's own iterate: x0, then each point a linesearch accepted
+    accepted = []
+
+    def recording(p, point, dx, eps):
+        out = linesearch(p, point, dx, eps)
+        accepted.append(out[2].x)
+        return out
+
+    solves = []
+
+    def recording_solve(p, x0, cfg):
+        accepted.clear()
+        result = fbrs_solve(p, x0, cfg)
+        solves.append((p, cfg, result, [x0.as_vector()] + accepted))
+        return result
+
+    monkeypatch.setattr(newton, "linesearch", recording)
+    rng = np.random.default_rng(32)
+    for max_iters in (100, 4, 100, 2):
+        p = random_strictly_convex_qp(20, 40, rng)
+        recording_solve(p, random_infeasible_start(p, rng), SolverConfig(max_iters=max_iters))
+    monkeypatch.setattr(mpc, "fbrs_solve", recording_solve)
+    run_sequence(mass_spring_chain(8), 10, "warm")
+    assert {result.status for _, _, result, _ in solves} == {Status.SOLVED, Status.MAX_ITERS}
+    for p, cfg, result, xs in solves:
+        assert len(xs) == len(result.trace)
+        for rec, x in zip(result.trace, xs):
+            point = _evaluate(p, x, cfg.effective_eps(p.q))
+            F, y, v = point.F, point.y, x[p.n:]
+            assert rec.norm_Feps == np.linalg.norm(F)
+            assert rec.norm_F0 == np.linalg.norm(_evaluate(p, x, 0.0).F)
+            assert rec.norm_Fnr == np.linalg.norm(np.concatenate([F[:p.n], np.minimum(y, v)]))
+
+
+def test_unread_trace_forms_the_f0_tail_only_near_tol(monkeypatch):
+    # ||F_0|| >= ||F_eps|| - tol / 2, so the loop forms the ||F_0|| tail only
+    # on passes with ||F_eps|| <= 2 tol, and for the last record at exit
+    # (final_norm_F0); reading the trace later forms each other tail once
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return phi(*args)
+
+    phi = newton._phi
+    monkeypatch.setattr(newton, "_phi", counting)
+    rng = np.random.default_rng(33)
+    statuses = set()
+    for max_iters in (100, 3, 100, 100):
+        p = random_strictly_convex_qp(20, 40, rng)
+        cfg = SolverConfig(max_iters=max_iters)
+        calls.clear()
+        result = fbrs_solve(p, random_infeasible_start(p, rng), cfg)
+        statuses.add(result.status)
+        near = {rec.k for rec in result.trace if rec.norm_Feps <= 2.0 * cfg.tol}
+        assert len(calls) == len(near | {result.iterations}) < len(result.trace)
+        for rec in result.trace + result.trace:
+            rec.norm_F0
+        assert len(calls) == len(result.trace)
+    assert statuses == {Status.SOLVED, Status.MAX_ITERS}
+
+
 def test_warmstart_at_solution_takes_zero_iterations(qp_1d):
     first = fbrs_solve(qp_1d, PrimalDualPoint.zeros(1, 1))
     again = fbrs_solve(qp_1d, first.x)
@@ -584,6 +648,8 @@ def test_non_finite_step_returns_invalid_problem(qp_1d):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = fbrs_solve(p, x0)
+            # the records form their norms from the overflowing point when read
+            assert all(rec.norm_F0 == rec.norm_Fnr == math.inf for rec in result.trace)
         assert result.status == Status.INVALID_PROBLEM
         assert result.iterations == 0
         assert np.array_equal(result.x.z, x0.z) and np.array_equal(result.x.v, x0.v)
