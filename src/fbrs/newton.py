@@ -6,7 +6,8 @@ Each iteration assembles the block system
     [-CA   D  ] [dv] = [r_c]          r_c = -phi_eps(v, y)
 
 with C = diag(gamma), D = diag(mu) from the FB kernel, and solves it through
-the condensed SPD Schur complement H + A' C D^-1 A with LAPACK potrf/potrs.
+the condensed SPD Schur complement H + A'WA, W = C D^-1 >= 0, with LAPACK
+potrf/potrs. Its upper triangle is formed by one BLAS syrk of W^1/2 A onto H.
 When every row of A is a signed unit vector, as in an input-boxed MPC QP, the
 Schur matrix is H plus the row weights summed onto its diagonal, with no dense
 product. When the Cholesky factorization fails, the step falls back to a
@@ -46,7 +47,8 @@ from .errors import InvalidConfig
 from .fb import _coefficients, _evaluate, _phi, _Point
 from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive
 
-# LAPACK's float64 routines, called without the per-call work of scipy's wrappers
+# BLAS and LAPACK float64 routines, called without the per-call work of scipy's wrappers
+_syrk = scipy.linalg.get_blas_funcs("syrk", dtype=np.float64)
 _potrf, _potrs, _getrf, _getrs = scipy.linalg.get_lapack_funcs(
     ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64)
 
@@ -175,10 +177,14 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     then the diagonal back-substitution D dv = r_c + C A dz, and return the
     step dx = (dz, dv). Arguments are not checked.
 
-    A box-only problem (p._box_cols set) adds each row's w = gamma / mu onto
-    the diagonal of H in place of A'WA: the same bits, as the dense product
-    adds only exact zeros, except perhaps the last bit of a column hit by
-    three or more rows (duplicate bounds). Other problems symmetrize H + A'WA.
+    The row weights w = gamma / mu are >= 0 (|y| <= r makes 1 - y/r >= 0, and
+    delta >= 0), so W^1/2 is real. A dense A gives the upper triangle of
+    H + (W^1/2 A)'(W^1/2 A) from one BLAS syrk; potrf and potrs read only
+    that triangle, so the lower one keeps H's entries. A box-only problem
+    (p._box_cols set) adds each row's w onto the diagonal of H instead: the
+    same bits as the dense product H + A'(WA), which adds only exact zeros,
+    except perhaps the last bit of a column hit by three or more rows
+    (duplicate bounds).
 
     Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix is not
     numerically positive definite; fbrs_solve then falls back to solve_full.
@@ -188,11 +194,12 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     A, r_s, r_c = p.A, rhs[:p.n], rhs[p.n:]
     w = gamma / mu
     if p._box_cols is None:
-        S = p.H + A.T @ (w[:, None] * A)
-        S = 0.5 * (S + S.T)
+        # p.H.T (H is exactly symmetric) and the transposed factor are in
+        # Fortran order, so f2py copies only H, into the S that potrf overwrites
+        S = _syrk(1.0, (np.sqrt(w)[:, None] * A).T, beta=1.0, c=p.H.T, trans=0, lower=0)
     else:
         S = p.H + np.diag(np.bincount(p._box_cols, w, p.n))
-    c, info = _potrf(S, lower=False, clean=False)
+    c, info = _potrf(S, lower=False, clean=False, overwrite_a=1)
     if info:
         raise CholeskyFailure(f"potrf info {info}: Schur matrix not numerically positive definite")
     dz = _potrs(c, r_s - A.T @ (r_c / mu), lower=False)[0]

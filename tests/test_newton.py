@@ -239,16 +239,25 @@ def _dense_schur_step(p, gamma, mu, rhs):
     return np.concatenate([dz, (r_c + gamma * (p.A @ dz)) / mu])
 
 
+def _syrk_schur_step(p, gamma, mu, rhs):
+    # the condensed step with the upper triangle of H + (W^1/2 A)'(W^1/2 A)
+    # from BLAS dsyrk, through scipy's Cholesky wrappers
+    r_s, r_c = rhs[:p.n], rhs[p.n:]
+    S = scipy.linalg.blas.dsyrk(1.0, (np.sqrt(gamma / mu)[:, None] * p.A).T, beta=1.0, c=p.H, trans=0, lower=0)
+    dz = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S, lower=False), r_s - p.A.T @ (r_c / mu))
+    return np.concatenate([dz, (r_c + gamma * (p.A @ dz)) / mu])
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20, 40, 80])
 def test_direct_lapack_matches_scipy_wrappers(n):
-    # the step functions call potrf/potrs and getrf/getrs themselves; the
-    # scipy wrappers around the same routines give the same bits
+    # the step functions call syrk, potrf/potrs and getrf/getrs themselves;
+    # the scipy wrappers around the same routines give the same bits
     rng = np.random.default_rng(100 + n)
     for _ in range(3):
         p = random_strictly_convex_qp(n, 2 * n, rng)
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(2 * n))
         gamma, mu, rhs = _system(p, x, 10.0 ** rng.uniform(-6, 0), 10.0 ** rng.uniform(-10, -2))
-        assert np.array_equal(solve_condensed(p, gamma, mu, rhs), _dense_schur_step(p, gamma, mu, rhs))
+        assert np.array_equal(solve_condensed(p, gamma, mu, rhs), _syrk_schur_step(p, gamma, mu, rhs))
         lu = scipy.linalg.lu_factor(kkt_matrix(p, gamma, mu))
         assert np.array_equal(solve_full(p, gamma, mu, rhs), scipy.linalg.lu_solve(lu, rhs))
 
@@ -275,6 +284,24 @@ def test_box_schur_matrix_with_a_duplicated_bound_row():
         gamma, mu = 10.0 ** rng.uniform(-3, 0.3, (2, p.q))
         rhs = rng.standard_normal(p.n + p.q)
         assert _solve_residual(p, gamma, mu, rhs, solve_condensed(p, gamma, mu, rhs)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, q, draws", [(1, 3, 20), (40, 10, 10), (20, 40, 10), (300, 600, 2)])
+def test_syrk_schur_step_is_as_accurate_as_the_dense_product(n, q, draws):
+    # the upper triangle of H + (W^1/2 A)'(W^1/2 A) rounds differently from
+    # the symmetrized H + A'(WA), but the step it gives is as accurate, for
+    # row weights w = gamma / mu over 1e-10 ... 1e10; no argument is written
+    rng = np.random.default_rng(n + q)
+    for _ in range(draws):
+        p = random_strictly_convex_qp(n, q, rng)
+        gamma, mu = 10.0 ** rng.uniform(-10, 0, (2, q))
+        rhs = rng.standard_normal(n + q)
+        args = (p.H, p.A, gamma, mu, rhs)
+        before = [a.copy() for a in args]
+        dx = solve_condensed(p, gamma, mu, rhs)
+        assert all(np.array_equal(a, b) for a, b in zip(args, before))
+        reference = _solve_residual(p, gamma, mu, rhs, _dense_schur_step(p, gamma, mu, rhs))
+        assert _solve_residual(p, gamma, mu, rhs, dx) <= 10.0 * reference
 
 
 # --- merit function and linesearch -----------------------------------------
@@ -447,7 +474,7 @@ def test_lu_fallback_reaches_solution(monkeypatch):
         return solve_full(*args)
 
     monkeypatch.setattr(newton, "solve_full", counting_solve_full)
-    for seed, dims, iterations, lu_steps in [(58, (4, 6), 19, 0), (96851, (5, 6), 21, 2)]:
+    for seed, dims, iterations, lu_steps in [(58, (4, 6), 19, 0), (96851, (5, 6), 18, 2)]:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         q = int(rng.integers(n + 1, 2 * n + 3))
