@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .problem import QpProblem
+from .problem import QpProblem, _times_A, _times_At
 
 
 def phi_eps(a, b, eps: float):
@@ -71,8 +71,8 @@ def _evaluate(p: QpProblem, x: np.ndarray, eps: float) -> _Point:
     """The _Point of x = [z; v], whose F is [Hz + f + A'v; phi_eps(v, y)].
     Arguments are not checked."""
     z, v = x[:p.n], x[p.n:]
-    y = p.b - p.A @ z
+    y = p.b - _times_A(p, z)
     r0 = np.hypot(v, y)
     r = np.hypot(r0, eps)
-    F = np.concatenate([p.H @ z + p.f + p.A.T @ v, _phi(v, y, eps, r)])
+    F = np.concatenate([p.H @ z + p.f + _times_At(p, v), _phi(v, y, eps, r)])
     return _Point(x, F, y, r0, r, float(F @ F))

@@ -6,13 +6,15 @@ Each iteration assembles the block system
     [-CA   D  ] [dv] = [r_c]          r_c = -phi_eps(v, y)
 
 with C = diag(gamma), D = diag(mu) from the FB kernel, and solves it through
-the condensed SPD Schur complement H + A'WA, W = C D^-1 >= 0, with LAPACK
-potrf/potrs. Its upper triangle is formed by one BLAS syrk of W^1/2 A onto H.
-When every row of A is a signed unit vector, as in an input-boxed MPC QP, the
-Schur matrix is H plus the row weights summed onto its diagonal, with no dense
-product. When the Cholesky factorization fails, the step falls back to a
-dense LU of the full matrix (getrf/getrs); when that is singular too, the
-solve ends with INVALID_PROBLEM. The loop globalizes with a backtracking
+the condensed SPD Schur complement H + A'WA, W = C D^-1 >= 0, whose lower
+triangle LAPACK potrf factors in place and potrs solves with. That triangle is
+formed by one BLAS syrk of W^1/2 A onto H. When every row of A is a signed
+unit vector, as in an input-boxed MPC QP, the Schur matrix is a copy of H
+with the row weights summed onto its diagonal, with no dense product, and A
+and A' are applied by gather and scatter (problem._times_A, _times_At). When
+the Cholesky factorization fails, the step falls back to a dense LU of the
+full matrix (getrf/getrs); when that is singular too, the solve ends with
+INVALID_PROBLEM. The loop globalizes with a backtracking
 linesearch on the merit function theta = 0.5 ||F_eps||^2, with a
 merit-gradient step when the Newton step fails it. The smoothing eps stays
 fixed; each point is regularized with delta = min(delta0, ||F_eps||). The
@@ -45,7 +47,8 @@ import scipy.linalg
 
 from .errors import InvalidConfig
 from .fb import _coefficients, _evaluate, _phi, _Point
-from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive
+from .problem import (PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive, _times_A,
+                      _times_At)
 
 # BLAS and LAPACK float64 routines, called without the per-call work of scipy's wrappers
 _syrk = scipy.linalg.get_blas_funcs("syrk", dtype=np.float64)
@@ -178,32 +181,39 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     step dx = (dz, dv). Arguments are not checked.
 
     The row weights w = gamma / mu are >= 0 (|y| <= r makes 1 - y/r >= 0, and
-    delta >= 0), so W^1/2 is real. A dense A gives the upper triangle of
-    H + (W^1/2 A)'(W^1/2 A) from one BLAS syrk; potrf and potrs read only
-    that triangle, so the lower one keeps H's entries. A box-only problem
-    (p._box_cols set) adds each row's w onto the diagonal of H instead: the
-    same bits as the dense product H + A'(WA), which adds only exact zeros,
-    except perhaps the last bit of a column hit by three or more rows
-    (duplicate bounds).
+    delta >= 0), so W^1/2 is real. potrf factors the lower triangle of the
+    Schur matrix in place, and potrs reads only that triangle. A dense A gives
+    it as the lower triangle of H + (W^1/2 A)'(W^1/2 A) from one BLAS syrk,
+    and the upper one keeps H's entries. A box-only problem (p._box_cols set)
+    adds each row's w onto the diagonal of a copy of H instead: the same bits
+    as the dense product H + A'(WA), which adds only exact zeros, except
+    perhaps the last bit of a column hit by three or more rows (duplicate
+    bounds). Its products with A and A' are a gather and a scatter, with the
+    bits of the dense ones on finite data.
 
     Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix is not
     numerically positive definite; fbrs_solve then falls back to solve_full.
     """
     if mu.min() <= 0.0:
         raise CholeskyFailure("D has a nonpositive diagonal entry")
-    A, r_s, r_c = p.A, rhs[:p.n], rhs[p.n:]
+    n, r_s, r_c = p.n, rhs[:p.n], rhs[p.n:]
     w = gamma / mu
     if p._box_cols is None:
         # p.H.T (H is exactly symmetric) and the transposed factor are in
-        # Fortran order, so f2py copies only H, into the S that potrf overwrites
-        S = _syrk(1.0, (np.sqrt(w)[:, None] * A).T, beta=1.0, c=p.H.T, trans=0, lower=0)
+        # Fortran order, so f2py copies only H, into the S whose lower
+        # triangle syrk forms and potrf then factors in place
+        S = _syrk(1.0, (np.sqrt(w)[:, None] * p.A).T, beta=1.0, c=p.H.T, trans=0, lower=1)
     else:
-        S = p.H + np.diag(np.bincount(p._box_cols, w, p.n))
-    c, info = _potrf(S, lower=False, clean=False, overwrite_a=1)
+        # a copy, as p.H is shared by every step of an MPC run; S.T is S in
+        # Fortran order, so f2py passes it to potrf without another copy
+        S = p.H.copy()
+        S.reshape(-1)[::n + 1] += np.bincount(p._box_cols, w, n)
+        S = S.T
+    c, info = _potrf(S, lower=True, clean=False, overwrite_a=1)
     if info:
         raise CholeskyFailure(f"potrf info {info}: Schur matrix not numerically positive definite")
-    dz = _potrs(c, r_s - A.T @ (r_c / mu), lower=False)[0]
-    dv = (r_c + gamma * (A @ dz)) / mu
+    dz = _potrs(c, r_s - _times_At(p, r_c / mu), lower=True)[0]
+    dv = (r_c + gamma * _times_A(p, dz)) / mu
     return np.concatenate([dz, dv])
 
 
@@ -211,8 +221,8 @@ def _merit_gradient(p: QpProblem, F: np.ndarray, gamma: np.ndarray, mu: np.ndarr
     """grad theta_eps = V' F_eps, with V = kkt_matrix(p, gamma, mu) the
     iteration matrix at delta = 0 and F = F_eps. Arguments are not checked."""
     F_top, F_bot = F[:p.n], F[p.n:]
-    gz = p.H @ F_top - p.A.T @ (gamma * F_bot)
-    gv = p.A @ F_top + mu * F_bot
+    gz = p.H @ F_top - _times_At(p, gamma * F_bot)
+    gv = _times_A(p, F_top) + mu * F_bot
     return np.concatenate([gz, gv])
 
 

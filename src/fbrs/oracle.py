@@ -24,7 +24,7 @@ from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _posi
 
 MAX_ENUM_CONSTRAINTS = 16
 MAX_ENUM_VARIABLES = 8
-ENUM_TOL = 1e-9  # feasibility / dual-sign acceptance inside the enumeration
+ENUM_TOL = 1e-9  # dual-sign acceptance, and feasibility relative to _row_scale
 START_SCALE = 10.0  # standard deviation of random_infeasible_start's entries
 
 
@@ -66,6 +66,8 @@ def solve_by_enumeration(p: QpProblem) -> PrimalDualPoint:
     For every subset S of constraints with |S| <= n and A_S of full row rank,
     solve the bordered system [H A_S'; A_S 0] (z, v_S) = (-f, b_S) and accept
     the candidate if it is primal feasible and has nonnegative duals on S.
+    Feasibility is judged relative to each row's scale (_row_scale), so
+    scaling H, f, A and b by one factor leaves the answer's z and v alone.
     Returns the accepted candidate with the lowest objective (ties broken
     lexicographically on z). Budget: q <= 16 and n <= 8.
     """
@@ -105,7 +107,7 @@ def solve_by_enumeration(p: QpProblem) -> PrimalDualPoint:
             z = sol[:n]
             v = np.zeros(q)
             v[S] = sol[n:]
-            if np.max(p.A @ z - p.b) > ENUM_TOL:
+            if np.any(p.A @ z - p.b > ENUM_TOL * _row_scale(p, z)):
                 continue
             if size > 0 and np.min(v[S]) < -ENUM_TOL:
                 continue
@@ -123,14 +125,21 @@ def solve_by_enumeration(p: QpProblem) -> PrimalDualPoint:
     raise InfeasibleProblem("no point satisfies Az <= b")
 
 
+def _row_scale(p: QpProblem, z: np.ndarray) -> np.ndarray:
+    """1 + |b_i| + |a_i||z| per row: the size of the terms of a_i z - b_i,
+    against which the rounding in that slack is judged."""
+    return 1.0 + np.abs(p.b) + np.abs(p.A) @ np.abs(z)
+
+
 def _is_feasible(p: QpProblem) -> bool:
-    # min s >= 0 subject to Az - s*1 <= b; feasible iff the optimum is <= ENUM_TOL
+    # min s >= 0 subject to Az - s*1 <= b; feasible iff the optimum is within
+    # ENUM_TOL of 0 relative to the largest row scale at the LP's z
     c = np.zeros(p.n + 1)
     c[-1] = 1.0
     A_ub = np.hstack([p.A, -np.ones((p.q, 1))])
     bounds = [(None, None)] * p.n + [(0.0, None)]
     res = linprog(c, A_ub=A_ub, b_ub=p.b, bounds=bounds, method="highs")
-    return res.status == 0 and res.fun <= ENUM_TOL
+    return res.status == 0 and res.fun <= ENUM_TOL * _row_scale(p, res.x[:p.n]).max()
 
 
 def random_strictly_convex_qp(n: int, q: int, rng: np.random.Generator) -> QpProblem:

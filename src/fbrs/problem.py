@@ -76,16 +76,38 @@ def _frobenius(M: np.ndarray) -> float:
     return float(dnrm2(M.ravel()))
 
 
-def _unit_row_columns(A: np.ndarray) -> np.ndarray | None:
-    """The column of each row of A when every row is a signed unit vector
-    (one nonzero, of magnitude 1), else None. The nonzero count goes first,
-    so a dense A costs one pass; -0.0 counts as zero."""
+def _unit_rows(A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(cols, sign), the column and the sign (+-1.0) of each row of A, both
+    read-only, when every row is a signed unit vector (one nonzero, of
+    magnitude 1), else (None, None). The nonzero count goes first, so a dense
+    A costs one pass; -0.0 counts as zero."""
     q = A.shape[0]
     nonzero = A != 0.0
     if np.count_nonzero(nonzero) != q:
-        return None
+        return None, None
     cols = nonzero.argmax(axis=1)
-    return _readonly(cols) if (np.abs(A[np.arange(q), cols]) == 1.0).all() else None
+    sign = A[np.arange(q), cols]
+    if not (np.abs(sign) == 1.0).all():
+        return None, None
+    return _readonly(cols), _readonly(sign)
+
+
+def _times_A(p: "QpProblem", z: np.ndarray) -> np.ndarray:
+    """A z, gathered as sign * z[cols] when A is box-only. On finite z these
+    are the bits of the dense product, whose other terms are exact zeros.
+    Arguments are not checked."""
+    if p._box_cols is None:
+        return p.A @ z
+    return p._box_sign * z[p._box_cols]
+
+
+def _times_At(p: "QpProblem", v: np.ndarray) -> np.ndarray:
+    """A'v, scattered as bincount(cols, sign * v, n) when A is box-only: the
+    bits of the dense product on finite v, except perhaps the last bit of a
+    column hit by three or more rows. Arguments are not checked."""
+    if p._box_cols is None:
+        return p.A.T @ v
+    return np.bincount(p._box_cols, p._box_sign * v, p.n)
 
 
 @dataclass(frozen=True)
@@ -99,8 +121,9 @@ class QpProblem:
     it reads inf, without a warning, only when H - H' itself overflows.
 
     When every row of A is a signed unit vector, as in [I; -I], the private
-    `_box_cols` holds each row's column (read-only), else None; the Newton
-    step then skips the product A'WA.
+    `_box_cols` and `_box_sign` hold each row's column and sign (read-only),
+    else None; the Newton step then skips the product A'WA and applies A and
+    A' by gather and scatter (_times_A, _times_At).
     """
 
     H: np.ndarray
@@ -109,6 +132,7 @@ class QpProblem:
     b: np.ndarray
     symmetry_defect: float = field(init=False, default=0.0)
     _box_cols: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    _box_sign: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         H = _frozen(self.H, "H", (None, None))
@@ -119,13 +143,14 @@ class QpProblem:
         f, b = _frozen(self.f, "f", (n,)), _frozen(self.b, "b", (A.shape[0],))
         with np.errstate(over="ignore"):
             defect = _frobenius(H - H.T)
+        cols, sign = _unit_rows(A)
         vars(self).update(H=_readonly(0.5 * H + 0.5 * H.T), f=f, A=A, b=b, symmetry_defect=defect,
-                          _box_cols=_unit_row_columns(A))
+                          _box_cols=cols, _box_sign=sign)
 
     def _with_rhs(self, f, b) -> "QpProblem":
-        """A new QpProblem with this one's H, A, symmetry_defect and _box_cols
-        (read-only, so shared, not copied) and the given f and b, which are
-        checked as the constructor checks them (InvalidProblem)."""
+        """A new QpProblem with this one's H, A, symmetry_defect, _box_cols and
+        _box_sign (read-only, so shared, not copied) and the given f and b,
+        which are checked as the constructor checks them (InvalidProblem)."""
         new = object.__new__(QpProblem)
         vars(new).update(vars(self), f=_frozen(f, "f", (self.n,)), b=_frozen(b, "b", (self.q,)))
         return new

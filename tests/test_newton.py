@@ -231,20 +231,21 @@ def test_condensed_survives_tiny_mu():
 
 
 def _dense_schur_step(p, gamma, mu, rhs):
-    # the condensed step with the dense Schur matrix H + A'WA, through scipy's
-    # Cholesky wrappers
+    # the condensed step with the lower triangle of the dense Schur matrix
+    # H + A'WA, through scipy's Cholesky wrappers
     r_s, r_c = rhs[:p.n], rhs[p.n:]
     S = p.H + p.A.T @ ((gamma / mu)[:, None] * p.A)
-    dz = scipy.linalg.cho_solve(scipy.linalg.cho_factor(0.5 * (S + S.T)), r_s - p.A.T @ (r_c / mu))
+    c = scipy.linalg.cho_factor(0.5 * (S + S.T), lower=True)
+    dz = scipy.linalg.cho_solve(c, r_s - p.A.T @ (r_c / mu))
     return np.concatenate([dz, (r_c + gamma * (p.A @ dz)) / mu])
 
 
 def _syrk_schur_step(p, gamma, mu, rhs):
-    # the condensed step with the upper triangle of H + (W^1/2 A)'(W^1/2 A)
+    # the condensed step with the lower triangle of H + (W^1/2 A)'(W^1/2 A)
     # from BLAS dsyrk, through scipy's Cholesky wrappers
     r_s, r_c = rhs[:p.n], rhs[p.n:]
-    S = scipy.linalg.blas.dsyrk(1.0, (np.sqrt(gamma / mu)[:, None] * p.A).T, beta=1.0, c=p.H, trans=0, lower=0)
-    dz = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S, lower=False), r_s - p.A.T @ (r_c / mu))
+    S = scipy.linalg.blas.dsyrk(1.0, (np.sqrt(gamma / mu)[:, None] * p.A).T, beta=1.0, c=p.H, trans=0, lower=1)
+    dz = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S, lower=True), r_s - p.A.T @ (r_c / mu))
     return np.concatenate([dz, (r_c + gamma * (p.A @ dz)) / mu])
 
 
@@ -288,7 +289,7 @@ def test_box_schur_matrix_with_a_duplicated_bound_row():
 
 @pytest.mark.parametrize("n, q, draws", [(1, 3, 20), (40, 10, 10), (20, 40, 10), (300, 600, 2)])
 def test_syrk_schur_step_is_as_accurate_as_the_dense_product(n, q, draws):
-    # the upper triangle of H + (W^1/2 A)'(W^1/2 A) rounds differently from
+    # the lower triangle of H + (W^1/2 A)'(W^1/2 A) rounds differently from
     # the symmetrized H + A'(WA), but the step it gives is as accurate, for
     # row weights w = gamma / mu over 1e-10 ... 1e10; no argument is written
     rng = np.random.default_rng(n + q)
@@ -302,6 +303,31 @@ def test_syrk_schur_step_is_as_accurate_as_the_dense_product(n, q, draws):
         assert all(np.array_equal(a, b) for a, b in zip(args, before))
         reference = _solve_residual(p, gamma, mu, rhs, _dense_schur_step(p, gamma, mu, rhs))
         assert _solve_residual(p, gamma, mu, rhs, dx) <= 10.0 * reference
+
+
+def test_box_schur_step_writes_neither_its_arguments_nor_the_shared_h(monkeypatch):
+    # the box-only step adds the row weights onto a copy of H in place; a write
+    # into H itself would silently change the QP of every later MPC step
+    spec = mass_spring_chain(40)
+    p = mpc.condense(spec)
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        gamma, mu = 10.0 ** rng.uniform(-8, 0.3, (2, p.q))
+        rhs = rng.standard_normal(p.n + p.q)
+        args = (p.H, p.A, gamma, mu, rhs)
+        before = [a.copy() for a in args]
+        solve_condensed(p, gamma, mu, rhs)
+        assert all(np.array_equal(a, b) for a, b in zip(args, before))
+    qps = []
+
+    def capturing(qp, x0, cfg):
+        qps.append(qp)
+        return fbrs_solve(qp, x0, cfg)
+
+    monkeypatch.setattr(mpc, "fbrs_solve", capturing)
+    run_sequence(spec, 20, "warm")
+    assert all(qp.H is qps[0].H and qp._box_sign is qps[0]._box_sign for qp in qps)
+    assert np.array_equal(qps[0].H, mpc.condense(spec).H)
 
 
 # --- merit function and linesearch -----------------------------------------

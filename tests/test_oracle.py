@@ -112,6 +112,19 @@ def test_enumeration_degenerate():
         solve_by_enumeration(p)
 
 
+def test_enumeration_is_invariant_under_uniform_scaling():
+    # scaling H, f, A and b by one factor leaves z and v unchanged; an absolute
+    # feasibility test rejected the true active set of most of these at 1e7
+    # and 1e8 and reported them unbounded
+    for seed in range(20):
+        p = random_strictly_convex_qp(4, 8, np.random.default_rng(seed))
+        star = solve_by_enumeration(p)
+        for s in (1e6, 1e7, 1e8):
+            scaled = solve_by_enumeration(QpProblem(s * p.H, s * p.f, s * p.A, s * p.b))
+            assert scaled.z == pytest.approx(star.z, rel=1e-12, abs=1e-12)
+            assert scaled.v == pytest.approx(star.v, rel=1e-12, abs=1e-12)
+
+
 def test_oracle_outputs_self_consistent():
     rng = np.random.default_rng(17)
     for _ in range(100):

@@ -17,8 +17,9 @@ from fbrs import (
     validate_problem,
 )
 from fbrs.fb import _evaluate
-from fbrs.mpc import condense, mass_spring_chain
+from fbrs.mpc import condense, double_integrator, mass_spring_chain
 from fbrs.oracle import random_strictly_convex_qp, solve_by_enumeration, verify_kkt
+from fbrs.problem import _times_A, _times_At
 from fbrs.qpfile import serialize_qp
 
 
@@ -149,6 +150,26 @@ def test_state_box_and_random_problems_are_not_detected():
     for _ in range(200):
         n = int(rng.integers(2, 10))
         assert random_strictly_convex_qp(n, int(rng.integers(1, 2 * n)), rng)._box_cols is None
+
+
+@pytest.mark.parametrize("make_qp", [
+    lambda: condense(double_integrator()),
+    lambda: condense(mass_spring_chain(8)),
+    lambda: condense(mass_spring_chain(40)),
+    lambda: QpProblem(np.eye(3), np.zeros(3), [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]], np.ones(3)),
+], ids=["double-integrator", "mass-spring-8", "mass-spring-40", "permuted-negated"])
+def test_gather_scatter_products_are_the_dense_bits(make_qp):
+    # A z = sign * z[cols] and A'v = bincount(cols, sign * v): each other term
+    # of the dense products is an exact zero
+    p = make_qp()
+    assert np.array_equal(p._box_sign, p.A[np.arange(p.q), p._box_cols])
+    assert not p._box_sign.flags.writeable
+    rng = np.random.default_rng(p.q)
+    for _ in range(20):
+        z = 10.0 ** rng.uniform(-8, 8, p.n) * rng.standard_normal(p.n)
+        v = 10.0 ** rng.uniform(-8, 8, p.q) * rng.standard_normal(p.q)
+        assert np.array_equal(_times_A(p, z), p.A @ z)
+        assert np.array_equal(_times_At(p, v), p.A.T @ v)
 
 
 def test_validate_identity_hessian_passes():
