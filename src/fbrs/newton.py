@@ -262,8 +262,8 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     trace gets one record per pass including the terminal one, so it has
     iterations + 1 entries; its ||F_0|| and ||F_nr|| are formed when first
     read, and final_norm_F0, final_norm_Fnr read the last record. Each pass
-    reads the evaluated point (fb._evaluate)
-    that the previous linesearch accepted, so every point is evaluated once.
+    reads the evaluated point (fb._evaluate) that the previous linesearch
+    accepted, so every point is evaluated once.
     A non-finite step direction, or a Newton system that neither the Cholesky
     nor the LU step can solve (as with H = 0 and A = 0), ends the solve with
     status INVALID_PROBLEM at the last accepted iterate. The loop emits no

@@ -4,6 +4,10 @@
 bordered equality-KKT system for each; `verify_kkt` certifies any point against
 the first-order conditions. Both are deliberately kept free of any code shared
 with the Newton solver so they can act as an oracle for it.
+
+scipy's HiGHS LP (`scipy.optimize.linprog`) is imported the first time
+`solve_by_enumeration` needs its feasibility test, when no active set gives a
+KKT point, so `import fbrs` loads numpy and `scipy.linalg` only.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DegenerateKkt,
@@ -134,6 +137,8 @@ def _row_scale(p: QpProblem, z: np.ndarray) -> np.ndarray:
 def _is_feasible(p: QpProblem) -> bool:
     # min s >= 0 subject to Az - s*1 <= b; feasible iff the optimum is within
     # ENUM_TOL of 0 relative to the largest row scale at the LP's z
+    from scipy.optimize import linprog
+
     c = np.zeros(p.n + 1)
     c[-1] = 1.0
     A_ub = np.hstack([p.A, -np.ones((p.q, 1))])

@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +26,8 @@ from fbrs.oracle import (
     solve_by_enumeration,
     verify_kkt,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_verify_kkt_passes_at_solution(qp_1d):
@@ -148,3 +157,30 @@ def test_infeasible_start_is_infeasible():
     p = random_strictly_convex_qp(3, 6, rng)
     x0 = random_infeasible_start(p, rng)
     assert np.max(p.A @ x0.z - p.b) > 0
+
+
+def test_import_leaves_scipy_optimize_unloaded_until_the_lp_runs():
+    # a fresh interpreter: other test modules load scipy.optimize into this one
+    child = textwrap.dedent(
+        """
+        import json, sys
+        import fbrs, fbrs.cli
+        from fbrs.oracle import solve_by_enumeration
+        heavy = ("scipy.optimize", "scipy.sparse", "scipy.special")
+        at_import = [m for m in heavy if m in sys.modules]
+        try:
+            solve_by_enumeration(fbrs.QpProblem([[1.0]], [0.0], [[1.0], [-1.0]], [0.0, -1.0]))
+            outcome = "solved"
+        except fbrs.InfeasibleProblem:
+            outcome = "infeasible"
+        print(json.dumps([at_import, outcome, "scipy.optimize" in sys.modules]))
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, outcome, lp_loaded = json.loads(proc.stdout)
+    assert at_import == []
+    assert outcome == "infeasible"  # z <= 0 and z >= 1
+    assert lp_loaded
