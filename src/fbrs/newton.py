@@ -6,21 +6,20 @@ Each iteration assembles the block system
     [-CA   D  ] [dv] = [r_c]          r_c = -phi_eps(v, y)
 
 with C = diag(gamma), D = diag(mu) from the FB kernel, and solves it through
-the condensed SPD Schur complement H + A'WA, W = C D^-1 >= 0, whose lower
+the condensed Schur complement H + A'WA, W = C D^-1 >= 0, whose lower
 triangle LAPACK potrf factors in place and potrs solves with. That triangle is
 formed by one BLAS syrk of W^1/2 A onto H. When every row of A is a signed
 unit vector, as in an input-boxed MPC QP, the Schur matrix is a copy of H
 with the row weights summed onto its diagonal, with no dense product, and A
-and A' are applied by gather and scatter (problem._times_A, _times_At). When
-the Cholesky factorization fails, the step falls back to a dense LU of the
-full matrix (getrf/getrs); when that is singular too, the solve ends with
-INVALID_PROBLEM. The loop globalizes with a backtracking
-linesearch on the merit function theta = 0.5 ||F_eps||^2, with a
-merit-gradient step when the Newton step fails it. The smoothing eps stays
-fixed; each point is regularized with delta = min(delta0, ||F_eps||). The
-solve stops once ||F_0|| <= tol. The Armijo constants and the regularization
-cap are fixed (SolverConfig.sigma, .beta, .max_backtracks, .delta0); tol and
-max_iters are the only settings.
+and A' are applied by gather and scatter (problem._times_A, _times_At). This
+is the one linear solve. The loop globalizes with a backtracking linesearch on
+the merit function theta = 0.5 ||F_eps||^2, and takes a merit-gradient step
+instead of the Newton step when the Schur matrix is not numerically positive
+definite (as on ker H when H is only PSD) or when the linesearch rejects the
+Newton step. The smoothing eps stays fixed; each point is regularized with
+delta = min(delta0, ||F_eps||). The solve stops once ||F_0|| <= tol. The
+Armijo constants and the regularization cap are fixed (SolverConfig.sigma,
+.beta, .max_backtracks, .delta0); tol and max_iters are the only settings.
 
 fbrs_solve holds one evaluated point, fb._evaluate's record of the flat
 iterate x = [z; v] with F_eps, y, hypot(v, y), hypot(hypot(v, y), eps) and
@@ -52,19 +51,18 @@ from .problem import (PrimalDualPoint, QpProblem, _check_dims, _check_type, _cou
 
 # BLAS and LAPACK float64 routines, called without the per-call work of scipy's wrappers
 _syrk = scipy.linalg.get_blas_funcs("syrk", dtype=np.float64)
-_potrf, _potrs, _getrf, _getrs = scipy.linalg.get_lapack_funcs(
-    ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64)
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 # The step's failure signals. fbrs_solve catches each and turns it into a
-# Status, so none reaches its caller; they are not FbrsErrors.
+# merit-gradient step or a Status, so none reaches its caller; they are not
+# FbrsErrors.
 class CholeskyFailure(Exception):
     """The condensed Schur matrix is not numerically positive definite."""
 
 
 class NoDirection(Exception):
-    """No usable Newton direction: the full system has a negligible pivot, or
-    the direction is not finite."""
+    """The search direction is not finite."""
 
 
 class LinesearchError(Exception):
@@ -146,37 +144,10 @@ class SolverResult:
     trace: list[IterationRecord] = field(default_factory=list)
 
 
-def kkt_matrix(p: QpProblem, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """The dense (n+q) x (n+q) iteration matrix [H A'; -CA D]."""
-    n, q = p.n, p.q
-    K = np.zeros((n + q, n + q))
-    K[:n, :n] = p.H
-    K[:n, n:] = p.A.T
-    K[n:, :n] = -gamma[:, None] * p.A
-    K[n:, n:] = np.diag(mu)
-    return K
-
-
-def solve_full(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve kkt_matrix(p, gamma, mu) dx = rhs by dense LU with partial
-    pivoting (LAPACK getrf, then getrs) and return the step dx = (dz, dv).
-    Arguments are not checked.
-
-    Raises NoDirection when a pivot falls below 1e-14 times the matrix
-    scale, which signals an A3 violation, as with H = 0 and A = 0.
-    """
-    K = kkt_matrix(p, gamma, mu)
-    lu, piv, info = _getrf(K)
-    if info < 0:
-        raise ValueError(f"getrf: illegal value in argument {-info}")
-    if np.abs(lu.diagonal()).min() <= 1e-14 * np.abs(K).max():
-        raise NoDirection("negligible pivot in the full Newton system")
-    return _getrs(lu, piv, rhs)[0]
-
-
 def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve kkt_matrix(p, gamma, mu) dx = rhs, rhs = (r_s, r_c), via the Schur
-    complement (H + A' C D^-1 A) dz = r_s - A' D^-1 r_c (LAPACK potrf, potrs),
+    """Solve [H A'; -CA D] dx = rhs, rhs = (r_s, r_c), C = diag(gamma),
+    D = diag(mu), via the Schur complement
+    (H + A' C D^-1 A) dz = r_s - A' D^-1 r_c (LAPACK potrf, potrs),
     then the diagonal back-substitution D dv = r_c + C A dz, and return the
     step dx = (dz, dv). Arguments are not checked.
 
@@ -192,7 +163,7 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     bits of the dense ones on finite data.
 
     Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix is not
-    numerically positive definite; fbrs_solve then falls back to solve_full.
+    numerically positive definite; fbrs_solve then takes a merit-gradient step.
     """
     if mu.min() <= 0.0:
         raise CholeskyFailure("D has a nonpositive diagonal entry")
@@ -218,8 +189,8 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
 
 
 def _merit_gradient(p: QpProblem, F: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """grad theta_eps = V' F_eps, with V = kkt_matrix(p, gamma, mu) the
-    iteration matrix at delta = 0 and F = F_eps. Arguments are not checked."""
+    """grad theta_eps = V' F_eps, with V = [H A'; -CA D] the iteration matrix
+    at delta = 0 and F = F_eps. Arguments are not checked."""
     F_top, F_bot = F[:p.n], F[p.n:]
     gz = p.H @ F_top - _times_At(p, gamma * F_bot)
     gv = _times_A(p, F_top) + mu * F_bot
@@ -245,28 +216,22 @@ def linesearch(p: QpProblem, point: _Point, dx, eps: float):
     raise LinesearchError(f"no acceptable step after {SolverConfig.max_backtracks} backtracks")
 
 
-def _solve_step(p: QpProblem, gamma, mu, rhs):
-    try:
-        return solve_condensed(p, gamma, mu, rhs)
-    except CholeskyFailure:
-        return solve_full(p, gamma, mu, rhs)
-
-
 def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = None) -> SolverResult:
     """Run the damped Newton iteration from x0 (feasibility not required).
 
     Per pass: set delta = min(delta0, ||F_eps||) at the current point, stop if
     ||F_0|| <= tol already holds (so a warmstart at the solution costs zero
-    Newton solves), otherwise take a globalized step. When the linesearch
-    rejects the Newton step, a merit-gradient step is taken instead. The
-    trace gets one record per pass including the terminal one, so it has
-    iterations + 1 entries; its ||F_0|| and ||F_nr|| are formed when first
-    read, and final_norm_F0, final_norm_Fnr read the last record. Each pass
-    reads the evaluated point (fb._evaluate) that the previous linesearch
-    accepted, so every point is evaluated once.
-    A non-finite step direction, or a Newton system that neither the Cholesky
-    nor the LU step can solve (as with H = 0 and A = 0), ends the solve with
-    status INVALID_PROBLEM at the last accepted iterate. The loop emits no
+    Newton solves), otherwise take a globalized step. When the Schur matrix
+    is not numerically positive definite, or the linesearch rejects the
+    Newton step, a merit-gradient step is taken instead; when the linesearch
+    rejects that too, the solve ends with status LINESEARCH_FAILURE (as with
+    H = 0 and A = 0, at iteration 0). The trace gets one record per pass
+    including the terminal one, so it has iterations + 1 entries; its ||F_0||
+    and ||F_nr|| are formed when first read, and final_norm_F0,
+    final_norm_Fnr read the last record. Each pass reads the evaluated point
+    (fb._evaluate) that the previous linesearch accepted, so every point is
+    evaluated once. A non-finite step direction ends the solve with status
+    INVALID_PROBLEM at the last accepted iterate. The loop emits no
     floating-point warnings, and each step failure ends in a status. The
     InvalidProblem exception comes only from the entry checks: p must be a
     QpProblem and x0 a PrimalDualPoint of its (n, q). InvalidConfig unless
@@ -300,10 +265,10 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
             if k == cfg.max_iters:
                 break
             try:
-                dx = _solve_step(p, *_coefficients(y, v, point.r, delta), -F)
                 try:
+                    dx = solve_condensed(p, *_coefficients(y, v, point.r, delta), -F)
                     t, nb, point = linesearch(p, point, dx, eps)
-                except LinesearchError:
+                except (CholeskyFailure, LinesearchError):
                     dx = -_merit_gradient(p, F, *_coefficients(y, v, point.r, 0.0))
                     t, nb, point = linesearch(p, point, dx, eps)
             except LinesearchError:

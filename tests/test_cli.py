@@ -137,7 +137,8 @@ def test_solve_singular_system_exits_one(tmp_path, capsys):
     path.write_text(serialize_qp(QpProblem([[0.0]], [1.0], [[0.0]], [1.0])))
     assert main(["solve", "--input", str(path)]) == 1
     captured = capsys.readouterr()
-    assert "status InvalidProblem" in captured.out
+    assert "status LinesearchFailure" in captured.out
+    assert "iterations 0" in captured.out
     assert captured.err == ""
 
 

@@ -19,14 +19,11 @@ from fbrs.fb import _coefficients, _evaluate
 from fbrs.newton import (
     CholeskyFailure,
     LinesearchError,
-    NoDirection,
     SolverConfig,
     _merit_gradient,
     fbrs_solve,
-    kkt_matrix,
     linesearch,
     solve_condensed,
-    solve_full,
 )
 from fbrs.oracle import (
     random_infeasible_start,
@@ -147,14 +144,30 @@ def _toy_system(r_s=0.3, r_c=-0.7):
     return p, np.array([1.0]), np.array([1.0]), np.array([r_s, r_c])
 
 
+def _kkt_matrix(p, gamma, mu):
+    # the dense (n+q) x (n+q) iteration matrix [H A'; -CA D]
+    n, q = p.n, p.q
+    K = np.zeros((n + q, n + q))
+    K[:n, :n] = p.H
+    K[:n, n:] = p.A.T
+    K[n:, :n] = -gamma[:, None] * p.A
+    K[n:, n:] = np.diag(mu)
+    return K
+
+
+def _lu_step(p, gamma, mu, rhs):
+    # the reference step: dense LU with partial pivoting of the full system
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(_kkt_matrix(p, gamma, mu)), rhs)
+
+
 def _solve_residual(p, gamma, mu, rhs, dx):
     # relative residual ||K dx - rhs|| / (1 + ||rhs||) of a linear solve
-    return np.linalg.norm(kkt_matrix(p, gamma, mu) @ dx - rhs) / (1.0 + np.linalg.norm(rhs))
+    return np.linalg.norm(_kkt_matrix(p, gamma, mu) @ dx - rhs) / (1.0 + np.linalg.norm(rhs))
 
 
 def test_solve_full_closed_form():
     sys = _toy_system()
-    dx = solve_full(*sys)
+    dx = _lu_step(*sys)
     assert dx[0] == pytest.approx((0.3 - (-0.7)) / 3.0)
     assert dx[1] == pytest.approx((0.3 + 2 * (-0.7)) / 3.0)
     assert _solve_residual(*sys, dx) <= 1e-15
@@ -162,16 +175,10 @@ def test_solve_full_closed_form():
 
 def test_solve_condensed_matches_full_on_toy():
     sys = _toy_system()
-    dx_full = solve_full(*sys)
+    dx_full = _lu_step(*sys)
     dx_cond = solve_condensed(*sys)
     assert dx_cond == pytest.approx(dx_full)
     assert _solve_residual(*sys, dx_cond) <= 1e-14
-
-
-def test_solve_full_raises_on_singular():
-    p = QpProblem(np.zeros((1, 1)), [0.0], np.zeros((1, 1)), [0.0])
-    with pytest.raises(NoDirection):
-        solve_full(p, np.ones(1), np.ones(1), np.ones(2))
 
 
 def test_solve_condensed_raises_on_indefinite_schur():
@@ -190,7 +197,7 @@ def test_full_lu_accuracy_random():
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(rng.standard_normal(n), rng.standard_normal(q))
         sys = _system(p, x, 0.1, 1e-8)
-        assert _solve_residual(p, *sys, solve_full(p, *sys)) <= 1e-10
+        assert _solve_residual(p, *sys, _lu_step(p, *sys)) <= 1e-10
 
 
 def test_jacobian_nonsingular_under_a3():
@@ -202,7 +209,7 @@ def test_jacobian_nonsingular_under_a3():
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-3, 0)
         sys = _system(p, x, eps, 0.0)
-        assert _solve_residual(p, *sys, solve_full(p, *sys)) <= 1e-10
+        assert _solve_residual(p, *sys, _lu_step(p, *sys)) <= 1e-10
 
 
 def test_condensed_full_agreement_random():
@@ -212,7 +219,7 @@ def test_condensed_full_agreement_random():
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(q))
         sys = _system(p, x, 10.0 ** rng.uniform(-6, 0), 10.0 ** rng.uniform(-10, -2))
-        dx_full = solve_full(p, *sys)
+        dx_full = _lu_step(p, *sys)
         dx_cond = solve_condensed(p, *sys)
         assert np.linalg.norm(dx_full - dx_cond) <= 1e-8 * (1 + np.linalg.norm(dx_full))
 
@@ -251,16 +258,14 @@ def _syrk_schur_step(p, gamma, mu, rhs):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20, 40, 80])
 def test_direct_lapack_matches_scipy_wrappers(n):
-    # the step functions call syrk, potrf/potrs and getrf/getrs themselves;
-    # the scipy wrappers around the same routines give the same bits
+    # the condensed step calls syrk and potrf/potrs itself; the scipy
+    # wrappers around the same routines give the same bits
     rng = np.random.default_rng(100 + n)
     for _ in range(3):
         p = random_strictly_convex_qp(n, 2 * n, rng)
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(2 * n))
         gamma, mu, rhs = _system(p, x, 10.0 ** rng.uniform(-6, 0), 10.0 ** rng.uniform(-10, -2))
         assert np.array_equal(solve_condensed(p, gamma, mu, rhs), _syrk_schur_step(p, gamma, mu, rhs))
-        lu = scipy.linalg.lu_factor(kkt_matrix(p, gamma, mu))
-        assert np.array_equal(solve_full(p, gamma, mu, rhs), scipy.linalg.lu_solve(lu, rhs))
 
 
 def test_box_schur_matrix_gives_the_dense_bits():
@@ -374,7 +379,7 @@ def test_merit_gradient_matches_finite_differences():
 def test_linesearch_unit_step_near_solution(qp_1d):
     x = PrimalDualPoint([0.5 + 1e-5], [0.5 - 1e-5])
     eps = 1e-9
-    dx = solve_full(qp_1d, *_system(qp_1d, x, eps, 0.0))
+    dx = _lu_step(qp_1d, *_system(qp_1d, x, eps, 0.0))
     t, backtracks, _ = linesearch(qp_1d, _evaluate(qp_1d, x.as_vector(), eps), dx, eps)
     assert t == 1.0
     assert backtracks == 0
@@ -384,7 +389,7 @@ def test_linesearch_newton_step_decreases_merit():
     rng = np.random.default_rng(12)
     p = random_strictly_convex_qp(4, 6, rng)
     x = PrimalDualPoint(rng.standard_normal(4), rng.standard_normal(6))
-    dx = solve_full(p, *_system(p, x, 0.01, 1e-8))
+    dx = _lu_step(p, *_system(p, x, 0.01, 1e-8))
     _, _, accepted = linesearch(p, _evaluate(p, x.as_vector(), 0.01), dx, 0.01)
     assert _theta(p, accepted.x[:4], accepted.x[4:], 0.01) < _theta(p, x.z, x.v, 0.01)
 
@@ -392,7 +397,7 @@ def test_linesearch_newton_step_decreases_merit():
 def test_linesearch_backtracks_on_overshoot(qp_1d, monkeypatch):
     monkeypatch.setattr(SolverConfig, "sigma", 0.499)
     x = PrimalDualPoint([100.0], [50.0])
-    dx = solve_full(qp_1d, *_system(qp_1d, x, 0.1, 0.0))
+    dx = _lu_step(qp_1d, *_system(qp_1d, x, 0.1, 0.0))
     t, backtracks, _ = linesearch(qp_1d, _evaluate(qp_1d, x.as_vector(), 0.1), 3.0 * dx, 0.1)
     assert backtracks >= 1
     assert t == pytest.approx(0.7**backtracks)
@@ -460,47 +465,65 @@ def test_solve_interior_from_infeasible_start(qp_interior):
 
 
 def test_solve_paths_agree(monkeypatch):
-    # when every Cholesky factorization fails, fbrs_solve falls back to
-    # solve_full once per Newton step (none needs recovery here) and reaches
-    # the same point as the condensed step and the enumeration oracle
+    # the condensed step reaches the enumeration oracle's point; when every
+    # Cholesky factorization fails, each pass takes one merit-gradient step
+    # instead, descends on the merit and ends in a status, not an exception
     rng = np.random.default_rng(22)
     p = random_strictly_convex_qp(4, 8, rng)
     x0 = random_infeasible_start(p, rng)
     cfg = SolverConfig(tol=1e-10)
     condensed = fbrs_solve(p, x0, cfg)
+    assert condensed.status == Status.SOLVED
+    star = solve_by_enumeration(p)
+    assert condensed.x.z == pytest.approx(star.z, abs=1e-8)
+    assert condensed.x.v == pytest.approx(star.v, abs=1e-8)
     calls = []
 
     def fail_cholesky(*args):
         raise CholeskyFailure("forced")
 
-    def counting_solve_full(*args):
+    def counting_gradient(*args):
         calls.append(args)
-        return solve_full(*args)
+        return _merit_gradient(*args)
 
     monkeypatch.setattr(newton, "solve_condensed", fail_cholesky)
-    monkeypatch.setattr(newton, "solve_full", counting_solve_full)
-    full = fbrs_solve(p, x0, cfg)
-    assert condensed.status == full.status == Status.SOLVED
-    assert full.iterations > 0 and len(calls) == full.iterations
-    star = solve_by_enumeration(p)
-    for result in (condensed, full):
-        assert result.x.z == pytest.approx(star.z, abs=1e-8)
-        assert result.x.v == pytest.approx(star.v, abs=1e-8)
+    monkeypatch.setattr(newton, "_merit_gradient", counting_gradient)
+    gradient = fbrs_solve(p, x0, cfg)
+    assert gradient.status == Status.MAX_ITERS
+    assert len(calls) == gradient.iterations == cfg.max_iters
+    for a, b in zip(gradient.trace, gradient.trace[1:]):
+        assert 0.0 < a.t and b.norm_Feps < a.norm_Feps
 
 
-def test_lu_fallback_reaches_solution(monkeypatch):
+def _record_cholesky_failures_and_gradient_steps(monkeypatch):
+    # records "cholesky-failure" and "gradient" events in the order the loop
+    # meets them
+    events = []
+    solve, gradient = newton.solve_condensed, newton._merit_gradient
+
+    def counting_solve(*args):
+        try:
+            return solve(*args)
+        except CholeskyFailure:
+            events.append("cholesky-failure")
+            raise
+
+    def counting_gradient(*args):
+        events.append("gradient")
+        return gradient(*args)
+
+    monkeypatch.setattr(newton, "solve_condensed", counting_solve)
+    monkeypatch.setattr(newton, "_merit_gradient", counting_gradient)
+    return events
+
+
+def test_cholesky_failure_takes_a_gradient_step_and_reaches_solution(monkeypatch):
     # rank-n/2 PSD Hessians that pass the A3 check. On seed 58 every Schur
     # complement factors; on seed 96851 two on the way are not numerically
-    # positive definite, so those Newton steps go through the LU fallback.
+    # positive definite, so those passes take a merit-gradient step instead.
     # Both solves still reach the optimum.
-    calls = []
-
-    def counting_solve_full(*args):
-        calls.append(args)
-        return solve_full(*args)
-
-    monkeypatch.setattr(newton, "solve_full", counting_solve_full)
-    for seed, dims, iterations, lu_steps in [(58, (4, 6), 19, 0), (96851, (5, 6), 18, 2)]:
+    events = _record_cholesky_failures_and_gradient_steps(monkeypatch)
+    for seed, dims, iterations, failures in [(58, (4, 6), 19, 0), (96851, (5, 6), 16, 2)]:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         q = int(rng.integers(n + 1, 2 * n + 3))
@@ -511,11 +534,13 @@ def test_lu_fallback_reaches_solution(monkeypatch):
         p = QpProblem(M.T @ M, f, A, b)
         assert (n, q) == dims
         assert validate_problem(p).passed
-        calls.clear()
+        events.clear()
         result = fbrs_solve(p, PrimalDualPoint.zeros(n, q), SolverConfig(tol=1e-10, max_iters=100))
         assert result.status == Status.SOLVED
         assert result.iterations == iterations
-        assert len(calls) == lu_steps
+        assert events.count("cholesky-failure") == failures
+        for event, following in zip(events, events[1:] + [None]):
+            assert event != "cholesky-failure" or following == "gradient"
         assert verify_kkt(p, result.x, 1e-8).passed
         star = solve_by_enumeration(p)
         assert objective(p, result.x.z) == pytest.approx(objective(p, star.z), abs=1e-10)
@@ -523,18 +548,11 @@ def test_lu_fallback_reaches_solution(monkeypatch):
 
 def test_spd_traffic_stays_on_the_cholesky_path(monkeypatch):
     # strictly convex QPs from infeasible starts and a warm closed loop take
-    # every first Cholesky step: no LU step, no rejected linesearch and no
-    # gradient step; the LU fallback would otherwise hide a broken Cholesky
-    # step behind correct answers
-    calls = {"lu": 0, "rejected": 0, "gradient": 0, "linesearch": 0}
-
-    def counting_solve_full(*args):
-        calls["lu"] += 1
-        return solve_full(*args)
-
-    def counting_gradient(*args):
-        calls["gradient"] += 1
-        return _merit_gradient(*args)
+    # every first Cholesky step: no failed factorization, no rejected
+    # linesearch and no gradient step; the gradient step would otherwise hide
+    # a broken Cholesky step behind correct answers
+    calls = {"rejected": 0, "linesearch": 0}
+    events = _record_cholesky_failures_and_gradient_steps(monkeypatch)
 
     def counting_linesearch(*args):
         calls["linesearch"] += 1
@@ -544,8 +562,6 @@ def test_spd_traffic_stays_on_the_cholesky_path(monkeypatch):
             calls["rejected"] += 1
             raise
 
-    monkeypatch.setattr(newton, "solve_full", counting_solve_full)
-    monkeypatch.setattr(newton, "_merit_gradient", counting_gradient)
     monkeypatch.setattr(newton, "linesearch", counting_linesearch)
     cfg = SolverConfig(tol=1e-8, max_iters=100)
     for i in range(20):
@@ -554,16 +570,17 @@ def test_spd_traffic_stays_on_the_cholesky_path(monkeypatch):
         assert fbrs_solve(p, random_infeasible_start(p, rng), cfg).status == Status.SOLVED
     run_sequence(mass_spring_chain(40), 50, "warm", SolverConfig(tol=1e-6))
     assert calls["linesearch"] > 200
-    assert (calls["lu"], calls["rejected"], calls["gradient"]) == (0, 0, 0)
+    assert (events.count("cholesky-failure"), calls["rejected"], events.count("gradient")) == (0, 0, 0)
 
 
-def test_singular_newton_system_returns_invalid_problem():
-    # H = 0 and A = 0: the Schur complement is zero, so the Cholesky step
-    # fails, and the full system has a zero pivot, so the LU step fails too
+def test_singular_newton_system_ends_with_linesearch_failure():
+    # H = 0 and A = 0 violate A3 (the problem is unbounded): the Schur
+    # complement is zero, so the Cholesky step fails, and the merit-gradient
+    # step moves only v, which cannot reduce the stationarity residual
     p = QpProblem([[0.0]], [1.0], [[0.0]], [1.0])
     x0 = PrimalDualPoint.zeros(1, 1)
     result = fbrs_solve(p, x0)
-    assert result.status == Status.INVALID_PROBLEM
+    assert result.status == Status.LINESEARCH_FAILURE
     assert result.iterations == 0
     assert np.array_equal(result.x.z, x0.z) and np.array_equal(result.x.v, x0.v)
 
@@ -790,21 +807,29 @@ def _is_unbounded(p):
     return res.status == 0 and res.fun < -1e-9
 
 
-def test_psd_recovery_traffic_solves_or_meets_an_unbounded_problem():
-    # natural rank-n/2 PSD Hessians from zeros, where rejected Newton steps
-    # and gradient steps are common: every bounded instance is solved, and
-    # every other one is unbounded
-    rng = np.random.default_rng(7)
+@pytest.mark.parametrize(
+    "seed, lp, count, expected", [(7, False, 100, (93, 7)), (9, True, 50, (26, 24))], ids=["psd", "lp"]
+)
+def test_psd_recovery_traffic_solves_or_meets_an_unbounded_problem(seed, lp, count, expected):
+    # natural rank-n/2 PSD Hessians, and LPs (H = 0), from zeros, where
+    # rejected Newton steps and gradient steps are common, and on LPs failed
+    # Cholesky steps too: every bounded instance is solved, and every other
+    # one is unbounded
+    rng = np.random.default_rng(seed)
     cfg = SolverConfig(tol=1e-8, max_iters=100)
     solved = unbounded = 0
-    for _ in range(100):
+    for _ in range(count):
         n = int(rng.integers(2, 9))
         q = int(rng.integers(n + 1, 2 * n + 3))
-        M = rng.standard_normal((max(n // 2, 1), n))
+        if lp:
+            H = np.zeros((n, n))
+        else:
+            M = rng.standard_normal((max(n // 2, 1), n))
+            H = M.T @ M
         A = rng.standard_normal((q, n))
         b = rng.uniform(0.1, 1, q)
         f = rng.standard_normal(n)
-        p = QpProblem(M.T @ M, f, A, b)
+        p = QpProblem(H, f, A, b)
         result = fbrs_solve(p, PrimalDualPoint.zeros(n, q), cfg)
         _assert_delta_is_a_function_of_the_point(result)
         if result.status == Status.SOLVED:
@@ -813,7 +838,7 @@ def test_psd_recovery_traffic_solves_or_meets_an_unbounded_problem():
         else:
             assert _is_unbounded(p)
             unbounded += 1
-    assert (solved, unbounded) == (93, 7)
+    assert (solved, unbounded) == expected
 
 
 def test_termination_sandwich():
