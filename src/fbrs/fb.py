@@ -10,12 +10,13 @@ is formed in one place, _evaluate, which returns the evaluated point
 (_Point): the flat iterate x = [z; v] with F_eps, y, r0 = hypot(v, y),
 r = hypot(r0, eps) and F_eps'F_eps. The solve loop reads every per-point
 quantity from it: the coefficients (_coefficients with r) and the merit, and
-a trace record, when read, the ||F_0|| tail (_phi at eps = 0 with r0).
-Neither _evaluate nor _coefficients checks its arguments.
+a trace record, when read, ||F_0|| and ||F_nr|| (_norm_F0, _norm_Fnr). This
+module forms every residual; none of these functions checks its arguments.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -76,3 +77,19 @@ def _evaluate(p: QpProblem, x: np.ndarray, eps: float) -> _Point:
     r = np.hypot(r0, eps)
     F = np.concatenate([p.H @ z + p.f + _times_At(p, v), _phi(v, y, eps, r)])
     return _Point(x, F, y, r0, r, float(F @ F))
+
+
+def _norm_F0(point: _Point) -> float:
+    """||F_0|| at point: its F_eps with the phi tail at eps = 0, from r0."""
+    n = point.x.size - point.y.size
+    with np.errstate(all="ignore"):
+        F0 = np.concatenate([point.F[:n], _phi(point.x[n:], point.y, 0.0, point.r0)])
+        return math.sqrt(F0 @ F0)
+
+
+def _norm_Fnr(point: _Point) -> float:
+    """||F_nr|| at point: its F_eps with the natural-residual tail min(y, v)."""
+    n = point.x.size - point.y.size
+    with np.errstate(all="ignore"):
+        Fnr = np.concatenate([point.F[:n], np.minimum(point.y, point.x[n:])])
+        return math.sqrt(Fnr @ Fnr)

@@ -167,7 +167,7 @@ def shift_solution(spec: LtiMpcSpec, x: PrimalDualPoint) -> PrimalDualPoint:
         block = x.v[offset:offset + width * spec.horizon]
         pieces.append(_shift_stages(block, width))
         offset += width * spec.horizon
-    return PrimalDualPoint(z, np.concatenate(pieces))
+    return PrimalDualPoint._trusted(z, np.concatenate(pieces))
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,11 @@ Each iteration assembles the block system
 
 with C = diag(gamma), D = diag(mu) from the FB kernel, and solves it through
 the condensed Schur complement H + A'WA, W = C D^-1 >= 0, whose lower
-triangle LAPACK potrf factors in place and potrs solves with. That triangle is
-formed by one BLAS syrk of W^1/2 A onto H. When every row of A is a signed
-unit vector, as in an input-boxed MPC QP, the Schur matrix is a copy of H
-with the row weights summed onto its diagonal, with no dense product, and A
-and A' are applied by gather and scatter (problem._times_A, _times_At). This
-is the one linear solve. The loop globalizes with a backtracking linesearch on
-the merit function theta = 0.5 ||F_eps||^2, and takes a merit-gradient step
+triangle LAPACK potrf factors in place and potrs solves with: the one linear
+solve. fbrs.problem forms that triangle and applies A and A', and fbrs.fb
+forms every residual, so no code here reads the row structure of A or a
+residual formula. The loop globalizes with a backtracking linesearch on the
+merit function theta = 0.5 ||F_eps||^2, and takes a merit-gradient step
 instead of the Newton step when the Schur matrix is not numerically positive
 definite (as on ker H when H is only PSD) or when the linesearch rejects the
 Newton step. The smoothing eps stays fixed; each point is regularized with
@@ -28,9 +26,9 @@ the next pass its norms, its delta, its Newton right-hand side -F_eps, its FB
 coefficients and theta. Each pass's IterationRecord keeps its point and forms
 ||F_0|| and the natural residual ||F_nr|| the first time they are read; the
 loop reads ||F_0|| only once ||F_eps|| <= 2 tol, so a solve whose trace nobody
-reads forms them near the end only. Inputs are validated at entry only;
-the step functions take the loop's arrays unchecked, and overflow in the loop
-becomes a status, not a warning.
+reads forms them near the end only. Inputs are validated at entry only: the
+step functions take the loop's arrays unchecked, the returned point is not
+checked again, and overflow in the loop becomes a status, not a warning.
 """
 
 from __future__ import annotations
@@ -45,12 +43,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidConfig
-from .fb import _coefficients, _evaluate, _phi, _Point
-from .problem import (PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive, _times_A,
-                      _times_At)
+from .fb import _coefficients, _evaluate, _norm_F0, _norm_Fnr, _Point
+from .problem import (PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive, _schur,
+                      _times_A, _times_At)
 
-# BLAS and LAPACK float64 routines, called without the per-call work of scipy's wrappers
-_syrk = scipy.linalg.get_blas_funcs("syrk", dtype=np.float64)
+# LAPACK float64 routines, called without the per-call work of scipy's wrappers
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
@@ -118,19 +115,11 @@ class IterationRecord:
 
     @functools.cached_property
     def norm_F0(self) -> float:
-        point = self._point
-        n = point.x.size - point.y.size
-        with np.errstate(all="ignore"):
-            F0 = np.concatenate([point.F[:n], _phi(point.x[n:], point.y, 0.0, point.r0)])
-            return math.sqrt(F0 @ F0)
+        return _norm_F0(self._point)
 
     @functools.cached_property
     def norm_Fnr(self) -> float:
-        point = self._point
-        n = point.x.size - point.y.size
-        with np.errstate(all="ignore"):
-            Fnr = np.concatenate([point.F[:n], np.minimum(point.y, point.x[n:])])
-            return math.sqrt(Fnr @ Fnr)
+        return _norm_Fnr(self._point)
 
 
 @dataclass
@@ -153,34 +142,15 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
 
     The row weights w = gamma / mu are >= 0 (|y| <= r makes 1 - y/r >= 0, and
     delta >= 0), so W^1/2 is real. potrf factors the lower triangle of the
-    Schur matrix in place, and potrs reads only that triangle. A dense A gives
-    it as the lower triangle of H + (W^1/2 A)'(W^1/2 A) from one BLAS syrk,
-    and the upper one keeps H's entries. A box-only problem (p._box_cols set)
-    adds each row's w onto the diagonal of a copy of H instead: the same bits
-    as the dense product H + A'(WA), which adds only exact zeros, except
-    perhaps the last bit of a column hit by three or more rows (duplicate
-    bounds). Its products with A and A' are a gather and a scatter, with the
-    bits of the dense ones on finite data.
+    Schur matrix (problem._schur) in place; potrs reads only that triangle.
 
     Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix is not
     numerically positive definite; fbrs_solve then takes a merit-gradient step.
     """
     if mu.min() <= 0.0:
         raise CholeskyFailure("D has a nonpositive diagonal entry")
-    n, r_s, r_c = p.n, rhs[:p.n], rhs[p.n:]
-    w = gamma / mu
-    if p._box_cols is None:
-        # p.H.T (H is exactly symmetric) and the transposed factor are in
-        # Fortran order, so f2py copies only H, into the S whose lower
-        # triangle syrk forms and potrf then factors in place
-        S = _syrk(1.0, (np.sqrt(w)[:, None] * p.A).T, beta=1.0, c=p.H.T, trans=0, lower=1)
-    else:
-        # a copy, as p.H is shared by every step of an MPC run; S.T is S in
-        # Fortran order, so f2py passes it to potrf without another copy
-        S = p.H.copy()
-        S.reshape(-1)[::n + 1] += np.bincount(p._box_cols, w, n)
-        S = S.T
-    c, info = _potrf(S, lower=True, clean=False, overwrite_a=1)
+    r_s, r_c = rhs[:p.n], rhs[p.n:]
+    c, info = _potrf(_schur(p, gamma / mu), lower=True, clean=False, overwrite_a=1)
     if info:
         raise CholeskyFailure(f"potrf info {info}: Schur matrix not numerically positive definite")
     dz = _potrs(c, r_s - _times_At(p, r_c / mu), lower=True)[0]
@@ -283,7 +253,7 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
 
     last = trace[-1]
     return SolverResult(
-        x=PrimalDualPoint(point.x[:n], point.x[n:]),
+        x=PrimalDualPoint._trusted(point.x[:n], point.x[n:]),
         status=status,
         iterations=len(trace) - 1,
         final_norm_F0=last.norm_F0,

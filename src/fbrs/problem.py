@@ -3,6 +3,10 @@ problem assumptions.
 
 The problem is  minimize 0.5 z'Hz + f'z  subject to  Az <= b,  with H symmetric
 positive semidefinite and at least one constraint row.
+
+This module owns the row structure of A, found once per QpProblem (_unit_rows)
+and read only by _times_A, _times_At and the Schur matrix (_schur), and the
+input checks (_frozen), which points built by the package skip (_trusted).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dnrm2
+from scipy.linalg.blas import dnrm2, dsyrk as _syrk
 
 from .errors import FbrsError, InvalidProblem
 
@@ -110,6 +114,22 @@ def _times_At(p: "QpProblem", v: np.ndarray) -> np.ndarray:
     return np.bincount(p._box_cols, p._box_sign * v, p.n)
 
 
+def _schur(p: "QpProblem", w: np.ndarray) -> np.ndarray:
+    """A new Fortran-ordered array, which LAPACK takes without a copy, whose
+    lower triangle is H + A'WA, W = diag(w) >= 0; p.H, which an MPC run
+    shares, is not written. A dense A gives it from one BLAS syrk of W^1/2 A
+    onto a copy of H. A box-only A sums each row's w onto the diagonal of a
+    copy of H: the bits of the dense H + A'(WA), except perhaps the last bit
+    of a column hit by three or more rows. Arguments are not checked."""
+    if p._box_cols is None:
+        # p.H.T (H is exactly symmetric) and the transposed factor are in
+        # Fortran order, so f2py copies only H
+        return _syrk(1.0, (np.sqrt(w)[:, None] * p.A).T, beta=1.0, c=p.H.T, trans=0, lower=1)
+    S = p.H.copy()
+    S.reshape(-1)[::p.n + 1] += np.bincount(p._box_cols, w, p.n)
+    return S.T
+
+
 @dataclass(frozen=True)
 class QpProblem:
     """The quadruple (H, f, A, b) as read-only float copies, H symmetrized
@@ -122,8 +142,8 @@ class QpProblem:
 
     When every row of A is a signed unit vector, as in [I; -I], the private
     `_box_cols` and `_box_sign` hold each row's column and sign (read-only),
-    else None; the Newton step then skips the product A'WA and applies A and
-    A' by gather and scatter (_times_A, _times_At).
+    else None; _times_A, _times_At and _schur then apply A and A' by gather
+    and scatter and skip the product A'WA.
     """
 
     H: np.ndarray
@@ -174,6 +194,14 @@ class PrimalDualPoint:
 
     def __post_init__(self):
         vars(self).update(z=_frozen(self.z, "z", (None,)), v=_frozen(self.v, "v", (None,)))
+
+    @staticmethod
+    def _trusted(z: np.ndarray, v: np.ndarray) -> "PrimalDualPoint":
+        """A point of the float vectors z and v, which the package built from
+        checked input: made read-only in place, neither copied nor checked."""
+        new = object.__new__(PrimalDualPoint)
+        vars(new).update(z=_readonly(z), v=_readonly(v))
+        return new
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.z, self.v])

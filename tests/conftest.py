@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fbrs import QpProblem
 
@@ -20,3 +21,19 @@ def qp_box_2d():
 def qp_interior():
     """min 0.5 z^2  s.t.  z <= 1; unconstrained optimum z* = 0, v* = 0."""
     return QpProblem([[1.0]], [0.0], [[1.0]], [1.0])
+
+
+def kkt_matrix(p, gamma, mu):
+    """The dense (n+q) x (n+q) iteration matrix [H A'; -CA D]."""
+    n = p.n
+    K = np.zeros((n + p.q, n + p.q))
+    K[:n, :n] = p.H
+    K[:n, n:] = p.A.T
+    K[n:, :n] = -gamma[:, None] * p.A
+    K[n:, n:] = np.diag(mu)
+    return K
+
+
+def lu_step(p, gamma, mu, rhs):
+    """The reference step: dense LU with partial pivoting of the full system."""
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(kkt_matrix(p, gamma, mu)), rhs)

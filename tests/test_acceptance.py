@@ -7,7 +7,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from fbrs import PrimalDualPoint, QpProblem
 from fbrs.cli import TRACE_HEADER, main
@@ -26,6 +25,8 @@ from fbrs.oracle import (
     solve_by_enumeration,
 )
 from fbrs.qpfile import parse_qp, serialize_qp
+
+from conftest import lu_step
 
 # traces accumulated by the suites; the monotone-descent criterion replays them
 _TRACES: list[tuple[float, list]] = []
@@ -153,18 +154,6 @@ def test_merit_gradient_identity():
     )
 
 
-def _lu_step(p, gamma, mu, rhs):
-    # the reference step: dense LU with partial pivoting of the full
-    # (n+q) x (n+q) iteration matrix [H A'; -CA D]
-    n = p.n
-    K = np.zeros((n + p.q, n + p.q))
-    K[:n, :n] = p.H
-    K[:n, n:] = p.A.T
-    K[n:, :n] = -gamma[:, None] * p.A
-    K[n:, n:] = np.diag(mu)
-    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(K), rhs)
-
-
 def test_solve_path_equivalence():
     rng = np.random.default_rng(4004)
     failures = 0
@@ -179,7 +168,7 @@ def test_solve_path_equivalence():
         _, F, y, _, r, _ = _evaluate(p, x.as_vector(), eps)
         gamma, mu = _coefficients(y, x.v, r, delta)
         try:
-            dx_full = _lu_step(p, gamma, mu, -F)
+            dx_full = lu_step(p, gamma, mu, -F)
             dx_cond = solve_condensed(p, gamma, mu, -F)
         except Exception:
             failures += 1

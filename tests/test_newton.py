@@ -32,6 +32,8 @@ from fbrs.oracle import (
     verify_kkt,
 )
 
+from conftest import kkt_matrix, lu_step
+
 
 # --- configuration ----------------------------------------------------------
 
@@ -83,7 +85,7 @@ def test_effective_eps_policies():
     assert SolverConfig(tol=1e-6).effective_eps(1) == pytest.approx(5e-7)
 
 
-# --- system assembly --------------------------------------------------------
+# --- the Newton system at a point -------------------------------------------
 
 def _system(p, x, eps, delta):
     # the Newton system the solve loop builds at x: (gamma, mu, rhs = -F_eps)
@@ -102,7 +104,7 @@ def _gradient(p, x, eps):
     return _merit_gradient(p, point.F, *_coefficients(point.y, x.v, point.r, 0.0))
 
 
-def test_assemble_frozen_values(qp_1d):
+def test_system_frozen_values(qp_1d):
     # independent scripted evaluation of the coefficient and residual formulas
     # at (z, v) = (0, 0), eps = 0.1: y = 0.5, r = sqrt(0.26)
     gamma, mu, rhs = _system(qp_1d, PrimalDualPoint.zeros(1, 1), 0.1, 0.0)
@@ -119,7 +121,7 @@ def _qp_1d_root(eps):
     return PrimalDualPoint([0.5 - y], [0.5 + y])
 
 
-def test_assemble_rhs_vanishes_at_root(qp_1d):
+def test_system_rhs_vanishes_at_root(qp_1d):
     # at eps = 1 the root is (z, v) = (0, 1), exact in floating point
     rhs = _system(qp_1d, PrimalDualPoint([0.0], [1.0]), 1.0, 0.0)[2]
     assert rhs[0] == 0.0 and rhs[1] == 0.0
@@ -129,7 +131,7 @@ def test_assemble_rhs_vanishes_at_root(qp_1d):
         assert abs(rhs[1]) <= 1e-15
 
 
-def test_assemble_delta_shift(qp_1d):
+def test_system_delta_shift(qp_1d):
     x = PrimalDualPoint([0.2], [-0.3])
     base = _system(qp_1d, x, 0.1, 0.0)
     reg = _system(qp_1d, x, 0.1, 1e-3)
@@ -144,38 +146,22 @@ def _toy_system(r_s=0.3, r_c=-0.7):
     return p, np.array([1.0]), np.array([1.0]), np.array([r_s, r_c])
 
 
-def _kkt_matrix(p, gamma, mu):
-    # the dense (n+q) x (n+q) iteration matrix [H A'; -CA D]
-    n, q = p.n, p.q
-    K = np.zeros((n + q, n + q))
-    K[:n, :n] = p.H
-    K[:n, n:] = p.A.T
-    K[n:, :n] = -gamma[:, None] * p.A
-    K[n:, n:] = np.diag(mu)
-    return K
-
-
-def _lu_step(p, gamma, mu, rhs):
-    # the reference step: dense LU with partial pivoting of the full system
-    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(_kkt_matrix(p, gamma, mu)), rhs)
-
-
 def _solve_residual(p, gamma, mu, rhs, dx):
     # relative residual ||K dx - rhs|| / (1 + ||rhs||) of a linear solve
-    return np.linalg.norm(_kkt_matrix(p, gamma, mu) @ dx - rhs) / (1.0 + np.linalg.norm(rhs))
+    return np.linalg.norm(kkt_matrix(p, gamma, mu) @ dx - rhs) / (1.0 + np.linalg.norm(rhs))
 
 
-def test_solve_full_closed_form():
+def test_lu_reference_closed_form():
     sys = _toy_system()
-    dx = _lu_step(*sys)
+    dx = lu_step(*sys)
     assert dx[0] == pytest.approx((0.3 - (-0.7)) / 3.0)
     assert dx[1] == pytest.approx((0.3 + 2 * (-0.7)) / 3.0)
     assert _solve_residual(*sys, dx) <= 1e-15
 
 
-def test_solve_condensed_matches_full_on_toy():
+def test_solve_condensed_matches_lu_reference_on_toy():
     sys = _toy_system()
-    dx_full = _lu_step(*sys)
+    dx_full = lu_step(*sys)
     dx_cond = solve_condensed(*sys)
     assert dx_cond == pytest.approx(dx_full)
     assert _solve_residual(*sys, dx_cond) <= 1e-14
@@ -190,14 +176,14 @@ def test_solve_condensed_raises_on_indefinite_schur():
         solve_condensed(p, np.ones(1), np.zeros(1), np.ones(2))
 
 
-def test_full_lu_accuracy_random():
+def test_lu_reference_accuracy_random():
     rng = np.random.default_rng(2)
     for _ in range(50):
         n, q = int(rng.integers(2, 10)), int(rng.integers(1, 15))
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(rng.standard_normal(n), rng.standard_normal(q))
         sys = _system(p, x, 0.1, 1e-8)
-        assert _solve_residual(p, *sys, _lu_step(p, *sys)) <= 1e-10
+        assert _solve_residual(p, *sys, lu_step(p, *sys)) <= 1e-10
 
 
 def test_jacobian_nonsingular_under_a3():
@@ -209,17 +195,17 @@ def test_jacobian_nonsingular_under_a3():
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-3, 0)
         sys = _system(p, x, eps, 0.0)
-        assert _solve_residual(p, *sys, _lu_step(p, *sys)) <= 1e-10
+        assert _solve_residual(p, *sys, lu_step(p, *sys)) <= 1e-10
 
 
-def test_condensed_full_agreement_random():
+def test_condensed_lu_reference_agreement_random():
     rng = np.random.default_rng(6)
     for _ in range(200):
         n, q = int(rng.integers(2, 10)), int(rng.integers(1, 8))  # includes q < n
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(q))
         sys = _system(p, x, 10.0 ** rng.uniform(-6, 0), 10.0 ** rng.uniform(-10, -2))
-        dx_full = _lu_step(p, *sys)
+        dx_full = lu_step(p, *sys)
         dx_cond = solve_condensed(p, *sys)
         assert np.linalg.norm(dx_full - dx_cond) <= 1e-8 * (1 + np.linalg.norm(dx_full))
 
@@ -379,7 +365,7 @@ def test_merit_gradient_matches_finite_differences():
 def test_linesearch_unit_step_near_solution(qp_1d):
     x = PrimalDualPoint([0.5 + 1e-5], [0.5 - 1e-5])
     eps = 1e-9
-    dx = _lu_step(qp_1d, *_system(qp_1d, x, eps, 0.0))
+    dx = lu_step(qp_1d, *_system(qp_1d, x, eps, 0.0))
     t, backtracks, _ = linesearch(qp_1d, _evaluate(qp_1d, x.as_vector(), eps), dx, eps)
     assert t == 1.0
     assert backtracks == 0
@@ -389,7 +375,7 @@ def test_linesearch_newton_step_decreases_merit():
     rng = np.random.default_rng(12)
     p = random_strictly_convex_qp(4, 6, rng)
     x = PrimalDualPoint(rng.standard_normal(4), rng.standard_normal(6))
-    dx = _lu_step(p, *_system(p, x, 0.01, 1e-8))
+    dx = lu_step(p, *_system(p, x, 0.01, 1e-8))
     _, _, accepted = linesearch(p, _evaluate(p, x.as_vector(), 0.01), dx, 0.01)
     assert _theta(p, accepted.x[:4], accepted.x[4:], 0.01) < _theta(p, x.z, x.v, 0.01)
 
@@ -397,7 +383,7 @@ def test_linesearch_newton_step_decreases_merit():
 def test_linesearch_backtracks_on_overshoot(qp_1d, monkeypatch):
     monkeypatch.setattr(SolverConfig, "sigma", 0.499)
     x = PrimalDualPoint([100.0], [50.0])
-    dx = _lu_step(qp_1d, *_system(qp_1d, x, 0.1, 0.0))
+    dx = lu_step(qp_1d, *_system(qp_1d, x, 0.1, 0.0))
     t, backtracks, _ = linesearch(qp_1d, _evaluate(qp_1d, x.as_vector(), 0.1), 3.0 * dx, 0.1)
     assert backtracks >= 1
     assert t == pytest.approx(0.7**backtracks)
@@ -679,10 +665,10 @@ def test_unread_trace_forms_the_f0_tail_only_near_tol(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return phi(*args)
+        return norm_F0(*args)
 
-    phi = newton._phi
-    monkeypatch.setattr(newton, "_phi", counting)
+    norm_F0 = newton._norm_F0
+    monkeypatch.setattr(newton, "_norm_F0", counting)
     rng = np.random.default_rng(33)
     statuses = set()
     for max_iters in (100, 3, 100, 100):
@@ -705,6 +691,40 @@ def test_warmstart_at_solution_takes_zero_iterations(qp_1d):
     assert again.status == Status.SOLVED
     assert again.iterations == 0
     assert len(again.trace) == 1
+
+
+def test_returned_points_are_read_only_and_unaliased():
+    # fbrs_solve and shift_solution make the points they build read-only
+    # without checking them again; each must still be the finite float64
+    # vectors of its (n, q), with the bits of the last record's point
+    rng = np.random.default_rng(34)
+    dense = random_strictly_convex_qp(20, 40, rng)
+    box = mpc.condense(mass_spring_chain(8))
+    assert box._box_cols is not None
+    first = fbrs_solve(box, PrimalDualPoint.zeros(box.n, box.q))
+    cases = [
+        (dense, random_infeasible_start(dense, rng), SolverConfig(), Status.SOLVED),
+        (box, PrimalDualPoint.zeros(box.n, box.q), SolverConfig(), Status.SOLVED),
+        (box, first.x, SolverConfig(), Status.SOLVED),
+        (dense, random_infeasible_start(dense, rng), SolverConfig(max_iters=2), Status.MAX_ITERS),
+    ]
+    for i, (p, x0, cfg, status) in enumerate(cases):
+        result = fbrs_solve(p, x0, cfg)
+        assert result.status == status and (result.iterations == 0) == (i == 2)
+        x = result.trace[-1]._point.x
+        for vec, length, bits in [(result.x.z, p.n, x[:p.n]), (result.x.v, p.q, x[p.n:])]:
+            assert vec.dtype == np.float64 and vec.shape == (length,)
+            assert np.isfinite(vec).all() and vec.tobytes() == bits.tobytes()
+            assert not vec.flags.writeable
+            with pytest.raises(ValueError):
+                vec[0] = 1.0
+            assert not np.shares_memory(vec, x0.z) and not np.shares_memory(vec, x0.v)
+    shifted = mpc.shift_solution(mass_spring_chain(8), first.x)
+    for vec in (shifted.z, shifted.v):
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+        assert not np.shares_memory(vec, first.x.z) and not np.shares_memory(vec, first.x.v)
 
 
 def test_non_finite_step_returns_invalid_problem(qp_1d):
