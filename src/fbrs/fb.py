@@ -24,23 +24,12 @@ import numpy as np
 from .problem import QpProblem, _times_A, _times_At
 
 
-def phi_eps(a, b, eps: float):
-    """a + b - sqrt(a^2 + b^2 + eps^2), elementwise on array input.
-
-    With s = a + b and r = sqrt(a^2 + b^2 + eps^2) (evaluated hypot-style, so
-    large |a|, |b| do not overflow), rows with s > 0 use the equal quotient
-    (2ab - eps^2) / (s + r), taken as 2b (a / (s + r)) - eps (eps / (s + r)):
-    s - r cancels there, and at (a, b) = (-1, 1e16) it reads 0, not -1.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = _phi(a, b, eps, np.hypot(np.hypot(a, b), eps))
-    return float(out) if out.ndim == 0 else out
-
-
 def _phi(a: np.ndarray, b: np.ndarray, eps: float, r: np.ndarray) -> np.ndarray:
-    """phi_eps(a, b, eps) on float arrays, given r = hypot(hypot(a, b), eps);
-    at eps = 0, r = hypot(a, b) exactly. Arguments are not checked."""
+    """phi_eps(a, b) = a + b - r elementwise on float arrays, given
+    r = hypot(hypot(a, b), eps); at eps = 0, r = hypot(a, b) exactly. With
+    s = a + b, rows with s > 0 use the equal quotient (2ab - eps^2) / (s + r),
+    taken as 2b (a / (s + r)) - eps (eps / (s + r)): s - r cancels there, and
+    at (a, b) = (-1, 1e16) it reads 0, not -1. Arguments are not checked."""
     s = a + b
     pos = s > 0
     # d = inf on the other rows keeps their unused quotient finite and silent

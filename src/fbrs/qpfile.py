@@ -16,7 +16,8 @@
     0.5 0.0 0.25
 
 Whitespace separates tokens, `#` starts a comment, floats may be decimal or
-scientific. Serialization uses shortest round-trip decimals, so
+scientific, and each section keyword (H, f, A, b, x0) stands alone on its
+line. Serialization uses shortest round-trip decimals, so
 parse(serialize(p)) reproduces every value exactly.
 """
 
@@ -55,16 +56,19 @@ class _Cursor:
         return self.lines[self.pos] if self.pos < len(self.lines) else None
 
 
-def _expect_keyword(cursor: _Cursor, keyword: str):
+def _expect_keyword(cursor: _Cursor, keyword: str, form: str = ""):
+    """(lineno, tokens) of the next line, which must read `form`: the keyword
+    alone unless a form such as 'n <int>' is given."""
+    form = form or keyword
     lineno, tokens = cursor.next()
     if tokens[0] != keyword:
         raise ParseError(f"expected {keyword!r}, got {tokens[0]!r}", lineno)
+    if len(tokens) != len(form.split()):
+        raise ParseError(f"{keyword} line must be '{form}'", lineno)
     return lineno, tokens
 
 
 def _read_int(tokens, lineno, keyword) -> int:
-    if len(tokens) != 2:
-        raise ParseError(f"{keyword} line must be '{keyword} <int>'", lineno)
     try:
         value = int(tokens[1])
     except ValueError:
@@ -92,9 +96,9 @@ def parse_qp(text: str):
         raise ParseError(f"first line must be '{MAGIC} {VERSION}'", lineno)
     if tokens[1] != VERSION:
         raise ParseError(f"unsupported version {tokens[1]!r}", lineno)
-    lineno, tokens = _expect_keyword(cursor, "n")
+    lineno, tokens = _expect_keyword(cursor, "n", "n <int>")
     n = _read_int(tokens, lineno, "n")
-    lineno, tokens = _expect_keyword(cursor, "q")
+    lineno, tokens = _expect_keyword(cursor, "q", "q <int>")
     q = _read_int(tokens, lineno, "q")
     _expect_keyword(cursor, "H")
     H = [_read_row(cursor, n, f"H row {i + 1}") for i in range(n)]

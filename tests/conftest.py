@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from fbrs import QpProblem
+from fbrs.fb import _phi
 
 
 @pytest.fixture
@@ -37,3 +38,16 @@ def kkt_matrix(p, gamma, mu):
 def lu_step(p, gamma, mu, rhs):
     """The reference step: dense LU with partial pivoting of the full system."""
     return scipy.linalg.lu_solve(scipy.linalg.lu_factor(kkt_matrix(p, gamma, mu)), rhs)
+
+
+def tail_pairs(trace):
+    """The consecutive records (a, b) of a trace with a step taken (a.t > 0)
+    from ||F_eps|| <= 1e-3: the tail the contraction and unit-step bounds read."""
+    return [(a, b) for a, b in zip(trace, trace[1:]) if a.t > 0 and a.norm_Feps <= 1e-3]
+
+
+def phi_eps(a, b, eps):
+    """a + b - sqrt(a^2 + b^2 + eps^2) by fb._phi; a float for scalar input."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = _phi(a, b, eps, np.hypot(np.hypot(a, b), eps))
+    return float(out) if out.ndim == 0 else out

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbrs import QpProblem
-from fbrs.fb import _coefficients, _evaluate, phi_eps
+from fbrs.fb import _coefficients, _evaluate
+
+from conftest import phi_eps
 
 moderate = st.floats(-1e3, 1e3, allow_nan=False)
 wide = st.floats(-1e8, 1e8, allow_nan=False)

@@ -32,7 +32,7 @@ from fbrs.oracle import (
     verify_kkt,
 )
 
-from conftest import kkt_matrix, lu_step
+from conftest import kkt_matrix, lu_step, tail_pairs
 
 
 # --- configuration ----------------------------------------------------------
@@ -879,11 +879,7 @@ def test_quadratic_tail_and_unit_steps():
         x0 = random_infeasible_start(p, rng)
         result = fbrs_solve(p, x0, SolverConfig(tol=1e-12, max_iters=100))
         assert result.status == Status.SOLVED
-        pairs = [
-            (a, b)
-            for a, b in zip(result.trace, result.trace[1:])
-            if a.t > 0 and a.norm_Feps <= 1e-3
-        ]
+        pairs = tail_pairs(result.trace)
         for a, b in pairs[-2:]:
             assert b.norm_Feps <= 0.1 * a.norm_Feps
         assert all(a.t == 1.0 for a, _ in pairs)

@@ -76,6 +76,14 @@ def test_parse_errors():
         parse_qp("FBQP 1\nn 1\nq 1\nH\n1.0\n")  # truncated
     with pytest.raises(DimensionMismatch):
         parse_qp(TOY + "x0\n0.5\n")
+    # a section keyword stands alone on its line
+    with pytest.raises(ParseError, match="H line must be 'H'"):
+        parse_qp(TOY.replace("H\n", "H 7 7\n"))
+    with pytest.raises(ParseError, match="f line must be 'f'"):
+        parse_qp(TOY.replace("f\n", "f junk\n"))
+    with pytest.raises(ParseError, match="x0 line must be 'x0'") as excinfo:
+        parse_qp(TOY + "x0 0.5 0.0\n")
+    assert excinfo.value.line == 12
 
 
 def test_parse_error_line_numbers():
