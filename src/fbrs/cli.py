@@ -93,7 +93,7 @@ def _cmd_oracle(args) -> int:
     print(f"objective {_fmt(objective(problem, x.z))}")
     print(f"kkt {'pass' if report.passed else 'fail'}")
     _print_point(x)
-    return 0
+    return 0 if report.passed else 1
 
 
 def _cmd_mpc(args) -> int:

@@ -143,14 +143,23 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     The row weights w = gamma / mu are >= 0 (|y| <= r makes 1 - y/r >= 0, and
     delta >= 0), so W^1/2 is real. potrf factors the lower triangle of the
     Schur matrix (problem._schur) in place; potrs reads only that triangle.
+    _schur may leave out rows whose term falls below rounding; when potrf
+    fails on such a pruned matrix, the matrix is built again with every row
+    and factored once more, so pruning alone never makes the Cholesky step
+    fail.
 
-    Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix is not
-    numerically positive definite; fbrs_solve then takes a merit-gradient step.
+    Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix with
+    every row is not numerically positive definite; fbrs_solve then takes a
+    merit-gradient step.
     """
     if mu.min() <= 0.0:
         raise CholeskyFailure("D has a nonpositive diagonal entry")
     r_s, r_c = rhs[:p.n], rhs[p.n:]
-    c, info = _potrf(_schur(p, gamma / mu), lower=True, clean=False, overwrite_a=1)
+    w = gamma / mu
+    S, pruned = _schur(p, w)
+    c, info = _potrf(S, lower=True, clean=False, overwrite_a=1)
+    if info and pruned:
+        c, info = _potrf(_schur(p, w, every_row=True)[0], lower=True, clean=False, overwrite_a=1)
     if info:
         raise CholeskyFailure(f"potrf info {info}: Schur matrix not numerically positive definite")
     dz = _potrs(c, r_s - _times_At(p, r_c / mu), lower=True)[0]

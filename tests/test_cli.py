@@ -11,6 +11,7 @@ import fbrs
 from fbrs.cli import TRACE_HEADER, build_parser, main
 from fbrs.mpc import run_sequence
 from fbrs.newton import SolverConfig
+from fbrs.oracle import random_strictly_convex_qp
 from fbrs.problem import QpProblem
 from fbrs.qpfile import parse_qp, serialize_qp
 
@@ -208,6 +209,19 @@ def test_oracle_too_large_exits_one(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert main(["oracle", "--input", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_oracle_kkt_failure_exits_one_and_prints_the_point(tmp_path, capsys):
+    # H and f scaled by 1e6: the enumerated point misses the absolute 1e-8
+    # complementarity check by rounding alone
+    p = random_strictly_convex_qp(6, 12, np.random.default_rng(3))
+    path = tmp_path / "scaled.qp"
+    path.write_text(serialize_qp(QpProblem(1e6 * p.H, 1e6 * p.f, p.A, p.b)))
+    assert main(["oracle", "--input", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "kkt fail" in out.splitlines()
+    z, v = _parse_point(out)
+    assert z.shape == (6,) and v.shape == (12,)
 
 
 def test_mpc_subcommand_writes_stats(tmp_path, capsys):

@@ -31,6 +31,7 @@ from fbrs.oracle import (
     solve_by_enumeration,
     verify_kkt,
 )
+from fbrs.problem import _PRUNE_MIN_N, _schur
 
 from conftest import kkt_matrix, lu_step, tail_pairs
 
@@ -282,7 +283,9 @@ def test_box_schur_matrix_with_a_duplicated_bound_row():
 def test_syrk_schur_step_is_as_accurate_as_the_dense_product(n, q, draws):
     # the lower triangle of H + (W^1/2 A)'(W^1/2 A) rounds differently from
     # the symmetrized H + A'(WA), but the step it gives is as accurate, for
-    # row weights w = gamma / mu over 1e-10 ... 1e10; no argument is written
+    # row weights w = gamma / mu over 1e-10 ... 1e10 (at (300, 600) _schur
+    # leaves out the rows that fall below rounding; its docstring gives the
+    # bound); no argument is written
     rng = np.random.default_rng(n + q)
     for _ in range(draws):
         p = random_strictly_convex_qp(n, q, rng)
@@ -292,6 +295,29 @@ def test_syrk_schur_step_is_as_accurate_as_the_dense_product(n, q, draws):
         before = [a.copy() for a in args]
         dx = solve_condensed(p, gamma, mu, rhs)
         assert all(np.array_equal(a, b) for a, b in zip(args, before))
+        reference = _solve_residual(p, gamma, mu, rhs, _dense_schur_step(p, gamma, mu, rhs))
+        assert _solve_residual(p, gamma, mu, rhs, dx) <= 10.0 * reference
+
+
+def test_a_pruned_schur_matrix_that_fails_is_factored_again_with_every_row():
+    # H = 0; the heavy rows (w = 1e8) span only the first k columns and the
+    # light ones (w = 1e-9, below rounding) the rest, so the pruned Schur
+    # matrix is singular and the full one block-diagonal and positive
+    # definite. A Schur matrix that needs a dropped row has condition
+    # >= 1 / (q u), so with both sets of rows spread over every column the
+    # rounding of the heavy terms would make the full one fail too
+    n, k = _PRUNE_MIN_N, 40
+    rng = np.random.default_rng(n)
+    A = scipy.linalg.block_diag(*(np.linalg.qr(rng.standard_normal((m, m)))[0] for m in (k, n - k)))
+    p = QpProblem(np.zeros((n, n)), np.zeros(n), A, np.ones(n))
+    gamma, mu = np.where(np.arange(n) < k, 1e8, 1e-9), np.ones(n)
+    S, pruned = _schur(p, gamma / mu)
+    assert pruned
+    assert scipy.linalg.lapack.dpotrf(S, lower=1)[1] == k + 1
+    for _ in range(5):
+        rhs = rng.standard_normal(2 * n)
+        dx = solve_condensed(p, gamma, mu, rhs)
+        assert np.isfinite(dx).all()
         reference = _solve_residual(p, gamma, mu, rhs, _dense_schur_step(p, gamma, mu, rhs))
         assert _solve_residual(p, gamma, mu, rhs, dx) <= 10.0 * reference
 
@@ -859,6 +885,42 @@ def test_psd_recovery_traffic_solves_or_meets_an_unbounded_problem(seed, lp, cou
             assert _is_unbounded(p)
             unbounded += 1
     assert (solved, unbounded) == expected
+
+
+# statuses and iteration counts recorded with the Schur matrix built over
+# every row; leaving the rows below rounding out of it must not move them, at
+# n = 100 and in PSD-H QPs of n in [48, 100), on both sides of the size rule
+_PINNED_N100_ITERATIONS = [14, 13, 14, 14, 13, 12, 14, 12, 13, 12, 14, 13, 13, 12, 14, 12, 13, 13, 14, 13]
+_PINNED_PSD = [(91, 116, 59), (63, 122, 29), (74, 139, 33), (97, 132, 38), (91, 140, 32),
+               (87, 161, 31), (58, 112, 25), (82, 93, 53), (74, 87, 42), (97, 148, 43)]
+
+
+def test_pinned_pool_at_n_100():
+    cfg = SolverConfig(tol=1e-8, max_iters=100)
+    iterations = []
+    for i in range(20):
+        rng = np.random.default_rng([1, i])
+        p = random_strictly_convex_qp(100, 200, rng)
+        result = fbrs_solve(p, random_infeasible_start(p, rng), cfg)
+        assert result.status == Status.SOLVED
+        iterations.append(result.iterations)
+    assert iterations == _PINNED_N100_ITERATIONS
+
+
+def test_pinned_pool_of_psd_hessians():
+    # rank n/2 Hessians from zeros, where rejected Newton steps are common
+    cfg = SolverConfig(tol=1e-8, max_iters=100)
+    got = []
+    for i in range(10):
+        rng = np.random.default_rng([2, i])
+        n = int(rng.integers(48, 100))
+        q = int(rng.integers(n + 1, 2 * n + 3))
+        M = rng.standard_normal((n // 2, n))
+        p = QpProblem(M.T @ M, rng.standard_normal(n), rng.standard_normal((q, n)), rng.uniform(0.1, 1, q))
+        result = fbrs_solve(p, PrimalDualPoint.zeros(n, q), cfg)
+        assert result.status == Status.SOLVED
+        got.append((n, q, result.iterations))
+    assert got == _PINNED_PSD
 
 
 def test_termination_sandwich():

@@ -19,7 +19,7 @@ from fbrs import (
 from fbrs.fb import _evaluate
 from fbrs.mpc import condense, double_integrator, mass_spring_chain
 from fbrs.oracle import random_strictly_convex_qp, solve_by_enumeration, verify_kkt
-from fbrs.problem import _times_A, _times_At
+from fbrs.problem import _PRUNE_MIN_N, _schur, _syrk, _times_A, _times_At
 from fbrs.qpfile import serialize_qp
 
 
@@ -170,6 +170,48 @@ def test_gather_scatter_products_are_the_dense_bits(make_qp):
         v = 10.0 ** rng.uniform(-8, 8, p.q) * rng.standard_normal(p.q)
         assert np.array_equal(_times_A(p, z), p.A @ z)
         assert np.array_equal(_times_At(p, v), p.A.T @ v)
+
+
+@pytest.mark.parametrize("n, equal_weights", [(20, False), (100, True)],
+                         ids=["below-the-size-rule", "no-row-dropped"])
+def test_unpruned_schur_matrix_is_the_full_syrk_bits(n, equal_weights):
+    # below the size rule the weights span 1e-10 ... 1e10, far past rounding,
+    # yet every row enters; above it, equal weights on unit rows drop none
+    rng = np.random.default_rng(n)
+    p = random_strictly_convex_qp(n, 2 * n, rng)
+    assert (p._row_sq is None) == (n < _PRUNE_MIN_N)
+    for _ in range(5):
+        if equal_weights:
+            w = np.full(p.q, 10.0 ** rng.uniform(-10, 10))
+        else:
+            w = 10.0 ** rng.uniform(-10, 10, p.q)
+        S, pruned = _schur(p, w)
+        assert not pruned
+        assert np.array_equal(S, _syrk(1.0, (np.sqrt(w)[:, None] * p.A).T, beta=1.0, c=p.H.T, trans=0, lower=1))
+
+
+def test_schur_keeps_a_large_row_with_a_small_weight():
+    # w_0 = 1e-20 is below rounding against the other weights (1), but row 0
+    # scaled by 1e4 makes its term w_0 ||a_0||^2 = 1e-12, which is not
+    rng = np.random.default_rng(7)
+    p = random_strictly_convex_qp(_PRUNE_MIN_N, 2 * _PRUNE_MIN_N, rng)
+    A = p.A.copy()
+    A[0] *= 1e4
+    scaled = QpProblem(p.H, p.f, A, p.b)
+    assert scaled._row_sq[0] == pytest.approx(1e8) and not scaled._row_sq.flags.writeable
+    w = np.ones(p.q)
+    w[0] = 1e-20
+    S, pruned = _schur(scaled, w)
+    assert not pruned
+    assert np.array_equal(S, _schur(scaled, w, every_row=True)[0])
+    # the same weight on the unit row falls below rounding and is dropped
+    assert _schur(p, w)[1]
+    # a squared row norm that overflows reads inf, without a warning, and
+    # then every row enters
+    A[0] = 1e200
+    huge = QpProblem(p.H, p.f, A, p.b)
+    assert huge._row_sq[0] == np.inf
+    assert not _schur(huge, np.ones(p.q))[1]
 
 
 def test_validate_identity_hessian_passes():
