@@ -52,7 +52,10 @@ class LtiMpcSpec:
         Q = _frozen(self.Q, "Q", (nx, nx), InvalidSpec)
         R = _frozen(self.R, "R", (nu, nu), InvalidSpec)
         Q, R = _readonly(0.5 * Q + 0.5 * Q.T), _readonly(0.5 * R + 0.5 * R.T)
-        if np.min(np.linalg.eigvalsh(Q)) < -1e-10:
+        # relative to the largest eigenvalue magnitude, so rounding of a large Q
+        # passes and a tiny negative Q does not
+        eig = np.linalg.eigvalsh(Q)
+        if eig[0] < -1e-10 * np.abs(eig).max():
             raise InvalidSpec("Q must be positive semidefinite")
         try:
             scipy.linalg.cho_factor(R)

@@ -6,18 +6,19 @@ Each iteration assembles the block system
     [-CA   D  ] [dv] = [r_c]          r_c = -phi_eps(v, y)
 
 with C = diag(gamma), D = diag(mu) from the FB kernel, and solves it through
-the condensed Schur complement H + A'WA, W = C D^-1 >= 0, whose lower
-triangle LAPACK potrf factors in place and potrs solves with: the one linear
-solve. fbrs.problem forms that triangle and applies A and A', and fbrs.fb
-forms every residual, so no code here reads the row structure of A or a
-residual formula. The loop globalizes with a backtracking linesearch on the
-merit function theta = 0.5 ||F_eps||^2, and takes a merit-gradient step
-instead of the Newton step when the Schur matrix is not numerically positive
-definite (as on ker H when H is only PSD) or when the linesearch rejects the
-Newton step. The smoothing eps stays fixed; each point is regularized with
-delta = min(delta0, ||F_eps||). The solve stops once ||F_0|| <= tol. The
-Armijo constants and the regularization cap are fixed (SolverConfig.sigma,
-.beta, .max_backtracks, .delta0); tol and max_iters are the only settings.
+the condensed Schur complement H + A'WA, W = C D^-1 >= 0: the one linear
+solve. fbrs.problem owns A, H and their linear algebra (it builds, factors
+and solves with the Schur matrix, and applies A and A'), and fbrs.fb forms
+every residual, so this module owns only the iteration and reads neither the
+row structure of A nor a residual formula. The loop globalizes with a
+backtracking linesearch on the merit function theta = 0.5 ||F_eps||^2, and
+takes a merit-gradient step instead of the Newton step when the Schur matrix
+is not numerically positive definite (as on ker H when H is only PSD) or when
+the linesearch rejects the Newton step. The smoothing eps stays fixed; each
+point is regularized with delta = min(delta0, ||F_eps||). The solve stops
+once ||F_0|| <= tol. The Armijo constants and the regularization cap are
+fixed (SolverConfig.sigma, .beta, .max_backtracks, .delta0); tol and
+max_iters are the only settings.
 
 fbrs_solve holds one evaluated point, fb._evaluate's record of the flat
 iterate x = [z; v] with F_eps, y, hypot(v, y), hypot(hypot(v, y), eps) and
@@ -40,15 +41,11 @@ from enum import Enum
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidConfig
 from .fb import _coefficients, _evaluate, _norm_F0, _norm_Fnr, _Point
-from .problem import (PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive, _schur,
-                      _times_A, _times_At)
-
-# LAPACK float64 routines, called without the per-call work of scipy's wrappers
-_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+from .problem import (PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive,
+                      _schur_solve, _times_A, _times_At)
 
 
 # The step's failure signals. fbrs_solve catches each and turns it into a
@@ -136,33 +133,21 @@ class SolverResult:
 def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve [H A'; -CA D] dx = rhs, rhs = (r_s, r_c), C = diag(gamma),
     D = diag(mu), via the Schur complement
-    (H + A' C D^-1 A) dz = r_s - A' D^-1 r_c (LAPACK potrf, potrs),
+    (H + A' C D^-1 A) dz = r_s - A' D^-1 r_c (problem._schur_solve),
     then the diagonal back-substitution D dv = r_c + C A dz, and return the
-    step dx = (dz, dv). Arguments are not checked.
+    step dx = (dz, dv). Arguments are not checked. The row weights
+    w = gamma / mu are >= 0 (|y| <= r makes 1 - y/r >= 0, and delta >= 0).
 
-    The row weights w = gamma / mu are >= 0 (|y| <= r makes 1 - y/r >= 0, and
-    delta >= 0), so W^1/2 is real. potrf factors the lower triangle of the
-    Schur matrix (problem._schur) in place; potrs reads only that triangle.
-    _schur may leave out rows whose term falls below rounding; when potrf
-    fails on such a pruned matrix, the matrix is built again with every row
-    and factored once more, so pruning alone never makes the Cholesky step
-    fail.
-
-    Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix with
-    every row is not numerically positive definite; fbrs_solve then takes a
-    merit-gradient step.
+    Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix is
+    not numerically positive definite; fbrs_solve then takes a merit-gradient
+    step.
     """
     if mu.min() <= 0.0:
         raise CholeskyFailure("D has a nonpositive diagonal entry")
     r_s, r_c = rhs[:p.n], rhs[p.n:]
-    w = gamma / mu
-    S, pruned = _schur(p, w)
-    c, info = _potrf(S, lower=True, clean=False, overwrite_a=1)
-    if info and pruned:
-        c, info = _potrf(_schur(p, w, every_row=True)[0], lower=True, clean=False, overwrite_a=1)
-    if info:
-        raise CholeskyFailure(f"potrf info {info}: Schur matrix not numerically positive definite")
-    dz = _potrs(c, r_s - _times_At(p, r_c / mu), lower=True)[0]
+    dz = _schur_solve(p, gamma / mu, r_s - _times_At(p, r_c / mu))
+    if dz is None:
+        raise CholeskyFailure("Schur matrix not numerically positive definite")
     dv = (r_c + gamma * _times_A(p, dz)) / mu
     return np.concatenate([dz, dv])
 

@@ -6,10 +6,12 @@ positive semidefinite and at least one constraint row.
 
 This module owns the row structure of A, found once per QpProblem (_unit_rows,
 and for a dense A of at least _PRUNE_MIN_N columns the squared row norms) and
-read only by _times_A, _times_At and the Schur matrix (_schur), and the input
-checks (_frozen), which points built by the package skip (_trusted). _schur
-leaves out of a large dense build the rows whose term falls below the rounding
-of the sum.
+read only by _times_A, _times_At and the Schur solve, and the input checks
+(_frozen), which points built by the package skip (_trusted). The Schur solve
+(_schur_solve) is the one linear solve of a Newton step: it chooses the rows
+of a large dense A whose term does not fall below the rounding of the sum
+(_kept_rows), builds H + A'WA over them (_schur), factors it, builds it again
+with every row when a pruned matrix fails, and solves with the factor.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dnrm2, dsyrk as _syrk
+# LAPACK float64 routines, called without the per-call work of scipy's wrappers
+from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
 from .errors import FbrsError, InvalidProblem
 
-# _schur drops rows from the dense build only at n >= _PRUNE_MIN_N: below
+# _kept_rows drops rows from the dense build only at n >= _PRUNE_MIN_N: below
 # about n = 60 (q = 2n, 60% of rows kept, one thread) the gather of the kept
 # rows costs more than the flops it saves. A row is dropped when its term is
 # at most _ROUNDING times the largest one.
@@ -40,11 +44,13 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def _frozen(value, name: str, shape: tuple, error: type[FbrsError] = InvalidProblem) -> np.ndarray:
     """Caller input as a read-only float copy with real, finite entries and the
     given shape, where None is any length >= 1; lower-rank input gains leading
-    unit axes (as np.atleast_2d). Raises `error`, naming `name`, otherwise."""
+    unit axes (as np.atleast_2d). Raises `error`, naming `name`, otherwise; an
+    array of complex numbers, strings, bytes, dates or time spans is rejected,
+    not cast, and an object array is cast entry by entry."""
     try:
         arr = np.array(value, ndmin=len(shape))
-        if arr.dtype.kind == "c":
-            raise TypeError(f"complex dtype {arr.dtype}")
+        if arr.dtype.kind in "cUSMm":
+            raise TypeError(f"dtype {arr.dtype}")
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{name} is not a real numeric array: {exc}") from None
@@ -124,42 +130,46 @@ def _times_At(p: "QpProblem", v: np.ndarray) -> np.ndarray:
     return np.bincount(p._box_cols, p._box_sign * v, p.n)
 
 
-def _schur(p: "QpProblem", w: np.ndarray, every_row: bool = False) -> tuple[np.ndarray, bool]:
-    """(S, pruned): S is a new Fortran-ordered array, which LAPACK takes
-    without a copy, whose lower triangle is H + A'WA, W = diag(w) >= 0, less
-    the rows that fall below rounding; pruned says whether any did. p.H, which
-    an MPC run shares, is not written. A box-only A sums each row's w onto the
-    diagonal of a copy of H: the bits of the dense H + A'(WA), except perhaps
-    the last bit of a column hit by three or more rows. Any other A gives S
-    from one BLAS syrk of W^1/2 A onto a copy of H. Arguments are not checked.
+def _kept_rows(p: "QpProblem", w: np.ndarray) -> np.ndarray | None:
+    """The rows of A that the Schur matrix H + A'WA, W = diag(w) >= 0, keeps,
+    as a boolean mask, or None for every row. Only an A with squared row norms
+    (dense, n >= _PRUNE_MIN_N) drops rows, and a mask that would keep every
+    row or none is None. Arguments are not checked.
 
-    When p carries squared row norms (dense A, n >= _PRUNE_MIN_N) and
-    every_row is false, the syrk runs over the kept rows only: row i is kept
-    when w_i ||a_i||^2 > u max_j w_j ||a_j||^2, u = _ROUNDING (machine
-    epsilon). As H is PSD, ||S|| >= max_j w_j ||a_j||^2, so each dropped term
-    w_i a_i a_i' has norm at most u ||S||: the change lies inside the normwise
-    rounding bound of the syrk's own sum of q terms. Near a solution an
-    inactive row weighs about delta <= 1e-8 and an active one about 1/delta,
-    so on random (300, 600) QPs about 43% of the rows drop out. The weights
-    alone (w_i > u max w) were rejected, as they ignore the row scale: on 300
-    random QPs with row scales 10^U(-4, 4) and n in [48, 100), a class whose
-    trajectories rounding alone reorders, they ended Solved 20 times, the row
-    norms 24, every row 33 and every row in reversed order 41. A dropped row
-    can still be all that makes S definite, so solve_condensed builds S again
-    with every_row=True when a pruned S fails. When no row drops, or n is
-    below the rule, S is the one syrk over every row, bit for bit.
+    Row i is kept when w_i ||a_i||^2 > u max_j w_j ||a_j||^2, u = _ROUNDING
+    (machine epsilon). As H is PSD, ||S|| >= max_j w_j ||a_j||^2, so each
+    dropped term w_i a_i a_i' has norm at most u ||S||: the change lies inside
+    the normwise rounding bound of the syrk's own sum of q terms. Near a
+    solution an inactive row weighs about delta <= 1e-8 and an active one
+    about 1/delta, so on random (300, 600) QPs about 43% of the rows drop out.
+    The weights alone (w_i > u max w) were rejected, as they ignore the row
+    scale: on 300 random QPs with row scales 10^U(-4, 4) and n in [48, 100), a
+    class whose trajectories rounding alone reorders, they ended Solved 20
+    times, the row norms 24, every row 33 and every row in reversed order 41.
+    A nan or inf scale keeps no row, and then every row enters, so it reaches
+    S.
+    """
+    if p._row_sq is None:
+        return None
+    scaled = w * p._row_sq
+    keep = scaled > _ROUNDING * scaled.max()
+    return keep if 0 < np.count_nonzero(keep) < p.q else None
+
+
+def _schur(p: "QpProblem", w: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """A new Fortran-ordered array, which LAPACK takes without a copy, whose
+    lower triangle is H + A'WA, W = diag(w) >= 0, over the rows that the mask
+    keep marks (every row when None). p.H, which an MPC run shares, is not
+    written. A box-only A sums each row's w onto the diagonal of a copy of H,
+    over every row: the bits of the dense H + A'(WA), except perhaps the last
+    bit of a column hit by three or more rows. Any other A gives S from one
+    BLAS syrk of the kept rows of W^1/2 A onto a copy of H. Arguments are not
+    checked.
     """
     if p._box_cols is not None:
         S = p.H.copy()
         S.reshape(-1)[::p.n + 1] += np.bincount(p._box_cols, w, p.n)
-        return S.T, False
-    keep = None
-    if p._row_sq is not None and not every_row:
-        scaled = w * p._row_sq
-        keep = scaled > _ROUNDING * scaled.max()
-        # a nan or inf scale keeps none, and then every row enters, so it reaches S
-        if not 0 < np.count_nonzero(keep) < p.q:
-            keep = None
+        return S.T
     if keep is None:
         rows = np.sqrt(w)[:, None] * p.A
     else:
@@ -167,7 +177,23 @@ def _schur(p: "QpProblem", w: np.ndarray, every_row: bool = False) -> tuple[np.n
         rows *= np.sqrt(w[keep])[:, None]
     # p.H.T (H is exactly symmetric) and the transposed factor are in
     # Fortran order, so f2py copies only H
-    return _syrk(1.0, rows.T, beta=1.0, c=p.H.T, trans=0, lower=1), keep is not None
+    return _syrk(1.0, rows.T, beta=1.0, c=p.H.T, trans=0, lower=1)
+
+
+def _schur_solve(p: "QpProblem", w: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """dz with (H + A'WA) dz = rhs, W = diag(w) >= 0, or None when the Schur
+    matrix with every row is not numerically positive definite: the one
+    linear solve of a Newton step. LAPACK potrf factors the lower triangle of
+    _schur(p, w, _kept_rows(p, w)) in place and potrs solves with it. A
+    dropped row can still be all that makes S definite: when potrf fails on a
+    matrix that left rows out, S is built again with every row and factored
+    once more, so pruning alone never gives None. Arguments are not checked.
+    """
+    keep = _kept_rows(p, w)
+    c, info = _potrf(_schur(p, w, keep), lower=True, clean=False, overwrite_a=1)
+    if info and keep is not None:
+        c, info = _potrf(_schur(p, w), lower=True, clean=False, overwrite_a=1)
+    return None if info else _potrs(c, rhs, lower=True)[0]
 
 
 @dataclass(frozen=True)
@@ -185,8 +211,8 @@ class QpProblem:
     else None; _times_A, _times_At and _schur then apply A and A' by gather
     and scatter and skip the product A'WA. Any other A with n >= _PRUNE_MIN_N
     columns gets the private read-only `_row_sq`, the squared norm ||a_i||^2
-    of each row (inf where it overflows), by which _schur drops the rows that
-    fall below rounding; else it is None.
+    of each row (inf where it overflows), by which _kept_rows drops the rows
+    that fall below rounding; else it is None.
     """
 
     H: np.ndarray

@@ -66,10 +66,23 @@ def test_spec_validation():
         (dict(Q=[["a", 0.0], [0.0, 1.0]]), "Q"),
         (dict(Q=np.eye(2) * (1 + 0j)), "Q"),
         (dict(x_init=[10**400, 0.0]), "x_init"),
+        (dict(x_init=np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]")), "x_init"),
+        (dict(u_hi=["1.0"]), "u_hi"),
+        # a tiny negative Q is not PSD however small its scale: it condenses to
+        # a nonconvex QP
+        (dict(Ad=[[1.0]], Bd=[[1.0]], Q=[[-5e-11]], R=[[1e-12]], horizon=1, u_lo=[-1.0], u_hi=[1.0],
+              x_init=[0.0]), "Q"),
     ]
     for changed, name in cases:
         with pytest.raises(InvalidSpec, match=name):
             LtiMpcSpec(**{**fields, **changed})
+    # rounding of a large PSD Q (smallest eigenvalue about -5e-4 against 1e13)
+    # is not a negative eigenvalue
+    M = np.random.default_rng(0).standard_normal((6, 3))
+    big = mass_spring_chain(8)
+    Q = 1e12 * M @ M.T
+    assert np.linalg.eigvalsh(0.5 * Q + 0.5 * Q.T)[0] < -1e-10
+    assert LtiMpcSpec(big.Ad, big.Bd, Q, big.R, 8, big.u_lo, big.u_hi, big.x_init).Q[0, 0] == Q[0, 0]
     # the functions that take a spec: (call, text the error must contain)
     calls = [
         (lambda: condense(good, [10**400] * 2), "x_init"),

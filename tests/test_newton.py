@@ -31,7 +31,6 @@ from fbrs.oracle import (
     solve_by_enumeration,
     verify_kkt,
 )
-from fbrs.problem import _PRUNE_MIN_N, _schur
 
 from conftest import kkt_matrix, lu_step, tail_pairs
 
@@ -245,14 +244,20 @@ def _syrk_schur_step(p, gamma, mu, rhs):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20, 40, 80])
 def test_direct_lapack_matches_scipy_wrappers(n):
-    # the condensed step calls syrk and potrf/potrs itself; the scipy
-    # wrappers around the same routines give the same bits
+    # the Schur solve calls syrk and potrf/potrs itself; the scipy wrappers
+    # around the same routines give the same bits
     rng = np.random.default_rng(100 + n)
     for _ in range(3):
         p = random_strictly_convex_qp(n, 2 * n, rng)
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(2 * n))
         gamma, mu, rhs = _system(p, x, 10.0 ** rng.uniform(-6, 0), 10.0 ** rng.uniform(-10, -2))
         assert np.array_equal(solve_condensed(p, gamma, mu, rhs), _syrk_schur_step(p, gamma, mu, rhs))
+
+
+def test_the_schur_solve_is_owned_by_problem():
+    # solve_condensed forms the right-hand side and back-substitutes; building,
+    # pruning, factoring and solving with H + A'WA are fbrs.problem's
+    assert not any(hasattr(newton, name) for name in ("_potrf", "_potrs", "_schur", "scipy"))
 
 
 def test_box_schur_matrix_gives_the_dense_bits():
@@ -283,9 +288,9 @@ def test_box_schur_matrix_with_a_duplicated_bound_row():
 def test_syrk_schur_step_is_as_accurate_as_the_dense_product(n, q, draws):
     # the lower triangle of H + (W^1/2 A)'(W^1/2 A) rounds differently from
     # the symmetrized H + A'(WA), but the step it gives is as accurate, for
-    # row weights w = gamma / mu over 1e-10 ... 1e10 (at (300, 600) _schur
-    # leaves out the rows that fall below rounding; its docstring gives the
-    # bound); no argument is written
+    # row weights w = gamma / mu over 1e-10 ... 1e10 (at (300, 600) the Schur
+    # solve leaves out the rows that fall below rounding; the docstring of
+    # problem._kept_rows gives the bound); no argument is written
     rng = np.random.default_rng(n + q)
     for _ in range(draws):
         p = random_strictly_convex_qp(n, q, rng)
@@ -295,29 +300,6 @@ def test_syrk_schur_step_is_as_accurate_as_the_dense_product(n, q, draws):
         before = [a.copy() for a in args]
         dx = solve_condensed(p, gamma, mu, rhs)
         assert all(np.array_equal(a, b) for a, b in zip(args, before))
-        reference = _solve_residual(p, gamma, mu, rhs, _dense_schur_step(p, gamma, mu, rhs))
-        assert _solve_residual(p, gamma, mu, rhs, dx) <= 10.0 * reference
-
-
-def test_a_pruned_schur_matrix_that_fails_is_factored_again_with_every_row():
-    # H = 0; the heavy rows (w = 1e8) span only the first k columns and the
-    # light ones (w = 1e-9, below rounding) the rest, so the pruned Schur
-    # matrix is singular and the full one block-diagonal and positive
-    # definite. A Schur matrix that needs a dropped row has condition
-    # >= 1 / (q u), so with both sets of rows spread over every column the
-    # rounding of the heavy terms would make the full one fail too
-    n, k = _PRUNE_MIN_N, 40
-    rng = np.random.default_rng(n)
-    A = scipy.linalg.block_diag(*(np.linalg.qr(rng.standard_normal((m, m)))[0] for m in (k, n - k)))
-    p = QpProblem(np.zeros((n, n)), np.zeros(n), A, np.ones(n))
-    gamma, mu = np.where(np.arange(n) < k, 1e8, 1e-9), np.ones(n)
-    S, pruned = _schur(p, gamma / mu)
-    assert pruned
-    assert scipy.linalg.lapack.dpotrf(S, lower=1)[1] == k + 1
-    for _ in range(5):
-        rhs = rng.standard_normal(2 * n)
-        dx = solve_condensed(p, gamma, mu, rhs)
-        assert np.isfinite(dx).all()
         reference = _solve_residual(p, gamma, mu, rhs, _dense_schur_step(p, gamma, mu, rhs))
         assert _solve_residual(p, gamma, mu, rhs, dx) <= 10.0 * reference
 

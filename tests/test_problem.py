@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from fbrs import (
 from fbrs.fb import _evaluate
 from fbrs.mpc import condense, double_integrator, mass_spring_chain
 from fbrs.oracle import random_strictly_convex_qp, solve_by_enumeration, verify_kkt
-from fbrs.problem import _PRUNE_MIN_N, _schur, _syrk, _times_A, _times_At
+from fbrs.problem import _PRUNE_MIN_N, _kept_rows, _schur, _schur_solve, _syrk, _times_A, _times_At
 from fbrs.qpfile import serialize_qp
 
 
@@ -98,6 +99,17 @@ def test_rejects_nonfinite_and_bad_shapes():
         QpProblem([[10**400]], [0.0], [[1.0]], [1.0])
     with pytest.raises(InvalidProblem, match="z is not a real"):
         PrimalDualPoint([10**400], [0.0])
+    # nor are strings, bytes, dates or time spans, which numpy would parse or count
+    with pytest.raises(InvalidProblem, match="H is not a real"):
+        QpProblem([["1.0"]], ["0"], [["1"]], ["1"])
+    with pytest.raises(InvalidProblem, match="b is not a real"):
+        QpProblem([[1.0]], [0.0], [[1.0]], [b"1"])
+    with pytest.raises(InvalidProblem, match="v is not a real"):
+        PrimalDualPoint([0.0], [np.datetime64("2020-01-01")])
+    with pytest.raises(InvalidProblem, match="z is not a real"):
+        PrimalDualPoint([np.timedelta64(1, "D")], [0.0])
+    # an object array is cast entry by entry
+    assert np.array_equal(PrimalDualPoint(np.array([1, 2.5], dtype=object), [0.0]).z, [1.0, 2.5])
 
 
 def test_problem_arrays_immutable(qp_1d):
@@ -185,8 +197,9 @@ def test_unpruned_schur_matrix_is_the_full_syrk_bits(n, equal_weights):
             w = np.full(p.q, 10.0 ** rng.uniform(-10, 10))
         else:
             w = 10.0 ** rng.uniform(-10, 10, p.q)
-        S, pruned = _schur(p, w)
-        assert not pruned
+        keep = _kept_rows(p, w)
+        assert keep is None
+        S = _schur(p, w, keep)
         assert np.array_equal(S, _syrk(1.0, (np.sqrt(w)[:, None] * p.A).T, beta=1.0, c=p.H.T, trans=0, lower=1))
 
 
@@ -201,17 +214,44 @@ def test_schur_keeps_a_large_row_with_a_small_weight():
     assert scaled._row_sq[0] == pytest.approx(1e8) and not scaled._row_sq.flags.writeable
     w = np.ones(p.q)
     w[0] = 1e-20
-    S, pruned = _schur(scaled, w)
-    assert not pruned
-    assert np.array_equal(S, _schur(scaled, w, every_row=True)[0])
+    keep = _kept_rows(scaled, w)
+    assert keep is None
+    every_row = _syrk(1.0, (np.sqrt(w)[:, None] * scaled.A).T, beta=1.0, c=scaled.H.T, trans=0, lower=1)
+    assert np.array_equal(_schur(scaled, w, keep), every_row)
     # the same weight on the unit row falls below rounding and is dropped
-    assert _schur(p, w)[1]
+    assert np.array_equal(_kept_rows(p, w), np.arange(p.q) > 0)
     # a squared row norm that overflows reads inf, without a warning, and
     # then every row enters
     A[0] = 1e200
     huge = QpProblem(p.H, p.f, A, p.b)
     assert huge._row_sq[0] == np.inf
-    assert not _schur(huge, np.ones(p.q))[1]
+    assert _kept_rows(huge, np.ones(p.q)) is None
+
+
+def test_a_pruned_schur_matrix_that_fails_is_factored_again_with_every_row():
+    # H = 0; the heavy rows (w = 1e8) span only the first k columns and the
+    # light ones (w = 1e-9, below rounding) the rest, so the pruned Schur
+    # matrix is singular and the full one block-diagonal and positive
+    # definite. A Schur matrix that needs a dropped row has condition
+    # >= 1 / (q u), so with both sets of rows spread over every column the
+    # rounding of the heavy terms would make the full one fail too
+    n, k = _PRUNE_MIN_N, 40
+    rng = np.random.default_rng(n)
+    A = scipy.linalg.block_diag(*(np.linalg.qr(rng.standard_normal((m, m)))[0] for m in (k, n - k)))
+    p = QpProblem(np.zeros((n, n)), np.zeros(n), A, np.ones(n))
+    w = np.where(np.arange(n) < k, 1e8, 1e-9)
+    keep = _kept_rows(p, w)
+    assert keep is not None
+    assert scipy.linalg.lapack.dpotrf(_schur(p, w, keep), lower=1)[1] == k + 1
+    # the reference: the dense, symmetrized H + A'(WA) through scipy's Cholesky wrappers
+    S = p.H + p.A.T @ (w[:, None] * p.A)
+    factor = scipy.linalg.cho_factor(0.5 * (S + S.T), lower=True)
+    for _ in range(5):
+        rhs = rng.standard_normal(n)
+        dz = _schur_solve(p, w, rhs)
+        assert np.isfinite(dz).all()
+        reference = scipy.linalg.cho_solve(factor, rhs)
+        assert np.linalg.norm(S @ dz - rhs) <= 10.0 * np.linalg.norm(S @ reference - rhs)
 
 
 def test_validate_identity_hessian_passes():
