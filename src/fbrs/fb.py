@@ -27,14 +27,20 @@ from .problem import QpProblem, _times_A, _times_At
 def _phi(a: np.ndarray, b: np.ndarray, eps: float, r: np.ndarray) -> np.ndarray:
     """phi_eps(a, b) = a + b - r elementwise on float arrays, given
     r = hypot(hypot(a, b), eps); at eps = 0, r = hypot(a, b) exactly. With
-    s = a + b, rows with s > 0 use the equal quotient (2ab - eps^2) / (s + r),
-    taken as 2b (a / (s + r)) - eps (eps / (s + r)): s - r cancels there, and
-    at (a, b) = (-1, 1e16) it reads 0, not -1. Arguments are not checked."""
+    s = a + b, rows with s > 0 use the equal quotient (2ab - eps^2) / d,
+    d = s + r, taken as 2b (a / d) - eps (eps / d): s - r cancels there, and
+    at (a, b) = (-1, 1e16) it reads 0, not -1. The other rows' quotient is
+    formed and discarded, so their d need only keep it finite and silent: at
+    eps > 0, d = |s| + r >= eps > 0 (the same d where s > 0); at eps = 0,
+    where a = b = 0 would give 0 / 0, d = inf, and the eps term, exactly 0,
+    is left out. Arguments are not checked."""
     s = a + b
     pos = s > 0
-    # d = inf on the other rows keeps their unused quotient finite and silent
+    if eps > 0.0:
+        d = np.abs(s) + r
+        return np.where(pos, 2.0 * (b * (a / d)) - eps * (eps / d), s - r)
     d = np.where(pos, s + r, np.inf)
-    return np.where(pos, 2.0 * (b * (a / d)) - eps * (eps / d), s - r)
+    return np.where(pos, 2.0 * (b * (a / d)), s - r)
 
 
 def _coefficients(y: np.ndarray, v: np.ndarray, r: np.ndarray, delta: float):
@@ -60,7 +66,8 @@ class _Point(NamedTuple):
 def _evaluate(p: QpProblem, x: np.ndarray, eps: float) -> _Point:
     """The _Point of x = [z; v], whose F is [Hz + f + A'v; phi_eps(v, y)].
     Arguments are not checked."""
-    z, v = x[:p.n], x[p.n:]
+    n = p.n
+    z, v = x[:n], x[n:]
     y = p.b - _times_A(p, z)
     r0 = np.hypot(v, y)
     r = np.hypot(r0, eps)

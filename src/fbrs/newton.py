@@ -142,9 +142,11 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     not numerically positive definite; fbrs_solve then takes a merit-gradient
     step.
     """
-    if mu.min() <= 0.0:
+    # np.minimum.reduce is mu.min() without numpy's Python-level wrapper
+    if np.minimum.reduce(mu) <= 0.0:
         raise CholeskyFailure("D has a nonpositive diagonal entry")
-    r_s, r_c = rhs[:p.n], rhs[p.n:]
+    n = p.n
+    r_s, r_c = rhs[:n], rhs[n:]
     dz = _schur_solve(p, gamma / mu, r_s - _times_At(p, r_c / mu))
     if dz is None:
         raise CholeskyFailure("Schur matrix not numerically positive definite")
@@ -171,13 +173,16 @@ def linesearch(p: QpProblem, point: _Point, dx, eps: float):
     """
     if not np.isfinite(dx).all():
         raise NoDirection("non-finite search direction")
-    theta0 = 0.5 * point.ff
-    for j in range(SolverConfig.max_backtracks + 1):
-        t = SolverConfig.beta**j
-        trial = _evaluate(p, point.x + t * dx, eps)
-        if 0.5 * trial.ff < (1.0 - 2.0 * t * SolverConfig.sigma) * theta0:
+    # read at call time, not import time, so a patched constant takes effect
+    beta, sigma, max_backtracks = SolverConfig.beta, SolverConfig.sigma, SolverConfig.max_backtracks
+    x, theta0 = point.x, 0.5 * point.ff
+    for j in range(max_backtracks + 1):
+        t = beta**j
+        # t = 1.0 at j = 0, and 1.0 * dx is dx bit for bit
+        trial = _evaluate(p, x + t * dx if j else x + dx, eps)
+        if 0.5 * trial.ff < (1.0 - 2.0 * t * sigma) * theta0:
             return t, j, trial
-    raise LinesearchError(f"no acceptable step after {SolverConfig.max_backtracks} backtracks")
+    raise LinesearchError(f"no acceptable step after {max_backtracks} backtracks")
 
 
 def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = None) -> SolverResult:
@@ -206,6 +211,7 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     _check_type(cfg, SolverConfig, "cfg", InvalidConfig)
     _check_dims(x0, p.n, p.q, "x0")
     n = p.n
+    tol, max_iters, delta0 = cfg.tol, cfg.max_iters, cfg.delta0
     eps = cfg.effective_eps(p.q)
     trace: list[IterationRecord] = []
     status = Status.MAX_ITERS
@@ -213,20 +219,20 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     # non-finite direction), not warnings
     with np.errstate(all="ignore"):
         point = _evaluate(p, x0.as_vector(), eps)
-        for k in range(cfg.max_iters + 1):
+        for k in range(max_iters + 1):
             F, y, v = point.F, point.y, point.x[n:]
             n_feps = math.sqrt(point.ff)
-            delta = min(cfg.delta0, n_feps)
+            delta = min(delta0, n_feps)
             rec = IterationRecord(k=k, norm_Feps=n_feps, t=0.0, delta=delta, eps=eps, backtracks=0,
                                   _point=point)
             trace.append(rec)
             # |phi_eps - phi_0| <= eps per row, so ||F_0|| >= ||F_eps|| - sqrt(q) eps
             # = ||F_eps|| - tol / 2: no point with ||F_eps|| > 1.5 tol passes, and
             # 2 tol leaves a margin for rounding
-            if n_feps <= 2.0 * cfg.tol and rec.norm_F0 <= cfg.tol:
+            if n_feps <= 2.0 * tol and rec.norm_F0 <= tol:
                 status = Status.SOLVED
                 break
-            if k == cfg.max_iters:
+            if k == max_iters:
                 break
             try:
                 try:

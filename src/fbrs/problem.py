@@ -10,8 +10,9 @@ read only by _times_A, _times_At and the Schur solve, and the input checks
 (_frozen), which points built by the package skip (_trusted). The Schur solve
 (_schur_solve) is the one linear solve of a Newton step: it chooses the rows
 of a large dense A whose term does not fall below the rounding of the sum
-(_kept_rows), builds H + A'WA over them (_schur), factors it, builds it again
-with every row when a pruned matrix fails, and solves with the factor.
+(_kept_rows), builds H + A'WA over them (_schur), factors and solves with it
+in one LAPACK call, and builds it again with every row when a pruned matrix
+fails.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dnrm2, dsyrk as _syrk
-# LAPACK float64 routines, called without the per-call work of scipy's wrappers
-from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
+# the LAPACK float64 Cholesky solve, called without the per-call work of
+# scipy's wrappers
+from scipy.linalg.lapack import dposv as _posv
 
 from .errors import FbrsError, InvalidProblem
 
@@ -46,11 +48,16 @@ def _frozen(value, name: str, shape: tuple, error: type[FbrsError] = InvalidProb
     given shape, where None is any length >= 1; lower-rank input gains leading
     unit axes (as np.atleast_2d). Raises `error`, naming `name`, otherwise; an
     array of complex numbers, strings, bytes, dates or time spans is rejected,
-    not cast, and an object array is cast entry by entry."""
+    not cast, and so is an object array with any such entry; an object array
+    of real numbers is cast entry by entry."""
     try:
         arr = np.array(value, ndmin=len(shape))
         if arr.dtype.kind in "cUSMm":
             raise TypeError(f"dtype {arr.dtype}")
+        if arr.dtype.kind == "O":
+            for entry in arr.flat:
+                if np.asarray(entry).dtype.kind in "cUSMm":
+                    raise TypeError(f"entry {_shown(entry)}")
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{name} is not a real numeric array: {exc}") from None
@@ -176,24 +183,28 @@ def _schur(p: "QpProblem", w: np.ndarray, keep: np.ndarray | None = None) -> np.
         rows = p.A[keep]
         rows *= np.sqrt(w[keep])[:, None]
     # p.H.T (H is exactly symmetric) and the transposed factor are in
-    # Fortran order, so f2py copies only H
-    return _syrk(1.0, rows.T, beta=1.0, c=p.H.T, trans=0, lower=1)
+    # Fortran order, so f2py copies only H; the arguments are positional
+    # (alpha, a, beta, c, trans, lower), as f2py parses keywords slowly
+    return _syrk(1.0, rows.T, 1.0, p.H.T, 0, 1)
 
 
 def _schur_solve(p: "QpProblem", w: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """dz with (H + A'WA) dz = rhs, W = diag(w) >= 0, or None when the Schur
     matrix with every row is not numerically positive definite: the one
-    linear solve of a Newton step. LAPACK potrf factors the lower triangle of
-    _schur(p, w, _kept_rows(p, w)) in place and potrs solves with it. A
-    dropped row can still be all that makes S definite: when potrf fails on a
-    matrix that left rows out, S is built again with every row and factored
+    linear solve of a Newton step. One LAPACK posv call factors the lower
+    triangle of _schur(p, w, _kept_rows(p, w)) in place and solves with the
+    factor; posv is potrf followed by potrs, so the bits are theirs. A
+    dropped row can still be all that makes S definite: when posv fails on a
+    matrix that left rows out, S is built again with every row and solved
     once more, so pruning alone never gives None. Arguments are not checked.
     """
     keep = _kept_rows(p, w)
-    c, info = _potrf(_schur(p, w, keep), lower=True, clean=False, overwrite_a=1)
+    # positional (a, b, lower, overwrite_a): S is a fresh array, so posv
+    # factors it in place
+    _, dz, info = _posv(_schur(p, w, keep), rhs, 1, 1)
     if info and keep is not None:
-        c, info = _potrf(_schur(p, w), lower=True, clean=False, overwrite_a=1)
-    return None if info else _potrs(c, rhs, lower=True)[0]
+        _, dz, info = _posv(_schur(p, w), rhs, 1, 1)
+    return None if info else dz
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import fbrs
+from fbrs import cli
 from fbrs.cli import TRACE_HEADER, build_parser, main
 from fbrs.mpc import run_sequence
 from fbrs.newton import SolverConfig
 from fbrs.oracle import random_strictly_convex_qp
-from fbrs.problem import QpProblem
+from fbrs.problem import PrimalDualPoint, QpProblem
 from fbrs.qpfile import parse_qp, serialize_qp
 
 TOY = """\
@@ -211,13 +212,32 @@ def test_oracle_too_large_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_oracle_kkt_failure_exits_one_and_prints_the_point(tmp_path, capsys):
-    # H and f scaled by 1e6: the enumerated point misses the absolute 1e-8
-    # complementarity check by rounding alone
-    p = random_strictly_convex_qp(6, 12, np.random.default_rng(3))
-    path = tmp_path / "scaled.qp"
+def _scaled_qp_file(tmp_path, seed):
+    # H and f scaled by 1e6: the exact point's measures grow with the data
+    p = random_strictly_convex_qp(6, 12, np.random.default_rng(seed))
+    path = tmp_path / f"scaled-{seed}.qp"
     path.write_text(serialize_qp(QpProblem(1e6 * p.H, 1e6 * p.f, p.A, p.b)))
-    assert main(["oracle", "--input", str(path)]) == 1
+    return path
+
+
+# the seeds of 0-49 whose exact point misses an absolute 1e-8 check by
+# rounding alone; the other 42 pass it, and the scaled check is never tighter
+@pytest.mark.parametrize("seed", [3, 12, 15, 19, 32, 37, 45, 49])
+def test_oracle_checks_a_badly_scaled_qp_relative_to_its_data(tmp_path, capsys, seed):
+    assert main(["oracle", "--input", str(_scaled_qp_file(tmp_path, seed))]) == 0
+    assert "kkt pass" in capsys.readouterr().out.splitlines()
+
+
+def test_oracle_kkt_failure_exits_one_and_prints_the_point(tmp_path, capsys, monkeypatch):
+    # a point off the solution by 1e-4 in z still fails the scaled check
+    enumerate_exactly = cli.solve_by_enumeration
+
+    def perturbed(p):
+        x = enumerate_exactly(p)
+        return PrimalDualPoint(x.z + 1e-4, x.v)
+
+    monkeypatch.setattr(cli, "solve_by_enumeration", perturbed)
+    assert main(["oracle", "--input", str(_scaled_qp_file(tmp_path, 3))]) == 1
     out = capsys.readouterr().out
     assert "kkt fail" in out.splitlines()
     z, v = _parse_point(out)

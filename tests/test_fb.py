@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbrs import QpProblem
-from fbrs.fb import _coefficients, _evaluate
+from fbrs.fb import _coefficients, _evaluate, _phi
 
 from conftest import phi_eps
 
@@ -40,6 +40,32 @@ def test_phi_no_cancellation_when_sum_positive():
     # values are -2ab / (a + b + r) = -1 and -eps^2 / (1 + r) = -5e-19
     assert phi_eps(-1.0, 1.1e16, 0.0) == pytest.approx(-1.0, rel=1e-15)
     assert phi_eps(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1e-9) == pytest.approx([-5e-19, -5e-19], rel=1e-15)
+
+
+def _phi_inf_guard(a, b, eps, r):
+    # the reference kernel: d = inf on the rows with s <= 0 at every eps
+    s = a + b
+    pos = s > 0
+    d = np.where(pos, s + r, np.inf)
+    return np.where(pos, 2.0 * (b * (a / d)) - eps * (eps / d), s - r)
+
+
+@pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e300])
+def test_phi_kernel_keeps_the_inf_guard_bits_and_stays_silent(eps):
+    # random signs and magnitudes 1e-300 ... 1e300 give rows with s > 0 and
+    # s < 0; b = -a gives s = 0 and a = b = 0 the 0 / 0 an unguarded d = s + r
+    # or |s| + r would form at eps = 0. Underflow is left at numpy's default
+    # (ignore): the reference's own quotients underflow at these magnitudes
+    rng = np.random.default_rng(23)
+    m = 4000
+    a, b = rng.choice([-1.0, 1.0], (2, m)) * 10.0 ** rng.uniform(-300, 300, (2, m))
+    b[:500] = -a[:500]
+    a[500:600] = b[500:600] = 0.0
+    r = np.hypot(np.hypot(a, b), eps)
+    with np.errstate(all="raise", under="ignore"):
+        expected = _phi_inf_guard(a, b, eps, r)
+        assert np.array_equal(_phi(a, b, eps, r), expected)
+    assert (a + b > 0).any() and (a + b < 0).any()
 
 
 def _r(y, v, eps):

@@ -68,6 +68,9 @@ def test_spec_validation():
         (dict(x_init=[10**400, 0.0]), "x_init"),
         (dict(x_init=np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]")), "x_init"),
         (dict(u_hi=["1.0"]), "u_hi"),
+        # an object array with a date or a numeric string among numbers
+        (dict(x_init=[np.datetime64("2020-01-01"), 0.0]), "x_init"),
+        (dict(u_lo=np.array(["-1.0"], dtype=object)), "u_lo"),
         # a tiny negative Q is not PSD however small its scale: it condenses to
         # a nonconvex QP
         (dict(Ad=[[1.0]], Bd=[[1.0]], Q=[[-5e-11]], R=[[1e-12]], horizon=1, u_lo=[-1.0], u_hi=[1.0],

@@ -244,7 +244,7 @@ def _syrk_schur_step(p, gamma, mu, rhs):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20, 40, 80])
 def test_direct_lapack_matches_scipy_wrappers(n):
-    # the Schur solve calls syrk and potrf/potrs itself; the scipy wrappers
+    # the Schur solve calls syrk and posv itself; the scipy wrappers
     # around the same routines give the same bits
     rng = np.random.default_rng(100 + n)
     for _ in range(3):
@@ -257,7 +257,7 @@ def test_direct_lapack_matches_scipy_wrappers(n):
 def test_the_schur_solve_is_owned_by_problem():
     # solve_condensed forms the right-hand side and back-substitutes; building,
     # pruning, factoring and solving with H + A'WA are fbrs.problem's
-    assert not any(hasattr(newton, name) for name in ("_potrf", "_potrs", "_schur", "scipy"))
+    assert not any(hasattr(newton, name) for name in ("_posv", "_potrf", "_potrs", "_schur", "scipy"))
 
 
 def test_box_schur_matrix_gives_the_dense_bits():

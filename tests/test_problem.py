@@ -6,12 +6,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbrs.problem
 from fbrs import (
     InvalidProblem,
     LtiMpcSpec,
     PrimalDualPoint,
     QpProblem,
     SolverConfig,
+    Status,
     constraint_slack,
     fbrs_solve,
     objective,
@@ -19,7 +21,7 @@ from fbrs import (
 )
 from fbrs.fb import _evaluate
 from fbrs.mpc import condense, double_integrator, mass_spring_chain
-from fbrs.oracle import random_strictly_convex_qp, solve_by_enumeration, verify_kkt
+from fbrs.oracle import random_infeasible_start, random_strictly_convex_qp, solve_by_enumeration, verify_kkt
 from fbrs.problem import _PRUNE_MIN_N, _kept_rows, _schur, _schur_solve, _syrk, _times_A, _times_At
 from fbrs.qpfile import serialize_qp
 
@@ -108,7 +110,18 @@ def test_rejects_nonfinite_and_bad_shapes():
         PrimalDualPoint([0.0], [np.datetime64("2020-01-01")])
     with pytest.raises(InvalidProblem, match="z is not a real"):
         PrimalDualPoint([np.timedelta64(1, "D")], [0.0])
-    # an object array is cast entry by entry
+    # and neither is an object array holding one, though numpy casts each entry
+    with pytest.raises(InvalidProblem, match="v is not a real"):
+        PrimalDualPoint([0.0], np.array(["1.5"], dtype=object))
+    with pytest.raises(InvalidProblem, match="z is not a real"):
+        PrimalDualPoint([np.datetime64("2020-01-01"), 0.0], [0.0])
+    with pytest.raises(InvalidProblem, match="f is not a real"):
+        QpProblem(np.eye(2), np.array([np.timedelta64(1, "D"), 0.0], dtype=object), [[1.0, 0.0]], [1.0])
+    with pytest.raises(InvalidProblem, match="b is not a real"):
+        QpProblem(np.eye(1), [0.0], [[1.0]], np.array([b"1"], dtype=object))
+    with pytest.raises(InvalidProblem, match="A is not a real"):
+        QpProblem(np.eye(1), [0.0], np.array([[1j]], dtype=object), [1.0])
+    # an object array of real numbers is cast entry by entry
     assert np.array_equal(PrimalDualPoint(np.array([1, 2.5], dtype=object), [0.0]).z, [1.0, 2.5])
 
 
@@ -252,6 +265,57 @@ def test_a_pruned_schur_matrix_that_fails_is_factored_again_with_every_row():
         assert np.isfinite(dz).all()
         reference = scipy.linalg.cho_solve(factor, rhs)
         assert np.linalg.norm(S @ dz - rhs) <= 10.0 * np.linalg.norm(S @ reference - rhs)
+
+
+def test_one_lapack_call_per_newton_step(monkeypatch):
+    # posv factors and solves in one call; only a pruned matrix that fails
+    # makes a second one, with every row
+    calls = []
+    posv = fbrs.problem._posv
+
+    def counting(*args):
+        calls.append(args)
+        return posv(*args)
+
+    monkeypatch.setattr(fbrs.problem, "_posv", counting)
+    rng = np.random.default_rng(20)
+    for _ in range(5):
+        p = random_strictly_convex_qp(20, 40, rng)
+        calls.clear()
+        result = fbrs_solve(p, random_infeasible_start(p, rng))
+        assert result.status == Status.SOLVED
+        assert len(calls) == result.iterations > 0
+    n, k = _PRUNE_MIN_N, 40
+    A = scipy.linalg.block_diag(*(np.linalg.qr(rng.standard_normal((m, m)))[0] for m in (k, n - k)))
+    p = QpProblem(np.zeros((n, n)), np.zeros(n), A, np.ones(n))
+    calls.clear()
+    _schur_solve(p, np.where(np.arange(n) < k, 1e8, 1e-9), rng.standard_normal(n))
+    assert len(calls) == 2
+    # a pruned matrix that is definite takes one call
+    p = random_strictly_convex_qp(100, 200, rng)
+    w = 10.0 ** rng.uniform(-8, 8, p.q)
+    assert _kept_rows(p, w) is not None
+    calls.clear()
+    _schur_solve(p, w, rng.standard_normal(p.n))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make_qp, pruned", [
+    (lambda rng: random_strictly_convex_qp(20, 40, rng), False),
+    (lambda rng: random_strictly_convex_qp(100, 200, rng), True),
+    (lambda rng: condense(mass_spring_chain(40)), False),
+], ids=["dense-20", "pruned-100", "box-only"])
+def test_posv_gives_the_potrf_potrs_bits(make_qp, pruned):
+    rng = np.random.default_rng(64)
+    p = make_qp(rng)
+    for _ in range(5):
+        w = 10.0 ** rng.uniform(-8, 8, p.q)
+        rhs = rng.standard_normal(p.n)
+        keep = _kept_rows(p, w)
+        assert (keep is not None) == pruned
+        factor, info = scipy.linalg.lapack.dpotrf(_schur(p, w, keep), lower=1, clean=0)
+        assert info == 0
+        assert np.array_equal(_schur_solve(p, w, rhs), scipy.linalg.lapack.dpotrs(factor, rhs, lower=1)[0])
 
 
 def test_validate_identity_hessian_passes():
