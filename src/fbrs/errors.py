@@ -10,7 +10,8 @@ class InvalidProblem(FbrsError):
 
 
 class InvalidConfig(FbrsError):
-    """SolverConfig setting (tol, max_iters) out of its valid range."""
+    """SolverConfig setting (tol, max_iters) out of its valid range, or a
+    solver config that is neither a SolverConfig nor None."""
 
 
 class OracleError(FbrsError):

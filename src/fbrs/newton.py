@@ -12,13 +12,14 @@ and solves with the Schur matrix, and applies A and A'), and fbrs.fb forms
 every residual, so this module owns only the iteration and reads neither the
 row structure of A nor a residual formula. The loop globalizes with a
 backtracking linesearch on the merit function theta = 0.5 ||F_eps||^2, and
-takes a merit-gradient step instead of the Newton step when the Schur matrix
-is not numerically positive definite (as on ker H when H is only PSD) or when
-the linesearch rejects the Newton step. The smoothing eps stays fixed; each
-point is regularized with delta = min(delta0, ||F_eps||). The solve stops
-once ||F_0|| <= tol. The Armijo constants and the regularization cap are
-fixed (SolverConfig.sigma, .beta, .max_backtracks, .delta0); tol and
-max_iters are the only settings.
+takes a merit-gradient step instead of the Newton step when the Newton step
+fails: the Schur matrix is not numerically positive definite (as on ker H
+when H is only PSD), the direction is not finite, or the linesearch rejects
+it. Each step function reports its failure by returning None; none raises.
+The smoothing eps stays fixed; each point is regularized with
+delta = min(delta0, ||F_eps||). The solve stops once ||F_0|| <= tol. The
+Armijo constants and the regularization cap are fixed (SolverConfig.sigma,
+.beta, .max_backtracks, .delta0); tol and max_iters are the only settings.
 
 fbrs_solve holds one evaluated point, fb._evaluate's record of the flat
 iterate x = [z; v] with F_eps, y, hypot(v, y), hypot(hypot(v, y), eps) and
@@ -46,21 +47,6 @@ from .errors import InvalidConfig
 from .fb import _coefficients, _evaluate, _norm_F0, _norm_Fnr, _Point
 from .problem import (PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive,
                       _schur_solve, _times_A, _times_At)
-
-
-# The step's failure signals. fbrs_solve catches each and turns it into a
-# merit-gradient step or a Status, so none reaches its caller; they are not
-# FbrsErrors.
-class CholeskyFailure(Exception):
-    """The condensed Schur matrix is not numerically positive definite."""
-
-
-class NoDirection(Exception):
-    """The search direction is not finite."""
-
-
-class LinesearchError(Exception):
-    """No acceptable steplength within the backtracking budget."""
 
 
 class Status(Enum):
@@ -130,7 +116,7 @@ class SolverResult:
     trace: list[IterationRecord] = field(default_factory=list)
 
 
-def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve [H A'; -CA D] dx = rhs, rhs = (r_s, r_c), C = diag(gamma),
     D = diag(mu), via the Schur complement
     (H + A' C D^-1 A) dz = r_s - A' D^-1 r_c (problem._schur_solve),
@@ -138,20 +124,17 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     step dx = (dz, dv). Arguments are not checked. The row weights
     w = gamma / mu are >= 0 (|y| <= r makes 1 - y/r >= 0, and delta >= 0).
 
-    Requires all mu_i > 0. Raises CholeskyFailure when the Schur matrix is
-    not numerically positive definite; fbrs_solve then takes a merit-gradient
-    step.
+    Returns None when the Schur matrix is not numerically positive definite
+    or dx is not finite; fbrs_solve then takes a merit-gradient step. The
+    loop's mu is >= delta > 0 (|v| <= r); a zero mu_i gives None.
     """
-    # np.minimum.reduce is mu.min() without numpy's Python-level wrapper
-    if np.minimum.reduce(mu) <= 0.0:
-        raise CholeskyFailure("D has a nonpositive diagonal entry")
     n = p.n
     r_s, r_c = rhs[:n], rhs[n:]
     dz = _schur_solve(p, gamma / mu, r_s - _times_At(p, r_c / mu))
     if dz is None:
-        raise CholeskyFailure("Schur matrix not numerically positive definite")
-    dv = (r_c + gamma * _times_A(p, dz)) / mu
-    return np.concatenate([dz, dv])
+        return None
+    dx = np.concatenate([dz, (r_c + gamma * _times_A(p, dz)) / mu])
+    return dx if np.isfinite(dx).all() else None
 
 
 def _merit_gradient(p: QpProblem, F: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -167,12 +150,10 @@ def linesearch(p: QpProblem, point: _Point, dx, eps: float):
     """First t in {1, beta, beta^2, ...} with theta(x + t dx) < (1 - 2 t sigma) theta(x),
     where x = point.x, theta = 0.5 ||F_eps||^2 = 0.5 point.ff and sigma, beta
     are SolverConfig's. Returns (t, backtracks, point') with point' the
-    evaluated accepted point. Raises LinesearchError when
-    SolverConfig.max_backtracks reductions were not enough (dx is no usable
-    descent direction), NoDirection when dx is not finite.
+    evaluated accepted point, or None when SolverConfig.max_backtracks
+    reductions were not enough (dx is no usable descent direction). dx is
+    not checked; fbrs_solve passes only finite directions.
     """
-    if not np.isfinite(dx).all():
-        raise NoDirection("non-finite search direction")
     # read at call time, not import time, so a patched constant takes effect
     beta, sigma, max_backtracks = SolverConfig.beta, SolverConfig.sigma, SolverConfig.max_backtracks
     x, theta0 = point.x, 0.5 * point.ff
@@ -182,7 +163,7 @@ def linesearch(p: QpProblem, point: _Point, dx, eps: float):
         trial = _evaluate(p, x + t * dx if j else x + dx, eps)
         if 0.5 * trial.ff < (1.0 - 2.0 * t * sigma) * theta0:
             return t, j, trial
-    raise LinesearchError(f"no acceptable step after {max_backtracks} backtracks")
+    return None
 
 
 def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = None) -> SolverResult:
@@ -190,17 +171,17 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
 
     Per pass: set delta = min(delta0, ||F_eps||) at the current point, stop if
     ||F_0|| <= tol already holds (so a warmstart at the solution costs zero
-    Newton solves), otherwise take a globalized step. When the Schur matrix
-    is not numerically positive definite, or the linesearch rejects the
-    Newton step, a merit-gradient step is taken instead; when the linesearch
-    rejects that too, the solve ends with status LINESEARCH_FAILURE (as with
-    H = 0 and A = 0, at iteration 0). The trace gets one record per pass
-    including the terminal one, so it has iterations + 1 entries; its ||F_0||
-    and ||F_nr|| are formed when first read, and final_norm_F0,
-    final_norm_Fnr read the last record. Each pass reads the evaluated point
-    (fb._evaluate) that the previous linesearch accepted, so every point is
-    evaluated once. A non-finite step direction ends the solve with status
-    INVALID_PROBLEM at the last accepted iterate. The loop emits no
+    Newton solves), otherwise take a globalized step. When the Newton step
+    fails (solve_condensed or linesearch returns None), a merit-gradient step
+    is taken instead; when the linesearch rejects that too, the solve ends
+    with status LINESEARCH_FAILURE (as with H = 0 and A = 0, at iteration 0).
+    A non-finite merit gradient (the residual overflowed) ends it with status
+    INVALID_PROBLEM. Either way the last accepted iterate is returned. The
+    trace gets one record per pass including the terminal one, so it has
+    iterations + 1 entries; its ||F_0|| and ||F_nr|| are formed when first
+    read, and final_norm_F0, final_norm_Fnr read the last record. Each pass
+    reads the evaluated point (fb._evaluate) that the previous linesearch
+    accepted, so every point is evaluated once. The loop emits no
     floating-point warnings, and each step failure ends in a status. The
     InvalidProblem exception comes only from the entry checks: p must be a
     QpProblem and x0 a PrimalDualPoint of its (n, q). InvalidConfig unless
@@ -234,22 +215,18 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
                 break
             if k == max_iters:
                 break
-            try:
-                try:
-                    dx = solve_condensed(p, *_coefficients(y, v, point.r, delta), -F)
-                    t, nb, point = linesearch(p, point, dx, eps)
-                except (CholeskyFailure, LinesearchError):
-                    dx = -_merit_gradient(p, F, *_coefficients(y, v, point.r, 0.0))
-                    t, nb, point = linesearch(p, point, dx, eps)
-            except LinesearchError:
-                status = Status.LINESEARCH_FAILURE
-                break
-            except NoDirection:
-                # point is still the last accepted iterate
-                status = Status.INVALID_PROBLEM
-                break
-            rec.t = t
-            rec.backtracks = nb
+            dx = solve_condensed(p, *_coefficients(y, v, point.r, delta), -F)
+            step = None if dx is None else linesearch(p, point, dx, eps)
+            if step is None:
+                dx = -_merit_gradient(p, F, *_coefficients(y, v, point.r, 0.0))
+                if not np.isfinite(dx).all():
+                    status = Status.INVALID_PROBLEM
+                    break
+                step = linesearch(p, point, dx, eps)
+                if step is None:
+                    status = Status.LINESEARCH_FAILURE
+                    break
+            rec.t, rec.backtracks, point = step
 
     last = trace[-1]
     return SolverResult(

@@ -110,6 +110,22 @@ def test_coefficient_ranges(a, b, eps, delta):
     assert delta < mu[0] < 2.0 + delta
 
 
+@pytest.mark.parametrize("eps", [5e-324, 1e-300, 1e-12, 1.0])
+def test_coefficients_never_fall_below_delta_after_rounding(eps):
+    # the non-strict bound at every magnitude, subnormals included:
+    # r = hypot(hypot(v, y), eps) >= |y|, |v| holds in floating point too, so
+    # 1 - y/r and 1 - v/r are >= 0, and the loop's mu >= delta > 0 keeps
+    # D = diag(mu) nonsingular
+    rng = np.random.default_rng(0)
+    mags = np.concatenate([[0.0, 5e-324, 1e-320, 1e308], 10.0 ** rng.uniform(-320, 308, 700)])
+    signed = np.concatenate([mags, -mags])
+    y, v = np.meshgrid(signed, signed)
+    r = _r(y, v, eps)
+    for delta in (0.0, 1e-8):
+        gamma, mu = _coefficients(y, v, r, delta)
+        assert (gamma >= delta).all() and (mu >= delta).all()
+
+
 def _residual(p, z, v, eps):
     return _evaluate(p, np.concatenate([z, v]).astype(float), eps).F
 

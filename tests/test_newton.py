@@ -17,8 +17,6 @@ from fbrs import (
 from fbrs import mass_spring_chain, mpc, newton, run_sequence
 from fbrs.fb import _coefficients, _evaluate
 from fbrs.newton import (
-    CholeskyFailure,
-    LinesearchError,
     SolverConfig,
     _merit_gradient,
     fbrs_solve,
@@ -167,13 +165,15 @@ def test_solve_condensed_matches_lu_reference_on_toy():
     assert _solve_residual(*sys, dx_cond) <= 1e-14
 
 
-def test_solve_condensed_raises_on_indefinite_schur():
+def test_solve_condensed_returns_none_on_indefinite_schur():
+    # an indefinite Schur matrix, and a zero mu (D singular), which the loop
+    # never passes (mu >= delta > 0, see test_fb); its division by zero is
+    # silenced here as the loop silences it
     p = QpProblem([[-2.0]], [0.0], [[1.0]], [0.0])
-    with pytest.raises(CholeskyFailure):
-        solve_condensed(p, np.ones(1), np.ones(1), np.ones(2))
+    assert solve_condensed(p, np.ones(1), np.ones(1), np.ones(2)) is None
     p = QpProblem(np.eye(1), [0.0], np.eye(1), [0.0])
-    with pytest.raises(CholeskyFailure):
-        solve_condensed(p, np.ones(1), np.zeros(1), np.ones(2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert solve_condensed(p, np.ones(1), np.zeros(1), np.ones(2)) is None
 
 
 def test_lu_reference_accuracy_random():
@@ -401,8 +401,17 @@ def test_linesearch_fails_on_ascent_direction(qp_1d, monkeypatch):
     monkeypatch.setattr(SolverConfig, "max_backtracks", 10)
     x = PrimalDualPoint([100.0], [50.0])
     up = _gradient(qp_1d, x, 0.1)
-    with pytest.raises(LinesearchError, match="after 10 backtracks"):
-        linesearch(qp_1d, _evaluate(qp_1d, x.as_vector(), 0.1), up, 0.1)
+    point = _evaluate(qp_1d, x.as_vector(), 0.1)
+    trials = []
+
+    def counting_evaluate(*args):
+        trials.append(args)
+        return _evaluate(*args)
+
+    monkeypatch.setattr(newton, "_evaluate", counting_evaluate)
+    assert linesearch(qp_1d, point, up, 0.1) is None
+    # the unit step and 10 backtracks
+    assert len(trials) == 11
 
 
 def test_linesearch_returns_the_evaluated_point(monkeypatch):
@@ -474,7 +483,7 @@ def test_solve_paths_agree(monkeypatch):
     calls = []
 
     def fail_cholesky(*args):
-        raise CholeskyFailure("forced")
+        return None
 
     def counting_gradient(*args):
         calls.append(args)
@@ -490,17 +499,16 @@ def test_solve_paths_agree(monkeypatch):
 
 
 def _record_cholesky_failures_and_gradient_steps(monkeypatch):
-    # records "cholesky-failure" and "gradient" events in the order the loop
-    # meets them
+    # records "cholesky-failure" (solve_condensed returns None) and
+    # "gradient" events in the order the loop meets them
     events = []
     solve, gradient = newton.solve_condensed, newton._merit_gradient
 
     def counting_solve(*args):
-        try:
-            return solve(*args)
-        except CholeskyFailure:
+        dx = solve(*args)
+        if dx is None:
             events.append("cholesky-failure")
-            raise
+        return dx
 
     def counting_gradient(*args):
         events.append("gradient")
@@ -550,11 +558,9 @@ def test_spd_traffic_stays_on_the_cholesky_path(monkeypatch):
 
     def counting_linesearch(*args):
         calls["linesearch"] += 1
-        try:
-            return linesearch(*args)
-        except LinesearchError:
-            calls["rejected"] += 1
-            raise
+        step = linesearch(*args)
+        calls["rejected"] += step is None
+        return step
 
     monkeypatch.setattr(newton, "linesearch", counting_linesearch)
     cfg = SolverConfig(tol=1e-8, max_iters=100)
@@ -735,14 +741,23 @@ def test_returned_points_are_read_only_and_unaliased():
         assert not np.shares_memory(vec, first.x.z) and not np.shares_memory(vec, first.x.v)
 
 
-def test_non_finite_step_returns_invalid_problem(qp_1d):
-    # at these starts the residual overflows (at the second, Az = 1e310) and
-    # the Newton direction is not finite: the solve reports it, keeps the last
-    # finite iterate and lets no floating-point warning escape
+def test_non_finite_gradient_returns_invalid_problem(qp_1d, monkeypatch):
+    # at these starts the residual overflows (at the second, Az = 1e310), so
+    # neither the Newton direction nor the merit gradient that replaces it is
+    # finite: the solve reports it, keeps the last finite iterate and lets no
+    # floating-point warning escape
+    gradients = []
+
+    def recorded_gradient(*args):
+        gradients.append(_merit_gradient(*args))
+        return gradients[-1]
+
+    monkeypatch.setattr(newton, "_merit_gradient", recorded_gradient)
     for p, x0 in [
         (qp_1d, PrimalDualPoint([1.7e308], [1.7e308])),
         (QpProblem([[1.0]], [0.0], [[1e300]], [0.0]), PrimalDualPoint([1e10], [0.0])),
     ]:
+        gradients.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = fbrs_solve(p, x0)
@@ -751,6 +766,33 @@ def test_non_finite_step_returns_invalid_problem(qp_1d):
         assert result.status == Status.INVALID_PROBLEM
         assert result.iterations == 0
         assert np.array_equal(result.x.z, x0.z) and np.array_equal(result.x.v, x0.v)
+        assert len(gradients) == 1 and not np.isfinite(gradients[0]).all()
+
+
+def test_non_finite_newton_step_falls_back_to_the_gradient_step(monkeypatch):
+    # a Newton direction that is not finite is one more failed Newton step:
+    # the pass takes the merit-gradient step, and the solve goes on
+    calls, gradients = [], []
+    schur_solve, gradient = newton._schur_solve, newton._merit_gradient
+
+    def overflowing_first_solve(*args):
+        dz = schur_solve(*args)
+        calls.append(dz)
+        return np.full_like(dz, np.inf) if len(calls) == 1 else dz
+
+    def counting_gradient(*args):
+        gradients.append(args)
+        return gradient(*args)
+
+    monkeypatch.setattr(newton, "_schur_solve", overflowing_first_solve)
+    monkeypatch.setattr(newton, "_merit_gradient", counting_gradient)
+    rng = np.random.default_rng([1, 0])
+    p = random_strictly_convex_qp(20, 40, rng)
+    result = fbrs_solve(p, random_infeasible_start(p, rng), SolverConfig(tol=1e-8, max_iters=100))
+    assert result.status == Status.SOLVED
+    assert result.iterations == 11
+    assert len(gradients) == 1
+    assert result.trace[0].t > 0.0
 
 
 def test_trace_shape_and_delta_monotonicity(monkeypatch):
