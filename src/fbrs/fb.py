@@ -25,22 +25,28 @@ from .problem import QpProblem, _times_A, _times_At
 
 
 def _phi(a: np.ndarray, b: np.ndarray, eps: float, r: np.ndarray) -> np.ndarray:
-    """phi_eps(a, b) = a + b - r elementwise on float arrays, given
-    r = hypot(hypot(a, b), eps); at eps = 0, r = hypot(a, b) exactly. With
-    s = a + b, rows with s > 0 use the equal quotient (2ab - eps^2) / d,
-    d = s + r, taken as 2b (a / d) - eps (eps / d): s - r cancels there, and
-    at (a, b) = (-1, 1e16) it reads 0, not -1. The other rows' quotient is
-    formed and discarded, so their d need only keep it finite and silent: at
-    eps > 0, d = |s| + r >= eps > 0 (the same d where s > 0); at eps = 0,
-    where a = b = 0 would give 0 / 0, d = inf, and the eps term, exactly 0,
-    is left out. Arguments are not checked."""
+    """phi_eps(a, b) = a + b - r elementwise on float arrays of at least one
+    axis, given r = hypot(hypot(a, b), eps); at eps = 0, r = hypot(a, b)
+    exactly. With s = a + b, rows with s > 0 use the equal quotient
+    (2ab - eps^2) / d, d = s + r, taken as 2b (a / d) - eps (eps / d): s - r
+    cancels there, and at (a, b) = (-1, 1e16) it reads 0, not -1. The
+    quotient is copied into s - r where s > 0 (np.copyto, which needs an
+    array to write into, so 0-d input does not do): the entries np.where
+    would pick, nan and inf included, with one array fewer. The other rows'
+    quotient is formed and discarded, so their d need only keep it finite
+    and silent: at eps > 0, d = |s| + r >= eps > 0 (the same d where s > 0);
+    at eps = 0, where a = b = 0 would give 0 / 0, d = inf, and the eps term,
+    exactly 0, is left out. Arguments are not checked."""
     s = a + b
-    pos = s > 0
+    pos = s > 0.0
+    out = s - r
     if eps > 0.0:
         d = np.abs(s) + r
-        return np.where(pos, 2.0 * (b * (a / d)) - eps * (eps / d), s - r)
-    d = np.where(pos, s + r, np.inf)
-    return np.where(pos, 2.0 * (b * (a / d)), s - r)
+        np.copyto(out, 2.0 * (b * (a / d)) - eps * (eps / d), where=pos)
+    else:
+        d = np.where(pos, s + r, np.inf)
+        np.copyto(out, 2.0 * (b * (a / d)), where=pos)
+    return out
 
 
 def _coefficients(y: np.ndarray, v: np.ndarray, r: np.ndarray, delta: float):
@@ -71,8 +77,8 @@ def _evaluate(p: QpProblem, x: np.ndarray, eps: float) -> _Point:
     y = p.b - _times_A(p, z)
     r0 = np.hypot(v, y)
     r = np.hypot(r0, eps)
-    F = np.concatenate([p.H @ z + p.f + _times_At(p, v), _phi(v, y, eps, r)])
-    return _Point(x, F, y, r0, r, float(F @ F))
+    F = np.concatenate([p.H.dot(z) + p.f + _times_At(p, v), _phi(v, y, eps, r)])
+    return _Point(x, F, y, r0, r, float(F.dot(F)))
 
 
 def _norm_F0(point: _Point) -> float:
@@ -80,7 +86,7 @@ def _norm_F0(point: _Point) -> float:
     n = point.x.size - point.y.size
     with np.errstate(all="ignore"):
         F0 = np.concatenate([point.F[:n], _phi(point.x[n:], point.y, 0.0, point.r0)])
-        return math.sqrt(F0 @ F0)
+        return math.sqrt(F0.dot(F0))
 
 
 def _norm_Fnr(point: _Point) -> float:
@@ -88,4 +94,4 @@ def _norm_Fnr(point: _Point) -> float:
     n = point.x.size - point.y.size
     with np.errstate(all="ignore"):
         Fnr = np.concatenate([point.F[:n], np.minimum(point.y, point.x[n:])])
-        return math.sqrt(Fnr @ Fnr)
+        return math.sqrt(Fnr.dot(Fnr))

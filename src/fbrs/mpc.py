@@ -27,8 +27,9 @@ class LtiMpcSpec:
 
     Stage cost x'Qx + u'Ru (Q PSD, R strictly PD), input box u_lo <= u <= u_hi,
     optional state box x_lo <= x <= x_hi applied to the predicted states 1..N.
-    Arrays become read-only float copies, Q and R symmetrized; InvalidSpec names
-    a field that is not finite, is misshapen, or breaks lo < hi or horizon >= 1.
+    Arrays become read-only, C-ordered float copies, Q and R symmetrized;
+    InvalidSpec names a field that is not finite, is misshapen, or breaks
+    lo < hi or horizon >= 1.
     """
 
     Ad: np.ndarray
@@ -124,8 +125,8 @@ def _condenser(spec: LtiMpcSpec):
 
     def build(x0: np.ndarray) -> QpProblem:
         with np.errstate(over="ignore", invalid="ignore"):
-            predicted = Phi @ x0
-            f = G.T @ (Qbar @ predicted)
+            predicted = Phi.dot(x0)
+            f = G.T.dot(Qbar.dot(predicted))
             rhs = input_rhs if spec.x_lo is None else input_rhs + [x_hi - predicted, predicted - x_lo]
         try:
             return base._with_rhs(f, np.concatenate(rhs))
@@ -265,7 +266,7 @@ def run_sequence(
         if result.status != Status.SOLVED:
             raise MpcSequenceError(step, result.status, f"QP ended with {result.status.value}")
         u0 = result.x.z[:spec.nu]
-        state = spec.Ad @ state + spec.Bd @ u0
+        state = spec.Ad.dot(state) + spec.Bd.dot(u0)
         states.append(state)
         inputs.append(u0)
         records.append(

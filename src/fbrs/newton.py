@@ -134,14 +134,14 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     if dz is None:
         return None
     dx = np.concatenate([dz, (r_c + gamma * _times_A(p, dz)) / mu])
-    return dx if np.isfinite(dx).all() else None
+    return dx if np.logical_and.reduce(np.isfinite(dx)) else None
 
 
 def _merit_gradient(p: QpProblem, F: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """grad theta_eps = V' F_eps, with V = [H A'; -CA D] the iteration matrix
     at delta = 0 and F = F_eps. Arguments are not checked."""
     F_top, F_bot = F[:p.n], F[p.n:]
-    gz = p.H @ F_top - _times_At(p, gamma * F_bot)
+    gz = p.H.dot(F_top) - _times_At(p, gamma * F_bot)
     gv = _times_A(p, F_top) + mu * F_bot
     return np.concatenate([gz, gv])
 
@@ -219,7 +219,7 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
             step = None if dx is None else linesearch(p, point, dx, eps)
             if step is None:
                 dx = -_merit_gradient(p, F, *_coefficients(y, v, point.r, 0.0))
-                if not np.isfinite(dx).all():
+                if not np.logical_and.reduce(np.isfinite(dx)):
                     status = Status.INVALID_PROBLEM
                     break
                 step = linesearch(p, point, dx, eps)

@@ -44,14 +44,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _frozen(value, name: str, shape: tuple, error: type[FbrsError] = InvalidProblem) -> np.ndarray:
-    """Caller input as a read-only float copy with real, finite entries and the
-    given shape, where None is any length >= 1; lower-rank input gains leading
-    unit axes (as np.atleast_2d). Raises `error`, naming `name`, otherwise; an
-    array of complex numbers, strings, bytes, dates or time spans is rejected,
-    not cast, and so is an object array with any such entry; an object array
-    of real numbers is cast entry by entry."""
+    """Caller input as a read-only, C-ordered float copy with real, finite
+    entries and the given shape, where None is any length >= 1; lower-rank
+    input gains leading unit axes (as np.atleast_2d). Raises `error`, naming
+    `name`, otherwise; an array of complex numbers, strings, bytes, dates or
+    time spans is rejected, not cast, and so is an object array with any such
+    entry; an object array of real numbers is cast entry by entry. The copy
+    is C-ordered whatever the caller's layout, as BLAS runs another kernel,
+    with other bits, on a Fortran-ordered matrix."""
     try:
-        arr = np.array(value, ndmin=len(shape))
+        arr = np.array(value, ndmin=len(shape), order="C")
         if arr.dtype.kind in "cUSMm":
             raise TypeError(f"dtype {arr.dtype}")
         if arr.dtype.kind == "O":
@@ -124,7 +126,7 @@ def _times_A(p: "QpProblem", z: np.ndarray) -> np.ndarray:
     are the bits of the dense product, whose other terms are exact zeros.
     Arguments are not checked."""
     if p._box_cols is None:
-        return p.A @ z
+        return p.A.dot(z)
     return p._box_sign * z[p._box_cols]
 
 
@@ -133,7 +135,7 @@ def _times_At(p: "QpProblem", v: np.ndarray) -> np.ndarray:
     bits of the dense product on finite v, except perhaps the last bit of a
     column hit by three or more rows. Arguments are not checked."""
     if p._box_cols is None:
-        return p.A.T @ v
+        return p.A.T.dot(v)
     return np.bincount(p._box_cols, p._box_sign * v, p.n)
 
 
@@ -209,8 +211,10 @@ def _schur_solve(p: "QpProblem", w: np.ndarray, rhs: np.ndarray) -> np.ndarray |
 
 @dataclass(frozen=True)
 class QpProblem:
-    """The quadruple (H, f, A, b) as read-only float copies, H symmetrized
-    as 0.5 H + 0.5 H', which cannot overflow.
+    """The quadruple (H, f, A, b) as read-only, C-ordered float copies, H
+    symmetrized as 0.5 H + 0.5 H', which cannot overflow. A Fortran-ordered
+    H or A is copied to C order, so the solve has the bits of its C-ordered
+    twin.
 
     InvalidProblem names an array that is not finite or not of shape H (n, n),
     f (n,), A (q, n), b (q,) with n, q >= 1. The Frobenius asymmetry of the

@@ -47,7 +47,9 @@ def tail_pairs(trace):
 
 
 def phi_eps(a, b, eps):
-    """a + b - sqrt(a^2 + b^2 + eps^2) by fb._phi; a float for scalar input."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    """a + b - sqrt(a^2 + b^2 + eps^2) by fb._phi; a float for scalar input,
+    which goes in as a one-entry array, as _phi writes into an array."""
+    scalar = np.ndim(a) == np.ndim(b) == 0
+    a, b = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     out = _phi(a, b, eps, np.hypot(np.hypot(a, b), eps))
-    return float(out) if out.ndim == 0 else out
+    return float(out[0]) if scalar else out

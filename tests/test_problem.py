@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +9,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbrs.fb
+import fbrs.mpc
+import fbrs.newton
 import fbrs.problem
 from fbrs import (
     InvalidProblem,
@@ -20,7 +26,7 @@ from fbrs import (
     validate_problem,
 )
 from fbrs.fb import _evaluate
-from fbrs.mpc import condense, double_integrator, mass_spring_chain
+from fbrs.mpc import condense, double_integrator, mass_spring_chain, run_sequence
 from fbrs.oracle import random_infeasible_start, random_strictly_convex_qp, solve_by_enumeration, verify_kkt
 from fbrs.problem import _PRUNE_MIN_N, _kept_rows, _schur, _schur_solve, _syrk, _times_A, _times_At
 from fbrs.qpfile import serialize_qp
@@ -195,6 +201,70 @@ def test_gather_scatter_products_are_the_dense_bits(make_qp):
         v = 10.0 ** rng.uniform(-8, 8, p.q) * rng.standard_normal(p.q)
         assert np.array_equal(_times_A(p, z), p.A @ z)
         assert np.array_equal(_times_At(p, v), p.A.T @ v)
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_dot_gives_the_matmul_bits():
+    # the solve path forms its products with ndarray.dot, which reaches the
+    # BLAS routine (gemv, dot) that the matmul gufunc does, with less work on
+    # entry; checked on the layouts the path passes (C-ordered A and H, the
+    # transposed view A.T, 1-d vectors) with unit and 10^+-150 magnitudes,
+    # whose products stay finite
+    rng = np.random.default_rng(25)
+    for draw in range(20):
+        scale = 150.0 * (draw % 2)
+        for n in (1, 2, 3, 7, 20, 80, 300):
+            z = rng.standard_normal(n) * 10.0 ** rng.uniform(-scale, scale, n)
+            H = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-scale, scale, (n, n))
+            assert _same_bits(H.dot(z), H @ z) and _same_bits(z.dot(z), z @ z)
+            for q in (1, 2, 3, 5, 8, 13, 40, 160, 600):
+                A = rng.standard_normal((q, n)) * 10.0 ** rng.uniform(-scale, scale, (q, n))
+                v = rng.standard_normal(q) * 10.0 ** rng.uniform(-scale, scale, q)
+                assert _same_bits(A.dot(z), A @ z) and _same_bits(A.T.dot(v), A.T @ v)
+                assert _same_bits(v.dot(v), v @ v)
+
+
+def test_the_solve_path_forms_no_product_with_matmul():
+    # every product of a Newton step, and of an MPC step's f, b and state
+    # update, goes through ndarray.dot (see test_dot_gives_the_matmul_bits)
+    build = next(node for node in ast.walk(ast.parse(inspect.getsource(fbrs.mpc._condenser)))
+                 if isinstance(node, ast.FunctionDef) and node.name == "build")
+    trees = [ast.parse(inspect.getsource(obj))
+             for obj in (fbrs.fb, fbrs.newton, _times_A, _times_At, _schur, run_sequence)] + [build]
+    assert not any(isinstance(node, ast.MatMult) for tree in trees for node in ast.walk(tree))
+
+
+def _fortran(value):
+    return np.asfortranarray(value) if np.ndim(value) == 2 else value
+
+
+def test_fortran_ordered_input_gives_the_c_ordered_bits():
+    # BLAS runs another kernel, with other bits, on a Fortran-ordered matrix:
+    # QpProblem and LtiMpcSpec store C-ordered copies, so the caller's layout
+    # does not reach the solve, condense or the closed loop
+    cfg = SolverConfig(tol=1e-8, max_iters=100)
+    for n, q, count in ((20, 40, 6), (100, 200, 2)):
+        for i in range(count):
+            rng = np.random.default_rng([1, i])
+            p = random_strictly_convex_qp(n, q, rng)
+            x0 = random_infeasible_start(p, rng)
+            twins = [QpProblem(layout(p.H), p.f, layout(p.A), p.b) for layout in (np.ascontiguousarray, _fortran)]
+            c, f = (fbrs_solve(twin, x0, cfg) for twin in twins)
+            assert (c.status, c.iterations) == (f.status, f.iterations)
+            assert _same_bits(c.x.z, f.x.z) and _same_bits(c.x.v, f.x.v)
+            assert all(twin.H.flags.c_contiguous and twin.A.flags.c_contiguous for twin in twins)
+    spec = dataclasses.replace(mass_spring_chain(8), x_lo=np.full(6, -5.0), x_hi=np.full(6, 5.0))
+    twin = LtiMpcSpec(**{field.name: _fortran(getattr(spec, field.name)) for field in dataclasses.fields(spec)})
+    assert all(getattr(twin, name).flags.c_contiguous for name in ("Ad", "Bd", "Q", "R"))
+    c, f = condense(spec), condense(twin)
+    assert all(_same_bits(getattr(c, name), getattr(f, name)) for name in "HfAb")
+    (c_path, c_stats), (f_path, f_stats) = (run_sequence(s, 20, "warm") for s in (spec, twin))
+    assert _same_bits(c_path.states, f_path.states) and _same_bits(c_path.inputs, f_path.inputs)
+    assert [r.iterations for r in c_stats.records] == [r.iterations for r in f_stats.records]
 
 
 @pytest.mark.parametrize("n, equal_weights", [(20, False), (100, True)],
