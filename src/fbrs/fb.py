@@ -9,9 +9,16 @@ coefficients of the Newton system. The residual
 is formed in one place, _evaluate, which returns the evaluated point
 (_Point): the flat iterate x = [z; v] with F_eps, y, r0 = hypot(v, y),
 r = hypot(r0, eps) and F_eps'F_eps. The solve loop reads every per-point
-quantity from it: the coefficients (_coefficients with r) and the merit, and
-a trace record, when read, ||F_0|| and ||F_nr|| (_norm_F0, _norm_Fnr). This
-module forms every residual; none of these functions checks its arguments.
+quantity from it: the coefficients (_coefficients with r), the merit, and a
+trace record's ||F_0|| and ||F_nr|| (_norm_F0, _norm_Fnr). This module forms
+every residual; none of these functions checks its arguments.
+
+Every scalar that these functions hand a ufunc is a 0-d float64 array: the
+read-only constants below, and the eps and delta the solve loop passes. A
+ufunc call on a short vector takes about two thirds of the time with a 0-d
+array operand that it takes with a Python float, which numpy must convert
+first; it applies the same float64 operation, so the bits are the same. The
+functions take Python floats as well.
 """
 
 from __future__ import annotations
@@ -21,40 +28,46 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .problem import QpProblem, _times_A, _times_At
+from .problem import QpProblem, _readonly
+
+_ZERO, _ONE, _TWO, _INF = (_readonly(np.array(value)) for value in (0.0, 1.0, 2.0, math.inf))
 
 
-def _phi(a: np.ndarray, b: np.ndarray, eps: float, r: np.ndarray) -> np.ndarray:
+def _phi(a: np.ndarray, b: np.ndarray, eps, r: np.ndarray) -> np.ndarray:
     """phi_eps(a, b) = a + b - r elementwise on float arrays of at least one
     axis, given r = hypot(hypot(a, b), eps); at eps = 0, r = hypot(a, b)
-    exactly. With s = a + b, rows with s > 0 use the equal quotient
-    (2ab - eps^2) / d, d = s + r, taken as 2b (a / d) - eps (eps / d): s - r
-    cancels there, and at (a, b) = (-1, 1e16) it reads 0, not -1. The
-    quotient is copied into s - r where s > 0 (np.copyto, which needs an
-    array to write into, so 0-d input does not do): the entries np.where
-    would pick, nan and inf included, with one array fewer. The other rows'
-    quotient is formed and discarded, so their d need only keep it finite
-    and silent: at eps > 0, d = |s| + r >= eps > 0 (the same d where s > 0);
-    at eps = 0, where a = b = 0 would give 0 / 0, d = inf, and the eps term,
-    exactly 0, is left out. Arguments are not checked."""
+    exactly. eps is a float or a 0-d float array. With s = a + b, rows with
+    s > 0 use the equal quotient (2ab - eps^2) / d, d = s + r, taken as
+    2b (a / d) - eps (eps / d): s - r cancels there, and at (a, b) =
+    (-1, 1e16) it reads 0, not -1. The quotient's last ufunc writes into
+    s - r where s > 0 (out= and where=, which need an array to write into, so
+    0-d input does not do): the entries np.where would pick, nan and inf
+    included, with no array for the quotient or for np.where's output. The
+    other rows' quotient terms are formed and discarded, so their d need
+    only keep them finite and silent: at eps > 0, d = |s| + r >= eps > 0
+    (the same d where s > 0); at eps = 0, where a = b = 0 would give 0 / 0,
+    d = inf, and the eps term, exactly 0, is left out. eps is tested by
+    truth value, which on a 0-d array costs far less than a comparison.
+    Arguments are not checked."""
     s = a + b
-    pos = s > 0.0
+    pos = s > _ZERO
     out = s - r
-    if eps > 0.0:
+    if eps:
         d = np.abs(s) + r
-        np.copyto(out, 2.0 * (b * (a / d)) - eps * (eps / d), where=pos)
+        np.subtract(_TWO * (b * (a / d)), eps * (eps / d), out=out, where=pos)
     else:
-        d = np.where(pos, s + r, np.inf)
-        np.copyto(out, 2.0 * (b * (a / d)), where=pos)
+        d = np.where(pos, s + r, _INF)
+        np.multiply(_TWO, b * (a / d), out=out, where=pos)
     return out
 
 
-def _coefficients(y: np.ndarray, v: np.ndarray, r: np.ndarray, delta: float):
+def _coefficients(y: np.ndarray, v: np.ndarray, r: np.ndarray, delta):
     """(gamma, mu), the diagonals of the blocks C, D of the Newton system:
     gamma_i = 1 - y_i/r_i + delta, mu_i = 1 - v_i/r_i + delta, given
-    r = sqrt(y^2 + v^2 + eps^2) (a point's r). Arguments are not checked; the
-    solve loop's eps > 0 keeps every r_i positive, and it passes delta >= 0."""
-    return (1.0 - y / r) + delta, (1.0 - v / r) + delta
+    r = sqrt(y^2 + v^2 + eps^2) (a point's r) and delta a float or a 0-d
+    float array. Arguments are not checked; the solve loop's eps > 0 keeps
+    every r_i positive, and it passes delta >= 0."""
+    return (_ONE - y / r) + delta, (_ONE - v / r) + delta
 
 
 class _Point(NamedTuple):
@@ -69,29 +82,32 @@ class _Point(NamedTuple):
     ff: float
 
 
-def _evaluate(p: QpProblem, x: np.ndarray, eps: float) -> _Point:
-    """The _Point of x = [z; v], whose F is [Hz + f + A'v; phi_eps(v, y)].
-    Arguments are not checked."""
+def _evaluate(p: QpProblem, x: np.ndarray, eps) -> _Point:
+    """The _Point of x = [z; v], whose F is [Hz + f + A'v; phi_eps(v, y)],
+    at eps a float or a 0-d float array (the solve loop passes the latter).
+    A and A' are applied by the problem's bound products. Arguments are not
+    checked."""
     n = p.n
     z, v = x[:n], x[n:]
-    y = p.b - _times_A(p, z)
+    y = p.b - p._A_dot(z)
     r0 = np.hypot(v, y)
     r = np.hypot(r0, eps)
-    F = np.concatenate([p.H.dot(z) + p.f + _times_At(p, v), _phi(v, y, eps, r)])
+    F = np.concatenate([p.H.dot(z) + p.f + p._At_dot(v), _phi(v, y, eps, r)])
     return _Point(x, F, y, r0, r, float(F.dot(F)))
 
 
 def _norm_F0(point: _Point) -> float:
-    """||F_0|| at point: its F_eps with the phi tail at eps = 0, from r0."""
+    """||F_0|| at point: its F_eps with the phi tail at eps = 0, from r0.
+    Overflow warns unless the caller holds an np.errstate context, as
+    fbrs_solve and the IterationRecord properties do."""
     n = point.x.size - point.y.size
-    with np.errstate(all="ignore"):
-        F0 = np.concatenate([point.F[:n], _phi(point.x[n:], point.y, 0.0, point.r0)])
-        return math.sqrt(F0.dot(F0))
+    F0 = np.concatenate([point.F[:n], _phi(point.x[n:], point.y, _ZERO, point.r0)])
+    return math.sqrt(F0.dot(F0))
 
 
 def _norm_Fnr(point: _Point) -> float:
-    """||F_nr|| at point: its F_eps with the natural-residual tail min(y, v)."""
+    """||F_nr|| at point: its F_eps with the natural-residual tail min(y, v).
+    Overflow warns unless the caller holds an np.errstate context."""
     n = point.x.size - point.y.size
-    with np.errstate(all="ignore"):
-        Fnr = np.concatenate([point.F[:n], np.minimum(point.y, point.x[n:])])
-        return math.sqrt(Fnr.dot(Fnr))
+    Fnr = np.concatenate([point.F[:n], np.minimum(point.y, point.x[n:])])
+    return math.sqrt(Fnr.dot(Fnr))

@@ -8,7 +8,8 @@ Each iteration assembles the block system
 with C = diag(gamma), D = diag(mu) from the FB kernel, and solves it through
 the condensed Schur complement H + A'WA, W = C D^-1 >= 0: the one linear
 solve. fbrs.problem owns A, H and their linear algebra (it builds, factors
-and solves with the Schur matrix, and applies A and A'), and fbrs.fb forms
+and solves with the Schur matrix, and binds the products with A and A' that
+this module calls, p._A_dot and p._At_dot), and fbrs.fb forms
 every residual, so this module owns only the iteration and reads neither the
 row structure of A nor a residual formula. The loop globalizes with a
 backtracking linesearch on the merit function theta = 0.5 ||F_eps||^2, and
@@ -25,12 +26,18 @@ fbrs_solve holds one evaluated point, fb._evaluate's record of the flat
 iterate x = [z; v] with F_eps, y, hypot(v, y), hypot(hypot(v, y), eps) and
 F_eps'F_eps, and the linesearch returns the point it accepts. That point gives
 the next pass its norms, its delta, its Newton right-hand side -F_eps, its FB
-coefficients and theta. Each pass's IterationRecord keeps its point and forms
-||F_0|| and the natural residual ||F_nr|| the first time they are read; the
-loop reads ||F_0|| only once ||F_eps|| <= 2 tol, so a solve whose trace nobody
-reads forms them near the end only. Inputs are validated at entry only: the
-step functions take the loop's arrays unchecked, the returned point is not
-checked again, and overflow in the loop becomes a status, not a warning.
+coefficients and theta. Each pass's IterationRecord keeps its point; the
+loop forms ||F_0|| only once ||F_eps|| <= 2 tol, and the last record's ||F_0||
+and natural residual ||F_nr|| at exit, and every other record forms them the
+first time they are read, so a solve whose trace nobody reads forms them near
+the end only. Inputs are validated at entry only: the step functions take the
+loop's arrays unchecked, the returned point is not checked again, and
+overflow in the loop becomes a status, not a warning.
+
+The loop hands the ufuncs of fbrs.fb a 0-d float64 eps and delta, which numpy
+takes faster than a Python float and with the same bits (see fbrs.fb), and
+enters one np.errstate context per solve, at about a microsecond per entry;
+the records and the result hold Python floats.
 """
 
 from __future__ import annotations
@@ -45,8 +52,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .fb import _coefficients, _evaluate, _norm_F0, _norm_Fnr, _Point
-from .problem import (PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive,
-                      _schur_solve, _times_A, _times_At)
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive, _schur_solve
 
 
 class Status(Enum):
@@ -85,8 +91,11 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
-    """Observable state of one loop pass; t = 0 means no step was taken.
-    norm_F0 and norm_Fnr are formed from the pass's point when first read."""
+    """Observable state of one loop pass, in Python floats; t = 0 means no
+    step was taken. norm_F0 and norm_Fnr are formed from the pass's point
+    when first read, each in its own np.errstate context, so overflow reads
+    inf without a warning; the solve loop caches those it forms in its own
+    context (norm_F0 near tol, and both norms of the last record)."""
 
     k: int
     norm_Feps: float
@@ -98,11 +107,13 @@ class IterationRecord:
 
     @functools.cached_property
     def norm_F0(self) -> float:
-        return _norm_F0(self._point)
+        with np.errstate(all="ignore"):
+            return _norm_F0(self._point)
 
     @functools.cached_property
     def norm_Fnr(self) -> float:
-        return _norm_Fnr(self._point)
+        with np.errstate(all="ignore"):
+            return _norm_Fnr(self._point)
 
 
 @dataclass
@@ -130,10 +141,10 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     """
     n = p.n
     r_s, r_c = rhs[:n], rhs[n:]
-    dz = _schur_solve(p, gamma / mu, r_s - _times_At(p, r_c / mu))
+    dz = _schur_solve(p, gamma / mu, r_s - p._At_dot(r_c / mu))
     if dz is None:
         return None
-    dx = np.concatenate([dz, (r_c + gamma * _times_A(p, dz)) / mu])
+    dx = np.concatenate([dz, (r_c + gamma * p._A_dot(dz)) / mu])
     return dx if np.logical_and.reduce(np.isfinite(dx)) else None
 
 
@@ -141,15 +152,16 @@ def _merit_gradient(p: QpProblem, F: np.ndarray, gamma: np.ndarray, mu: np.ndarr
     """grad theta_eps = V' F_eps, with V = [H A'; -CA D] the iteration matrix
     at delta = 0 and F = F_eps. Arguments are not checked."""
     F_top, F_bot = F[:p.n], F[p.n:]
-    gz = p.H.dot(F_top) - _times_At(p, gamma * F_bot)
-    gv = _times_A(p, F_top) + mu * F_bot
+    gz = p.H.dot(F_top) - p._At_dot(gamma * F_bot)
+    gv = p._A_dot(F_top) + mu * F_bot
     return np.concatenate([gz, gv])
 
 
-def linesearch(p: QpProblem, point: _Point, dx, eps: float):
+def linesearch(p: QpProblem, point: _Point, dx, eps):
     """First t in {1, beta, beta^2, ...} with theta(x + t dx) < (1 - 2 t sigma) theta(x),
-    where x = point.x, theta = 0.5 ||F_eps||^2 = 0.5 point.ff and sigma, beta
-    are SolverConfig's. Returns (t, backtracks, point') with point' the
+    where x = point.x, theta = 0.5 ||F_eps||^2 = 0.5 point.ff at eps (a float
+    or a 0-d float array, passed on to _evaluate) and sigma, beta are
+    SolverConfig's. Returns (t, backtracks, point') with point' the
     evaluated accepted point, or None when SolverConfig.max_backtracks
     reductions were not enough (dx is no usable descent direction). dx is
     not checked; fbrs_solve passes only finite directions.
@@ -178,11 +190,14 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     A non-finite merit gradient (the residual overflowed) ends it with status
     INVALID_PROBLEM. Either way the last accepted iterate is returned. The
     trace gets one record per pass including the terminal one, so it has
-    iterations + 1 entries; its ||F_0|| and ||F_nr|| are formed when first
-    read, and final_norm_F0, final_norm_Fnr read the last record. Each pass
+    iterations + 1 entries; the loop forms ||F_0|| near tol and the last
+    record's ||F_0|| and ||F_nr||, which final_norm_F0 and final_norm_Fnr
+    read, and every other record forms them when first read. Each pass
     reads the evaluated point (fb._evaluate) that the previous linesearch
-    accepted, so every point is evaluated once. The loop emits no
-    floating-point warnings, and each step failure ends in a status. The
+    accepted, so every point is evaluated once. The solve enters one
+    np.errstate context, emits no floating-point warnings, and ends each
+    step failure in a status; the ufuncs get eps and delta as 0-d arrays,
+    and the records and result get Python floats. The
     InvalidProblem exception comes only from the entry checks: p must be a
     QpProblem and x0 a PrimalDualPoint of its (n, q). InvalidConfig unless
     cfg is a SolverConfig or None.
@@ -194,47 +209,59 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     n = p.n
     tol, max_iters, delta0 = cfg.tol, cfg.max_iters, cfg.delta0
     eps = cfg.effective_eps(p.q)
+    # the ufuncs' 0-d operands; delta0's serves every pass with
+    # ||F_eps|| >= delta0
+    eps_0d, delta0_0d = np.array(eps), np.array(delta0)
     trace: list[IterationRecord] = []
     status = Status.MAX_ITERS
     # overflow and NaN are statuses here (a failed Armijo test or a
-    # non-finite direction), not warnings
+    # non-finite direction), not warnings; every norm of the solve is formed
+    # in this one context
     with np.errstate(all="ignore"):
-        point = _evaluate(p, x0.as_vector(), eps)
+        point = _evaluate(p, x0.as_vector(), eps_0d)
         for k in range(max_iters + 1):
             F, y, v = point.F, point.y, point.x[n:]
             n_feps = math.sqrt(point.ff)
             delta = min(delta0, n_feps)
+            delta_0d = delta0_0d if delta == delta0 else np.array(delta)
             rec = IterationRecord(k=k, norm_Feps=n_feps, t=0.0, delta=delta, eps=eps, backtracks=0,
                                   _point=point)
             trace.append(rec)
             # |phi_eps - phi_0| <= eps per row, so ||F_0|| >= ||F_eps|| - sqrt(q) eps
             # = ||F_eps|| - tol / 2: no point with ||F_eps|| > 1.5 tol passes, and
             # 2 tol leaves a margin for rounding
-            if n_feps <= 2.0 * tol and rec.norm_F0 <= tol:
-                status = Status.SOLVED
-                break
+            near_tol = n_feps <= 2.0 * tol
+            if near_tol:
+                rec.norm_F0 = _norm_F0(point)
+                if rec.norm_F0 <= tol:
+                    status = Status.SOLVED
+                    break
             if k == max_iters:
                 break
-            dx = solve_condensed(p, *_coefficients(y, v, point.r, delta), -F)
-            step = None if dx is None else linesearch(p, point, dx, eps)
+            dx = solve_condensed(p, *_coefficients(y, v, point.r, delta_0d), -F)
+            step = None if dx is None else linesearch(p, point, dx, eps_0d)
             if step is None:
                 dx = -_merit_gradient(p, F, *_coefficients(y, v, point.r, 0.0))
                 if not np.logical_and.reduce(np.isfinite(dx)):
                     status = Status.INVALID_PROBLEM
                     break
-                step = linesearch(p, point, dx, eps)
+                step = linesearch(p, point, dx, eps_0d)
                 if step is None:
                     status = Status.LINESEARCH_FAILURE
                     break
             rec.t, rec.backtracks, point = step
+        # every exit breaks out of the pass of the last record, rec, at its
+        # point; its ||F_0|| is formed already when the pass was near tol
+        if not near_tol:
+            rec.norm_F0 = _norm_F0(point)
+        rec.norm_Fnr = _norm_Fnr(point)
 
-    last = trace[-1]
     return SolverResult(
         x=PrimalDualPoint._trusted(point.x[:n], point.x[n:]),
         status=status,
         iterations=len(trace) - 1,
-        final_norm_F0=last.norm_F0,
-        final_norm_Feps=last.norm_Feps,
-        final_norm_Fnr=last.norm_Fnr,
+        final_norm_F0=rec.norm_F0,
+        final_norm_Feps=rec.norm_Feps,
+        final_norm_Fnr=rec.norm_Fnr,
         trace=trace,
     )

@@ -6,7 +6,8 @@ positive semidefinite and at least one constraint row.
 
 This module owns the row structure of A, found once per QpProblem (_unit_rows,
 and for a dense A of at least _PRUNE_MIN_N columns the squared row norms) and
-read only by _times_A, _times_At and the Schur solve, and the input checks
+read only by the products with A and A' that QpProblem binds (A.dot and
+A.T.dot, or a gather and a scatter) and the Schur solve, and the input checks
 (_frozen), which points built by the package skip (_trusted). The Schur solve
 (_schur_solve) is the one linear solve of a Newton step: it chooses the rows
 of a large dense A whose term does not fall below the rounding of the sum
@@ -19,7 +20,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import dnrm2, dsyrk as _syrk
@@ -121,22 +124,28 @@ def _unit_rows(A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
     return _readonly(cols), _readonly(sign)
 
 
-def _times_A(p: "QpProblem", z: np.ndarray) -> np.ndarray:
-    """A z, gathered as sign * z[cols] when A is box-only. On finite z these
-    are the bits of the dense product, whose other terms are exact zeros.
-    Arguments are not checked."""
-    if p._box_cols is None:
-        return p.A.dot(z)
-    return p._box_sign * z[p._box_cols]
+def _gather(cols: np.ndarray, sign: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A z as sign * z[cols] for the box-only A of (cols, sign). On finite z
+    these are the bits of the dense product, whose other terms are exact
+    zeros. Arguments are not checked."""
+    return sign * z[cols]
 
 
-def _times_At(p: "QpProblem", v: np.ndarray) -> np.ndarray:
-    """A'v, scattered as bincount(cols, sign * v, n) when A is box-only: the
-    bits of the dense product on finite v, except perhaps the last bit of a
-    column hit by three or more rows. Arguments are not checked."""
-    if p._box_cols is None:
-        return p.A.T.dot(v)
-    return np.bincount(p._box_cols, p._box_sign * v, p.n)
+def _scatter(cols: np.ndarray, sign: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
+    """A'v as bincount(cols, sign * v, n) for the box-only A of (cols, sign)
+    with n columns: the bits of the dense product on finite v, except perhaps
+    the last bit of a column hit by three or more rows. Arguments are not
+    checked."""
+    return np.bincount(cols, sign * v, n)
+
+
+def _products(A: np.ndarray, cols: np.ndarray | None, sign: np.ndarray | None) -> tuple[Callable, Callable]:
+    """The products z -> Az and v -> A'v that a QpProblem binds: A.dot and
+    A.T.dot, or, for the box-only A of (cols, sign), partial objects of
+    _gather and _scatter."""
+    if cols is None:
+        return A.dot, A.T.dot
+    return partial(_gather, cols, sign), partial(_scatter, cols, sign, A.shape[1])
 
 
 def _kept_rows(p: "QpProblem", w: np.ndarray) -> np.ndarray | None:
@@ -221,13 +230,18 @@ class QpProblem:
     supplied Hessian is kept in `symmetry_defect` so validation can report it;
     it reads inf, without a warning, only when H - H' itself overflows.
 
-    When every row of A is a signed unit vector, as in [I; -I], the private
-    `_box_cols` and `_box_sign` hold each row's column and sign (read-only),
-    else None; _times_A, _times_At and _schur then apply A and A' by gather
-    and scatter and skip the product A'WA. Any other A with n >= _PRUNE_MIN_N
-    columns gets the private read-only `_row_sq`, the squared norm ||a_i||^2
-    of each row (inf where it overflows), by which _kept_rows drops the rows
-    that fall below rounding; else it is None.
+    The private `_A_dot` and `_At_dot` are the products z -> Az and v -> A'v,
+    bound once here (and shared by _with_rhs) for the solve path to call
+    directly: A.dot and A.T.dot for a dense A. When every row of A is a
+    signed unit vector, as in [I; -I], the private `_box_cols` and
+    `_box_sign` hold each row's column and sign (read-only), else None; the
+    products are then functools.partial objects of the module-level _gather
+    and _scatter, and _schur skips the product A'WA. Any other A with
+    n >= _PRUNE_MIN_N columns gets the private read-only `_row_sq`, the
+    squared norm ||a_i||^2 of each row (inf where it overflows), by which
+    _kept_rows drops the rows that fall below rounding; else it is None. A
+    pickle holds the arrays once, without the products; loading makes the
+    arrays read-only and binds the products again.
     """
 
     H: np.ndarray
@@ -238,6 +252,8 @@ class QpProblem:
     _box_cols: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     _box_sign: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     _row_sq: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    _A_dot: Callable | None = field(init=False, default=None, repr=False, compare=False)
+    _At_dot: Callable | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         H = _frozen(self.H, "H", (None, None))
@@ -253,14 +269,26 @@ class QpProblem:
         if cols is None and n >= _PRUNE_MIN_N:
             with np.errstate(over="ignore"):
                 row_sq = _readonly(np.einsum("ij,ij->i", A, A))
+        A_dot, At_dot = _products(A, cols, sign)
         vars(self).update(H=_readonly(0.5 * H + 0.5 * H.T), f=f, A=A, b=b, symmetry_defect=defect,
-                          _box_cols=cols, _box_sign=sign, _row_sq=row_sq)
+                          _box_cols=cols, _box_sign=sign, _row_sq=row_sq, _A_dot=A_dot, _At_dot=At_dot)
+
+    def __getstate__(self) -> dict:
+        # the products are bound again on load: pickled, A.T.dot would carry
+        # a second copy of A
+        return {k: v for k, v in vars(self).items() if k not in ("_A_dot", "_At_dot")}
+
+    def __setstate__(self, state: dict):
+        # pickle loads arrays writeable
+        state = {k: _readonly(v) if isinstance(v, np.ndarray) else v for k, v in state.items()}
+        A_dot, At_dot = _products(state["A"], state["_box_cols"], state["_box_sign"])
+        vars(self).update(state, _A_dot=A_dot, _At_dot=At_dot)
 
     def _with_rhs(self, f, b) -> "QpProblem":
         """A new QpProblem with this one's H, A, symmetry_defect, _box_cols,
-        _box_sign and _row_sq (read-only, so shared, not copied) and the given
-        f and b, which are checked as the constructor checks them
-        (InvalidProblem)."""
+        _box_sign, _row_sq, _A_dot and _At_dot (read-only or bound to
+        read-only arrays, so shared, not copied) and the given f and b, which
+        are checked as the constructor checks them (InvalidProblem)."""
         new = object.__new__(QpProblem)
         vars(new).update(vars(self), f=_frozen(f, "f", (self.n,)), b=_frozen(b, "b", (self.q,)))
         return new

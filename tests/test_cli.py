@@ -11,7 +11,7 @@ import fbrs
 from fbrs import cli
 from fbrs.cli import TRACE_HEADER, build_parser, main
 from fbrs.mpc import run_sequence
-from fbrs.newton import SolverConfig
+from fbrs.newton import SolverConfig, fbrs_solve
 from fbrs.oracle import random_strictly_convex_qp
 from fbrs.problem import PrimalDualPoint, QpProblem
 from fbrs.qpfile import parse_qp, serialize_qp
@@ -73,6 +73,51 @@ def test_solve_writes_trace_and_exits_zero(toy_file, tmp_path, capsys):
     assert lines[0] == TRACE_HEADER
     iterations = int(out.split("iterations ")[1].split()[0])
     assert len(lines) == 1 + iterations + 1
+
+
+# the trace that `fbrs solve --trace` writes for TOY, byte for byte as the
+# solver wrote it when it handed Python floats to every ufunc
+TOY_TRACE = """\
+iter,norm_Feps,norm_F0,norm_Fnr,t,delta,eps,backtracks
+0,1,1,1,0.69999999999999996,1e-08,5.0000000000000001e-09,1
+1,0.49999998320000055,0.49999998320000044,0.36055512366349773,1,1e-08,5.0000000000000001e-09,0
+2,0.20601132544253437,0.20601132544253434,0.16666666399999985,1,1e-08,5.0000000000000001e-09,0
+3,0.035232926325129671,0.035232926325129643,0.033994633963642662,1,1e-08,5.0000000000000001e-09,0
+4,0.0012337117693866926,0.0012337117693866674,0.0012321897292899564,1,1e-08,5.0000000000000001e-09,0
+5,1.5220576996366736e-06,1.5220576996116734e-06,1.5220553829520328e-06,1,1e-08,5.0000000000000001e-09,0
+6,2.3471497046035254e-12,2.3471247046270457e-12,2.3471247046215365e-12,0,2.3471497046035254e-12,5.0000000000000001e-09,0
+"""
+
+
+def test_records_and_results_hold_python_floats(toy_file, tmp_path, capsys):
+    # the loop hands the ufuncs 0-d arrays of eps and delta; none may reach a
+    # record or a result, whose fields are Python floats on every exit:
+    # Solved from an infeasible start and warm at the solution, MaxIters,
+    # LinesearchFailure (H = 0, A = 0) and InvalidProblem (an overflowing
+    # start)
+    rng = np.random.default_rng([1, 0])
+    p = random_strictly_convex_qp(20, 40, rng)
+    x0 = PrimalDualPoint(rng.standard_normal(20), rng.standard_normal(40))
+    solved = fbrs_solve(p, x0, SolverConfig(max_iters=100))
+    results = [
+        solved,
+        fbrs_solve(p, solved.x, SolverConfig(max_iters=100)),
+        fbrs_solve(p, x0, SolverConfig(max_iters=2)),
+        fbrs_solve(QpProblem([[0.0]], [1.0], [[0.0]], [1.0]), PrimalDualPoint.zeros(1, 1)),
+        fbrs_solve(QpProblem([[1.0]], [-1.0], [[1.0]], [0.5]), PrimalDualPoint([1.7e308], [1.7e308])),
+    ]
+    assert [r.status.value for r in results] == ["Solved", "Solved", "MaxIters", "LinesearchFailure",
+                                                 "InvalidProblem"]
+    for result in results:
+        assert all(type(getattr(result, f"final_norm_{name}")) is float for name in ("F0", "Feps", "Fnr"))
+        for rec in result.trace:
+            for name in ("norm_Feps", "norm_F0", "norm_Fnr", "t", "delta", "eps"):
+                assert type(getattr(rec, name)) is float, name
+            assert type(rec.k) is type(rec.backtracks) is int
+    trace = tmp_path / "t.csv"
+    assert main(["solve", "--input", str(toy_file), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert trace.read_bytes() == TOY_TRACE.encode()
 
 
 def test_solve_solution_matches_oracle_output(toy_file, capsys):

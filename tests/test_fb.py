@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -65,7 +67,40 @@ def test_phi_kernel_keeps_the_inf_guard_bits_and_stays_silent(eps):
     with np.errstate(all="raise", under="ignore"):
         expected = _phi_inf_guard(a, b, eps, r)
         assert np.array_equal(_phi(a, b, eps, r), expected)
+        # the solve loop passes eps as a 0-d array, which must give the bits
+        # of the float, r included
+        eps_0d = np.array(eps)
+        assert np.hypot(np.hypot(a, b), eps_0d).tobytes() == r.tobytes()
+        assert _phi(a, b, eps_0d, r).tobytes() == expected.tobytes()
     assert (a + b > 0).any() and (a + b < 0).any()
+
+
+def _float_literal(node) -> bool:
+    # a float constant, signed or not
+    while isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+
+@pytest.mark.parametrize("fn", [_phi, _coefficients, _evaluate])
+def test_the_kernels_hand_no_float_literal_to_a_ufunc(fn):
+    # a Python float operand costs a ufunc call about 0.2 us more than a 0-d
+    # float64 array of the same value (fb's constants, the loop's eps and
+    # delta); no arithmetic, comparison or numpy call in these hot functions
+    # takes one
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if isinstance(node, ast.BinOp):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.AugAssign):
+            operands = [node.value]
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np":
+            operands = [*node.args, *(kw.value for kw in node.keywords)]
+        else:
+            continue
+        assert not any(_float_literal(operand) for operand in operands), ast.unparse(node)
 
 
 def _r(y, v, eps):

@@ -699,6 +699,39 @@ def test_unread_trace_forms_the_f0_tail_only_near_tol(monkeypatch):
     assert statuses == {Status.SOLVED, Status.MAX_ITERS}
 
 
+def test_an_unread_solve_enters_errstate_once(monkeypatch):
+    # the loop forms the norms it needs, near tol and for the last record,
+    # inside its own np.errstate context (at about 1 us per entry), so a solve
+    # whose trace nobody reads enters one, from an infeasible start and from
+    # a warm start at the solution, which takes no Newton step
+    entries = []
+    errstate = np.errstate
+
+    def counting(*args, **kwargs):
+        entries.append(kwargs)
+        return errstate(*args, **kwargs)
+
+    rng = np.random.default_rng([1, 0])
+    p = random_strictly_convex_qp(20, 40, rng)
+    x0 = random_infeasible_start(p, rng)
+    cfg = SolverConfig(tol=1e-8, max_iters=100)
+    monkeypatch.setattr(np, "errstate", counting)
+    cold = fbrs_solve(p, x0, cfg)
+    assert cold.status == Status.SOLVED and cold.iterations > 0
+    assert len(entries) == 1
+    entries.clear()
+    warm = fbrs_solve(p, cold.x, cfg)
+    assert warm.status == Status.SOLVED and warm.iterations == 0
+    assert len(entries) == 1
+    # the result's norms are the last record's, formed in the loop; a record
+    # read after the solve forms its norm in a context of its own
+    entries.clear()
+    assert (cold.final_norm_F0, cold.final_norm_Fnr) == (cold.trace[-1].norm_F0, cold.trace[-1].norm_Fnr)
+    assert len(entries) == 0
+    cold.trace[0].norm_F0
+    assert len(entries) == 1
+
+
 def test_warmstart_at_solution_takes_zero_iterations(qp_1d):
     first = fbrs_solve(qp_1d, PrimalDualPoint.zeros(1, 1))
     again = fbrs_solve(qp_1d, first.x)

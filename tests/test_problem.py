@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from fbrs import (
 from fbrs.fb import _evaluate
 from fbrs.mpc import condense, double_integrator, mass_spring_chain, run_sequence
 from fbrs.oracle import random_infeasible_start, random_strictly_convex_qp, solve_by_enumeration, verify_kkt
-from fbrs.problem import _PRUNE_MIN_N, _kept_rows, _schur, _schur_solve, _syrk, _times_A, _times_At
+from fbrs.problem import _PRUNE_MIN_N, _gather, _kept_rows, _schur, _schur_solve, _scatter, _syrk
 from fbrs.qpfile import serialize_qp
 
 
@@ -190,17 +191,19 @@ def test_state_box_and_random_problems_are_not_detected():
     lambda: QpProblem(np.eye(3), np.zeros(3), [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]], np.ones(3)),
 ], ids=["double-integrator", "mass-spring-8", "mass-spring-40", "permuted-negated"])
 def test_gather_scatter_products_are_the_dense_bits(make_qp):
-    # A z = sign * z[cols] and A'v = bincount(cols, sign * v): each other term
-    # of the dense products is an exact zero
+    # A z = sign * z[cols] and A'v = bincount(cols, sign * v), the products
+    # that QpProblem binds for a box-only A: each other term of the dense
+    # products is an exact zero
     p = make_qp()
+    assert (p._A_dot.func, p._At_dot.func) == (_gather, _scatter)
     assert np.array_equal(p._box_sign, p.A[np.arange(p.q), p._box_cols])
     assert not p._box_sign.flags.writeable
     rng = np.random.default_rng(p.q)
     for _ in range(20):
         z = 10.0 ** rng.uniform(-8, 8, p.n) * rng.standard_normal(p.n)
         v = 10.0 ** rng.uniform(-8, 8, p.q) * rng.standard_normal(p.q)
-        assert np.array_equal(_times_A(p, z), p.A @ z)
-        assert np.array_equal(_times_At(p, v), p.A.T @ v)
+        assert np.array_equal(p._A_dot(z), p.A @ z)
+        assert np.array_equal(p._At_dot(v), p.A.T @ v)
 
 
 def _same_bits(x, y) -> bool:
@@ -230,12 +233,47 @@ def test_dot_gives_the_matmul_bits():
 
 def test_the_solve_path_forms_no_product_with_matmul():
     # every product of a Newton step, and of an MPC step's f, b and state
-    # update, goes through ndarray.dot (see test_dot_gives_the_matmul_bits)
+    # update, goes through ndarray.dot (see test_dot_gives_the_matmul_bits);
+    # a dense QpProblem binds A.dot and A.T.dot as its products
     build = next(node for node in ast.walk(ast.parse(inspect.getsource(fbrs.mpc._condenser)))
                  if isinstance(node, ast.FunctionDef) and node.name == "build")
     trees = [ast.parse(inspect.getsource(obj))
-             for obj in (fbrs.fb, fbrs.newton, _times_A, _times_At, _schur, run_sequence)] + [build]
+             for obj in (fbrs.fb, fbrs.newton, _gather, _scatter, _schur, run_sequence)] + [build]
     assert not any(isinstance(node, ast.MatMult) for tree in trees for node in ast.walk(tree))
+    p = random_strictly_convex_qp(3, 5, np.random.default_rng(0))
+    assert p._A_dot.__name__ == p._At_dot.__name__ == "dot"
+    assert p._A_dot.__self__ is p.A and p._At_dot.__self__.base is p.A
+
+
+@pytest.mark.parametrize("make_qp", [
+    lambda: condense(mass_spring_chain(8)),
+    lambda: random_strictly_convex_qp(20, 40, np.random.default_rng([1, 0])),
+], ids=["box-only-mpc", "dense"])
+def test_a_pickled_problem_solves_with_the_same_bits(make_qp):
+    # QpProblem binds its products with A and A' (A.dot and A.T.dot, or
+    # functools.partial objects of module-level functions); a pickle holds
+    # the arrays once, and loading makes them read-only, as the constructor
+    # does, and binds the products to the copy's own
+    p = make_qp()
+    twin = pickle.loads(pickle.dumps(p))
+    for name in ("H", "f", "A", "b", "_box_cols", "_box_sign", "_row_sq"):
+        mine, theirs = getattr(p, name), getattr(twin, name)
+        assert mine is theirs is None or _same_bits(mine, theirs) and not theirs.flags.writeable, name
+    if p._box_cols is None:
+        assert twin._A_dot.__self__ is twin.A and twin._At_dot.__self__.base is twin.A
+    else:
+        cols, sign = twin._box_cols, twin._box_sign
+        assert twin._A_dot.args[0] is twin._At_dot.args[0] is cols
+        assert twin._A_dot.args[1] is twin._At_dot.args[1] is sign
+    assert len(pickle.dumps(p)) < p.H.nbytes + 2 * p.A.nbytes
+    cfg = SolverConfig(tol=1e-10, max_iters=100)
+    x0 = PrimalDualPoint(np.ones(p.n), -np.ones(p.q))
+    a, b = fbrs_solve(p, x0, cfg), fbrs_solve(twin, x0, cfg)
+    assert (a.status, a.iterations) == (b.status, b.iterations) == (Status.SOLVED, a.iterations)
+    assert _same_bits(a.x.z, b.x.z) and _same_bits(a.x.v, b.x.v)
+    fields = ("norm_Feps", "norm_F0", "norm_Fnr", "t", "delta", "backtracks")
+    for rec_a, rec_b in zip(a.trace, b.trace, strict=True):
+        assert [getattr(rec_a, f) for f in fields] == [getattr(rec_b, f) for f in fields]
 
 
 def _fortran(value):
