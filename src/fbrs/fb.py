@@ -33,10 +33,12 @@ from .problem import QpProblem, _readonly
 _ZERO, _ONE, _TWO, _INF = (_readonly(np.array(value)) for value in (0.0, 1.0, 2.0, math.inf))
 
 
-def _phi(a: np.ndarray, b: np.ndarray, eps, r: np.ndarray) -> np.ndarray:
+def _phi(a: np.ndarray, b: np.ndarray, eps, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """phi_eps(a, b) = a + b - r elementwise on float arrays of at least one
     axis, given r = hypot(hypot(a, b), eps); at eps = 0, r = hypot(a, b)
-    exactly. eps is a float or a 0-d float array. With s = a + b, rows with
+    exactly. eps is a float or a 0-d float array. The result is written into
+    out, a float array of a's shape that no argument shares memory with, or
+    a new array when out is None. With s = a + b, rows with
     s > 0 use the equal quotient (2ab - eps^2) / d, d = s + r, taken as
     2b (a / d) - eps (eps / d): s - r cancels there, and at (a, b) =
     (-1, 1e16) it reads 0, not -1. The quotient's last ufunc writes into
@@ -51,7 +53,7 @@ def _phi(a: np.ndarray, b: np.ndarray, eps, r: np.ndarray) -> np.ndarray:
     Arguments are not checked."""
     s = a + b
     pos = s > _ZERO
-    out = s - r
+    out = np.subtract(s, r, out=out)
     if eps:
         d = np.abs(s) + r
         np.subtract(_TWO * (b * (a / d)), eps * (eps / d), out=out, where=pos)
@@ -85,14 +87,17 @@ class _Point(NamedTuple):
 def _evaluate(p: QpProblem, x: np.ndarray, eps) -> _Point:
     """The _Point of x = [z; v], whose F is [Hz + f + A'v; phi_eps(v, y)],
     at eps a float or a 0-d float array (the solve loop passes the latter).
-    A and A' are applied by the problem's bound products. Arguments are not
-    checked."""
+    A and A' are applied by the problem's bound products. F is one new array
+    that the last add of (Hz + f) + A'v and _phi write their blocks into, with
+    the bits of the concatenated blocks. Arguments are not checked."""
     n = p.n
     z, v = x[:n], x[n:]
     y = p.b - p._A_dot(z)
     r0 = np.hypot(v, y)
     r = np.hypot(r0, eps)
-    F = np.concatenate([p.H.dot(z) + p.f + p._At_dot(v), _phi(v, y, eps, r)])
+    F = np.empty(x.size)
+    np.add(p.H.dot(z) + p.f, p._At_dot(v), out=F[:n])
+    _phi(v, y, eps, r, F[n:])
     return _Point(x, F, y, r0, r, float(F.dot(F)))
 
 

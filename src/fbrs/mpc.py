@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .errors import InvalidProblem, InvalidSpec, MpcSequenceError
 from .newton import SolverConfig, Status, fbrs_solve
-from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _frozen, _readonly
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _frozen, _readonly, _readonly_state
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,9 @@ class LtiMpcSpec:
                 raise InvalidSpec(f"{lo} must be strictly below {hi} componentwise")
         vars(self).update(checked)
 
+    def __setstate__(self, state: dict):
+        vars(self).update(_readonly_state(state))
+
     @property
     def nx(self) -> int:
         return self.Ad.shape[0]
@@ -103,8 +106,9 @@ def prediction_matrices(spec: LtiMpcSpec):
 def _condenser(spec: LtiMpcSpec):
     """Build and check the state-independent part of condense(spec) once and
     return the map x0 -> QpProblem, which forms only f and the state-box rows
-    of b and shares one H and A. InvalidSpec when an unstable Ad overflows Phi
-    or H over the horizon, or when x0 overflows f or b."""
+    of b and shares one H and A, and without a state box one b. InvalidSpec
+    when an unstable Ad overflows Phi or H over the horizon, or when x0
+    overflows f or b."""
     N = spec.horizon
     Qbar = np.kron(np.eye(N), spec.Q)
     Rbar = np.kron(np.eye(N), spec.R)
@@ -121,15 +125,17 @@ def _condenser(spec: LtiMpcSpec):
         rows += [G, -G]
         x_hi, x_lo = np.tile(spec.x_hi, N), np.tile(spec.x_lo, N)
     A = np.vstack(rows)
-    base = QpProblem(H, np.zeros(H.shape[0]), A, np.zeros(A.shape[0]))
+    # without a state box, b is the same at every step and checked here once
+    b = np.concatenate(input_rhs) if spec.x_lo is None else np.zeros(A.shape[0])
+    base = QpProblem(H, np.zeros(H.shape[0]), A, b)
 
     def build(x0: np.ndarray) -> QpProblem:
         with np.errstate(over="ignore", invalid="ignore"):
             predicted = Phi.dot(x0)
             f = G.T.dot(Qbar.dot(predicted))
-            rhs = input_rhs if spec.x_lo is None else input_rhs + [x_hi - predicted, predicted - x_lo]
+            b = None if spec.x_lo is None else np.concatenate(input_rhs + [x_hi - predicted, predicted - x_lo])
         try:
-            return base._with_rhs(f, np.concatenate(rhs))
+            return base._with_rhs(f, b)
         except InvalidProblem:
             raise InvalidSpec(f"state {x0} overflows the condensed QP: f or b is not finite") from None
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .fb import _coefficients, _evaluate, _norm_F0, _norm_Fnr, _Point
-from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive, _schur_solve
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _finite, _positive, _schur_solve
 
 
 class Status(Enum):
@@ -136,7 +136,8 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     w = gamma / mu are >= 0 (|y| <= r makes 1 - y/r >= 0, and delta >= 0).
 
     Returns None when the Schur matrix is not numerically positive definite
-    or dx is not finite; fbrs_solve then takes a merit-gradient step. The
+    or dx is not finite (problem._finite, one BLAS call that warns for no
+    entry); fbrs_solve then takes a merit-gradient step. The
     loop's mu is >= delta > 0 (|v| <= r); a zero mu_i gives None.
     """
     n = p.n
@@ -144,8 +145,7 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     dz = _schur_solve(p, gamma / mu, r_s - p._At_dot(r_c / mu))
     if dz is None:
         return None
-    dx = np.concatenate([dz, (r_c + gamma * p._A_dot(dz)) / mu])
-    return dx if np.logical_and.reduce(np.isfinite(dx)) else None
+    return _finite(np.concatenate([dz, (r_c + gamma * p._A_dot(dz)) / mu]))
 
 
 def _merit_gradient(p: QpProblem, F: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -222,10 +222,14 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
         for k in range(max_iters + 1):
             F, y, v = point.F, point.y, point.x[n:]
             n_feps = math.sqrt(point.ff)
-            delta = min(delta0, n_feps)
-            delta_0d = delta0_0d if delta == delta0 else np.array(delta)
-            rec = IterationRecord(k=k, norm_Feps=n_feps, t=0.0, delta=delta, eps=eps, backtracks=0,
-                                  _point=point)
+            # delta = min(delta0, ||F_eps||) without the builtin's call: delta0
+            # unless ||F_eps|| is below it, so also when ||F_eps|| is nan
+            if n_feps < delta0:
+                delta, delta_0d = n_feps, np.array(n_feps)
+            else:
+                delta, delta_0d = delta0, delta0_0d
+            # positional: keywords cost a dataclass __init__ their parsing
+            rec = IterationRecord(k, n_feps, 0.0, delta, eps, 0, point)
             trace.append(rec)
             # |phi_eps - phi_0| <= eps per row, so ||F_0|| >= ||F_eps|| - sqrt(q) eps
             # = ||F_eps|| - tol / 2: no point with ||F_eps|| > 1.5 tol passes, and
@@ -241,8 +245,8 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
             dx = solve_condensed(p, *_coefficients(y, v, point.r, delta_0d), -F)
             step = None if dx is None else linesearch(p, point, dx, eps_0d)
             if step is None:
-                dx = -_merit_gradient(p, F, *_coefficients(y, v, point.r, 0.0))
-                if not np.logical_and.reduce(np.isfinite(dx)):
+                dx = _finite(-_merit_gradient(p, F, *_coefficients(y, v, point.r, 0.0)))
+                if dx is None:
                     status = Status.INVALID_PROBLEM
                     break
                 step = linesearch(p, point, dx, eps_0d)

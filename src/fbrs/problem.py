@@ -7,8 +7,9 @@ positive semidefinite and at least one constraint row.
 This module owns the row structure of A, found once per QpProblem (_unit_rows,
 and for a dense A of at least _PRUNE_MIN_N columns the squared row norms) and
 read only by the products with A and A' that QpProblem binds (A.dot and
-A.T.dot, or a gather and a scatter) and the Schur solve, and the input checks
-(_frozen), which points built by the package skip (_trusted). The Schur solve
+A.T.dot, or a gather and a scatter) and the Schur solve, the input checks
+(_frozen), which points built by the package skip (_trusted), and the
+finiteness test of a Newton step (_finite). The Schur solve
 (_schur_solve) is the one linear solve of a Newton step: it chooses the rows
 of a large dense A whose term does not fall below the rounding of the sum
 (_kept_rows), builds H + A'WA over them (_schur), factors and solves with it
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg.blas import dnrm2, dsyrk as _syrk
+from scipy.linalg.blas import ddot as _ddot, dnrm2, dsyrk as _syrk
 # the LAPACK float64 Cholesky solve, called without the per-call work of
 # scipy's wrappers
 from scipy.linalg.lapack import dposv as _posv
@@ -44,6 +45,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     """arr itself, made read-only: for arrays derived from checked input."""
     arr.setflags(write=False)
     return arr
+
+
+def _readonly_state(state: dict) -> dict:
+    """A pickled state dict with every array made read-only, as the
+    constructors make them: pickle loads arrays writeable."""
+    return {k: _readonly(v) if isinstance(v, np.ndarray) else v for k, v in state.items()}
 
 
 def _frozen(value, name: str, shape: tuple, error: type[FbrsError] = InvalidProblem) -> np.ndarray:
@@ -106,6 +113,16 @@ def _frobenius(M: np.ndarray) -> float:
     """||M||_F by BLAS dnrm2, which scales instead of squaring: finite for
     every finite M, inf when an entry is."""
     return float(dnrm2(M.ravel()))
+
+
+def _finite(x: np.ndarray) -> np.ndarray | None:
+    """x, or None when an entry of the float vector x is inf or nan, tested
+    by one BLAS ddot of x with zeros: 0 inf and 0 nan are nan, and 0 times a
+    finite entry is 0, even at 1.7e308, so the sum is nan exactly then and
+    cannot overflow. scipy's ddot, unlike ndarray.dot, raises no numpy
+    floating-point warning for the invalid 0 inf. Arguments are not
+    checked."""
+    return None if math.isnan(_ddot(x, np.zeros(x.size))) else x
 
 
 def _unit_rows(A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -209,7 +226,7 @@ def _schur_solve(p: "QpProblem", w: np.ndarray, rhs: np.ndarray) -> np.ndarray |
     matrix that left rows out, S is built again with every row and solved
     once more, so pruning alone never gives None. Arguments are not checked.
     """
-    keep = _kept_rows(p, w)
+    keep = None if p._row_sq is None else _kept_rows(p, w)
     # positional (a, b, lower, overwrite_a): S is a fresh array, so posv
     # factors it in place
     _, dz, info = _posv(_schur(p, w, keep), rhs, 1, 1)
@@ -230,6 +247,10 @@ class QpProblem:
     supplied Hessian is kept in `symmetry_defect` so validation can report it;
     it reads inf, without a warning, only when H - H' itself overflows.
 
+    The sizes n and q are read once here and stored: a plain attribute
+    costs a quarter of a property's read, and the solve loop reads n about
+    2.4 times per iteration.
+
     The private `_A_dot` and `_At_dot` are the products z -> Az and v -> A'v,
     bound once here (and shared by _with_rhs) for the solve path to call
     directly: A.dot and A.T.dot for a dense A. When every row of A is a
@@ -240,8 +261,8 @@ class QpProblem:
     n >= _PRUNE_MIN_N columns gets the private read-only `_row_sq`, the
     squared norm ||a_i||^2 of each row (inf where it overflows), by which
     _kept_rows drops the rows that fall below rounding; else it is None. A
-    pickle holds the arrays once, without the products; loading makes the
-    arrays read-only and binds the products again.
+    pickle holds the arrays once, without the sizes or the products; loading
+    makes the arrays read-only, reads the sizes and binds the products again.
     """
 
     H: np.ndarray
@@ -249,6 +270,8 @@ class QpProblem:
     A: np.ndarray
     b: np.ndarray
     symmetry_defect: float = field(init=False, default=0.0)
+    n: int = field(init=False, default=0, repr=False, compare=False)
+    q: int = field(init=False, default=0, repr=False, compare=False)
     _box_cols: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     _box_sign: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     _row_sq: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
@@ -271,35 +294,31 @@ class QpProblem:
                 row_sq = _readonly(np.einsum("ij,ij->i", A, A))
         A_dot, At_dot = _products(A, cols, sign)
         vars(self).update(H=_readonly(0.5 * H + 0.5 * H.T), f=f, A=A, b=b, symmetry_defect=defect,
-                          _box_cols=cols, _box_sign=sign, _row_sq=row_sq, _A_dot=A_dot, _At_dot=At_dot)
+                          n=n, q=A.shape[0], _box_cols=cols, _box_sign=sign, _row_sq=row_sq,
+                          _A_dot=A_dot, _At_dot=At_dot)
 
     def __getstate__(self) -> dict:
-        # the products are bound again on load: pickled, A.T.dot would carry
-        # a second copy of A
-        return {k: v for k, v in vars(self).items() if k not in ("_A_dot", "_At_dot")}
+        # the sizes are read and the products bound again on load, so a
+        # pickle holds what it held before the sizes were stored, and either
+        # loads; pickled, A.T.dot would carry a second copy of A
+        return {k: v for k, v in vars(self).items() if k not in ("n", "q", "_A_dot", "_At_dot")}
 
     def __setstate__(self, state: dict):
-        # pickle loads arrays writeable
-        state = {k: _readonly(v) if isinstance(v, np.ndarray) else v for k, v in state.items()}
-        A_dot, At_dot = _products(state["A"], state["_box_cols"], state["_box_sign"])
-        vars(self).update(state, _A_dot=A_dot, _At_dot=At_dot)
+        state = _readonly_state(state)
+        H, A = state["H"], state["A"]
+        A_dot, At_dot = _products(A, state["_box_cols"], state["_box_sign"])
+        vars(self).update(state, n=H.shape[0], q=A.shape[0], _A_dot=A_dot, _At_dot=At_dot)
 
-    def _with_rhs(self, f, b) -> "QpProblem":
-        """A new QpProblem with this one's H, A, symmetry_defect, _box_cols,
-        _box_sign, _row_sq, _A_dot and _At_dot (read-only or bound to
-        read-only arrays, so shared, not copied) and the given f and b, which
-        are checked as the constructor checks them (InvalidProblem)."""
+    def _with_rhs(self, f, b=None) -> "QpProblem":
+        """A new QpProblem with this one's H, A, symmetry_defect, n, q,
+        _box_cols, _box_sign, _row_sq, _A_dot and _At_dot (read-only or bound
+        to read-only arrays, so shared, not copied), the given f and the
+        given b, or this one's b when b is None; f and b are checked as the
+        constructor checks them (InvalidProblem)."""
         new = object.__new__(QpProblem)
-        vars(new).update(vars(self), f=_frozen(f, "f", (self.n,)), b=_frozen(b, "b", (self.q,)))
+        vars(new).update(vars(self), f=_frozen(f, "f", (self.n,)),
+                         b=self.b if b is None else _frozen(b, "b", (self.q,)))
         return new
-
-    @property
-    def n(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.A.shape[0]
 
 
 @dataclass(frozen=True)
@@ -312,6 +331,9 @@ class PrimalDualPoint:
 
     def __post_init__(self):
         vars(self).update(z=_frozen(self.z, "z", (None,)), v=_frozen(self.v, "v", (None,)))
+
+    def __setstate__(self, state: dict):
+        vars(self).update(_readonly_state(state))
 
     @staticmethod
     def _trusted(z: np.ndarray, v: np.ndarray) -> "PrimalDualPoint":

@@ -75,6 +75,34 @@ def test_phi_kernel_keeps_the_inf_guard_bits_and_stays_silent(eps):
     assert (a + b > 0).any() and (a + b < 0).any()
 
 
+@pytest.mark.parametrize("box_only", [False, True], ids=["dense", "box-only"])
+def test_evaluate_writes_the_bits_of_the_concatenated_blocks(box_only):
+    # _evaluate writes both blocks of F into one array: the last add of
+    # (Hz + f) + A'v and _phi's tail. They must be the bits of the blocks
+    # formed apart and concatenated, on rows that overflow to inf or nan too
+    rng = np.random.default_rng(29)
+    n, q = 7, 14
+    A = np.vstack([np.eye(n), -np.eye(n)]) if box_only else rng.standard_normal((q, n))
+    p = QpProblem(np.diag(rng.uniform(1, 2, n)), rng.standard_normal(n), A, rng.uniform(0.1, 1, q))
+    assert (p._box_cols is not None) == box_only
+    seen = set()
+    for draw in range(5):
+        # a finite draw, then entries of magnitude 1 ... 1.7e308 and inf, mixed
+        magnitude = rng.choice([1.0, 1e150, 1e308, np.inf], n + q) if draw else 1.0
+        x = rng.uniform(-1.7, 1.7, n + q) * magnitude
+        for eps in (0.0, 1e-9, np.array(1e-9)):
+            with np.errstate(all="ignore"):
+                z, v = x[:n], x[n:]
+                y = p.b - p._A_dot(z)
+                r = np.hypot(np.hypot(v, y), eps)
+                expected = np.concatenate([p.H.dot(z) + p.f + p._At_dot(v), _phi(v, y, eps, r)])
+                F = _evaluate(p, x, eps).F
+            assert F.tobytes() == expected.tobytes()
+            seen.update(("inf" if np.isinf(e) else "nan" if np.isnan(e) else "finite")
+                        + (" top" if i < n else " tail") for i, e in enumerate(F))
+    assert seen == {f"{kind} {block}" for kind in ("finite", "inf", "nan") for block in ("top", "tail")}
+
+
 def _float_literal(node) -> bool:
     # a float constant, signed or not
     while isinstance(node, ast.UnaryOp):

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -268,6 +269,46 @@ def test_with_rhs_checks_f_and_b():
         qp._with_rhs(qp.f, b)
     with pytest.raises(InvalidProblem, match="b must have shape"):
         qp._with_rhs(qp.f, qp.b[1:])
+    # given only f, the new problem keeps this one's b; it shares the stored
+    # n and q either way
+    for new in (qp._with_rhs(-qp.f), qp._with_rhs(-qp.f, qp.b)):
+        assert (new.n, new.q) == (qp.n, qp.q) and {"n", "q"} <= vars(new).keys()
+        assert new.f.tobytes() == (-qp.f).tobytes() and new.b.tobytes() == qp.b.tobytes()
+    assert qp._with_rhs(qp.f).b is qp.b
+    with pytest.raises(InvalidProblem, match="f must have finite"):
+        qp._with_rhs(f)
+
+
+def test_without_a_state_box_every_step_shares_one_b():
+    # b depends on the state only through the state-box rows: without them
+    # it is built and checked once per run, and each step's QP shares it
+    spec = mass_spring_chain(8)
+    build = mpc._condenser(spec)
+    first, second = build(spec.x_init), build(-spec.x_init)
+    assert first.b is second.b and not first.b.flags.writeable
+    N = spec.horizon
+    assert first.b.tobytes() == np.concatenate([np.tile(spec.u_hi, N), -np.tile(spec.u_lo, N)]).tobytes()
+    assert second.f.tobytes() == condense(spec, -spec.x_init).f.tobytes()
+
+
+def test_a_pickled_point_and_spec_load_read_only():
+    # pickle loads arrays writeable: PrimalDualPoint and LtiMpcSpec make
+    # them read-only again, as their constructors do, and the loaded spec
+    # runs the closed loop with the original's bits
+    point = pickle.loads(pickle.dumps(PrimalDualPoint.zeros(2, 3)))
+    spec = mass_spring_chain(8)
+    twin = pickle.loads(pickle.dumps(spec))
+    with pytest.raises(ValueError):
+        point.z[0] = 1.0
+    with pytest.raises(ValueError):
+        twin.u_hi[0] = -5.0
+    arrays = [point.z, point.v] + [getattr(twin, f.name) for f in dataclasses.fields(twin)]
+    assert not any(a.flags.writeable for a in arrays if a is not None and not isinstance(a, int))
+    (path, stats), (twin_path, twin_stats) = (run_sequence(s, 50, "warm") for s in (spec, twin))
+    assert path.states.tobytes() == twin_path.states.tobytes()
+    assert path.inputs.tobytes() == twin_path.inputs.tobytes()
+    assert [(r.iterations, r.norm_F0, r.norm_Fnr) for r in stats.records] == \
+        [(r.iterations, r.norm_F0, r.norm_Fnr) for r in twin_stats.records]
 
 
 def test_run_sequence_builds_prediction_matrices_once(monkeypatch):

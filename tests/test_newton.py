@@ -29,6 +29,7 @@ from fbrs.oracle import (
     solve_by_enumeration,
     verify_kkt,
 )
+from fbrs.problem import _finite
 
 from conftest import kkt_matrix, lu_step, tail_pairs
 
@@ -208,6 +209,30 @@ def test_condensed_lu_reference_agreement_random():
         dx_full = lu_step(p, *sys)
         dx_cond = solve_condensed(p, *sys)
         assert np.linalg.norm(dx_full - dx_cond) <= 1e-8 * (1 + np.linalg.norm(dx_full))
+
+
+def test_the_finiteness_test_is_exact_and_silent():
+    # problem._finite tests a step by one BLAS ddot with zeros: inf, -inf or
+    # nan at any position, in any SIMD tail, gives None, and finite entries
+    # up to the largest double give dx itself, with no overflow. No warning
+    # escapes, here or from solve_condensed outside fbrs_solve's error-state
+    # context, where the invalid 0 inf would warn through ndarray.dot
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for size in [*range(1, 18), 60, 240]:
+            signs = np.where(np.arange(size) % 3, 1.0, -1.0)
+            for dx in (np.full(size, 1.7e308), 1.7e308 * signs, np.arange(size) - 0.5):
+                assert _finite(dx) is dx
+                for bad in (np.inf, -np.inf, np.nan):
+                    for i in range(size):
+                        probe = dx.copy()
+                        probe[i] = bad
+                        assert _finite(probe) is None
+        p = QpProblem([[1.0]], [0.0], [[1.0]], [1.0])
+        ones = np.ones(1)
+        assert solve_condensed(p, ones, ones, np.array([1.0, 0.0])) is not None
+        for bad in (np.inf, -np.inf, np.nan):
+            assert solve_condensed(p, ones, ones, np.array([bad, 0.0])) is None
 
 
 def test_condensed_survives_tiny_mu():

@@ -266,14 +266,24 @@ def test_a_pickled_problem_solves_with_the_same_bits(make_qp):
         assert twin._A_dot.args[0] is twin._At_dot.args[0] is cols
         assert twin._A_dot.args[1] is twin._At_dot.args[1] is sign
     assert len(pickle.dumps(p)) < p.H.nbytes + 2 * p.A.nbytes
+    # QpProblem stores n and q; a state dict without them, as pickles made
+    # before they were stored hold, with arrays writeable as pickle loads
+    # them, reads both from the arrays
+    state = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in vars(p).items()
+             if k not in ("n", "q", "_A_dot", "_At_dot")}
+    older = object.__new__(QpProblem)
+    older.__setstate__(state)
+    assert (older.n, older.q) == (twin.n, twin.q) == (p.n, p.q) == p.A.shape[::-1]
+    assert not older.A.flags.writeable
     cfg = SolverConfig(tol=1e-10, max_iters=100)
     x0 = PrimalDualPoint(np.ones(p.n), -np.ones(p.q))
-    a, b = fbrs_solve(p, x0, cfg), fbrs_solve(twin, x0, cfg)
-    assert (a.status, a.iterations) == (b.status, b.iterations) == (Status.SOLVED, a.iterations)
-    assert _same_bits(a.x.z, b.x.z) and _same_bits(a.x.v, b.x.v)
-    fields = ("norm_Feps", "norm_F0", "norm_Fnr", "t", "delta", "backtracks")
-    for rec_a, rec_b in zip(a.trace, b.trace, strict=True):
-        assert [getattr(rec_a, f) for f in fields] == [getattr(rec_b, f) for f in fields]
+    a = fbrs_solve(p, x0, cfg)
+    for b in (fbrs_solve(twin, x0, cfg), fbrs_solve(older, x0, cfg)):
+        assert (a.status, a.iterations) == (b.status, b.iterations) == (Status.SOLVED, a.iterations)
+        assert _same_bits(a.x.z, b.x.z) and _same_bits(a.x.v, b.x.v)
+        fields = ("norm_Feps", "norm_F0", "norm_Fnr", "t", "delta", "backtracks")
+        for rec_a, rec_b in zip(a.trace, b.trace, strict=True):
+            assert [getattr(rec_a, f) for f in fields] == [getattr(rec_b, f) for f in fields]
 
 
 def _fortran(value):
