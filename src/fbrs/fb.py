@@ -7,7 +7,7 @@ coefficients of the Newton system. The residual
     F_eps(z, v) = [Hz + f + A'v; phi_eps(v, y)],   y = b - Az,
 
 is formed in one place, _evaluate, which returns the evaluated point
-(_Point): the flat iterate x = [z; v] with F_eps, y, r0 = hypot(v, y),
+(_Point): the flat iterate x = [z; v], its v, F_eps, y, r0 = hypot(v, y),
 r = hypot(r0, eps) and F_eps'F_eps. The solve loop reads every per-point
 quantity from it: the coefficients (_coefficients with r), the merit, and a
 trace record's ||F_0|| and ||F_nr|| (_norm_F0, _norm_Fnr). This module forms
@@ -73,10 +73,11 @@ def _coefficients(y: np.ndarray, v: np.ndarray, r: np.ndarray, delta):
 
 
 class _Point(NamedTuple):
-    """An evaluated iterate: x = [z; v], F = F_eps(x), y = b - Az,
-    r0 = hypot(v, y), r = hypot(r0, eps) and ff = F'F."""
+    """An evaluated iterate: x = [z; v], v (a view of x), F = F_eps(x),
+    y = b - Az, r0 = hypot(v, y), r = hypot(r0, eps) and ff = F'F."""
 
     x: np.ndarray
+    v: np.ndarray
     F: np.ndarray
     y: np.ndarray
     r0: np.ndarray
@@ -98,21 +99,19 @@ def _evaluate(p: QpProblem, x: np.ndarray, eps) -> _Point:
     F = np.empty(x.size)
     np.add(p.H.dot(z) + p.f, p._At_dot(v), out=F[:n])
     _phi(v, y, eps, r, F[n:])
-    return _Point(x, F, y, r0, r, float(F.dot(F)))
+    return _Point(x, v, F, y, r0, r, float(F.dot(F)))
 
 
 def _norm_F0(point: _Point) -> float:
     """||F_0|| at point: its F_eps with the phi tail at eps = 0, from r0.
     Overflow warns unless the caller holds an np.errstate context, as
     fbrs_solve and the IterationRecord properties do."""
-    n = point.x.size - point.y.size
-    F0 = np.concatenate([point.F[:n], _phi(point.x[n:], point.y, _ZERO, point.r0)])
+    F0 = np.concatenate([point.F[:-point.v.size], _phi(point.v, point.y, _ZERO, point.r0)])
     return math.sqrt(F0.dot(F0))
 
 
 def _norm_Fnr(point: _Point) -> float:
     """||F_nr|| at point: its F_eps with the natural-residual tail min(y, v).
     Overflow warns unless the caller holds an np.errstate context."""
-    n = point.x.size - point.y.size
-    Fnr = np.concatenate([point.F[:n], np.minimum(point.y, point.x[n:])])
+    Fnr = np.concatenate([point.F[:-point.v.size], np.minimum(point.y, point.v)])
     return math.sqrt(Fnr.dot(Fnr))

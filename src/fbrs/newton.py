@@ -7,9 +7,9 @@ Each iteration assembles the block system
 
 with C = diag(gamma), D = diag(mu) from the FB kernel, and solves it through
 the condensed Schur complement H + A'WA, W = C D^-1 >= 0: the one linear
-solve. fbrs.problem owns A, H and their linear algebra (it builds, factors
-and solves with the Schur matrix, and binds the products with A and A' that
-this module calls, p._A_dot and p._At_dot), and fbrs.fb forms
+solve. fbrs.problem owns A, H and their linear algebra: it binds, once per
+problem, the products with A and A' and the Schur solve that this module
+calls, p._A_dot, p._At_dot and p._schur_solve, and fbrs.fb forms
 every residual, so this module owns only the iteration and reads neither the
 row structure of A nor a residual formula. The loop globalizes with a
 backtracking linesearch on the merit function theta = 0.5 ||F_eps||^2, and
@@ -23,7 +23,7 @@ Armijo constants and the regularization cap are fixed (SolverConfig.sigma,
 .beta, .max_backtracks, .delta0); tol and max_iters are the only settings.
 
 fbrs_solve holds one evaluated point, fb._evaluate's record of the flat
-iterate x = [z; v] with F_eps, y, hypot(v, y), hypot(hypot(v, y), eps) and
+iterate x = [z; v] with v, F_eps, y, hypot(v, y), hypot(hypot(v, y), eps) and
 F_eps'F_eps, and the linesearch returns the point it accepts. That point gives
 the next pass its norms, its delta, its Newton right-hand side -F_eps, its FB
 coefficients and theta. Each pass's IterationRecord keeps its point; the
@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .fb import _coefficients, _evaluate, _norm_F0, _norm_Fnr, _Point
-from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _finite, _positive, _schur_solve
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _finite, _positive
 
 
 class Status(Enum):
@@ -130,7 +130,7 @@ class SolverResult:
 def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve [H A'; -CA D] dx = rhs, rhs = (r_s, r_c), C = diag(gamma),
     D = diag(mu), via the Schur complement
-    (H + A' C D^-1 A) dz = r_s - A' D^-1 r_c (problem._schur_solve),
+    (H + A' C D^-1 A) dz = r_s - A' D^-1 r_c (p._schur_solve),
     then the diagonal back-substitution D dv = r_c + C A dz, and return the
     step dx = (dz, dv). Arguments are not checked. The row weights
     w = gamma / mu are >= 0 (|y| <= r makes 1 - y/r >= 0, and delta >= 0).
@@ -142,7 +142,7 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     """
     n = p.n
     r_s, r_c = rhs[:n], rhs[n:]
-    dz = _schur_solve(p, gamma / mu, r_s - p._At_dot(r_c / mu))
+    dz = p._schur_solve(gamma / mu, r_s - p._At_dot(r_c / mu))
     if dz is None:
         return None
     return _finite(np.concatenate([dz, (r_c + gamma * p._A_dot(dz)) / mu]))
@@ -220,7 +220,7 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     with np.errstate(all="ignore"):
         point = _evaluate(p, x0.as_vector(), eps_0d)
         for k in range(max_iters + 1):
-            F, y, v = point.F, point.y, point.x[n:]
+            F, y, v = point.F, point.y, point.v
             n_feps = math.sqrt(point.ff)
             # delta = min(delta0, ||F_eps||) without the builtin's call: delta0
             # unless ||F_eps|| is below it, so also when ||F_eps|| is nan
@@ -261,7 +261,7 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
         rec.norm_Fnr = _norm_Fnr(point)
 
     return SolverResult(
-        x=PrimalDualPoint._trusted(point.x[:n], point.x[n:]),
+        x=PrimalDualPoint._trusted(point.x[:n], point.v),
         status=status,
         iterations=len(trace) - 1,
         final_norm_F0=rec.norm_F0,

@@ -4,17 +4,16 @@ problem assumptions.
 The problem is  minimize 0.5 z'Hz + f'z  subject to  Az <= b,  with H symmetric
 positive semidefinite and at least one constraint row.
 
-This module owns the row structure of A, found once per QpProblem (_unit_rows,
-and for a dense A of at least _PRUNE_MIN_N columns the squared row norms) and
-read only by the products with A and A' that QpProblem binds (A.dot and
-A.T.dot, or a gather and a scatter) and the Schur solve, the input checks
-(_frozen), which points built by the package skip (_trusted), and the
-finiteness test of a Newton step (_finite). The Schur solve
-(_schur_solve) is the one linear solve of a Newton step: it chooses the rows
-of a large dense A whose term does not fall below the rounding of the sum
-(_kept_rows), builds H + A'WA over them (_schur), factors and solves with it
-in one LAPACK call, and builds it again with every row when a pruned matrix
-fails.
+This module owns the row structure of A, decided once per QpProblem by
+_row_ops (box-only, dense, or dense with at least _PRUNE_MIN_N columns) and
+read by nothing else: it binds the products with A and A' (A.dot and A.T.dot,
+or a gather and a scatter) and the Schur solve, the one linear solve of a
+Newton step, which builds H + A'WA as the structure allows (a diagonal sum
+onto a copy of H, one syrk over every row, or one syrk over the rows whose
+term does not fall below the rounding of the sum, and every row when that
+fails), and factors and solves with it in one LAPACK call. It also owns the
+input checks (_frozen), which points built by the package skip (_trusted),
+and the finiteness test of a Newton step (_finite).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from scipy.linalg.lapack import dposv as _posv
 
 from .errors import FbrsError, InvalidProblem
 
-# _kept_rows drops rows from the dense build only at n >= _PRUNE_MIN_N: below
+# _pruned_solve drops rows from the dense build only at n >= _PRUNE_MIN_N: below
 # about n = 60 (q = 2n, 60% of rows kept, one thread) the gather of the kept
 # rows costs more than the flops it saves. A row is dropped when its term is
 # at most _ROUNDING times the largest one.
@@ -125,22 +124,6 @@ def _finite(x: np.ndarray) -> np.ndarray | None:
     return None if math.isnan(_ddot(x, np.zeros(x.size))) else x
 
 
-def _unit_rows(A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(cols, sign), the column and the sign (+-1.0) of each row of A, both
-    read-only, when every row is a signed unit vector (one nonzero, of
-    magnitude 1), else (None, None). The nonzero count goes first, so a dense
-    A costs one pass; -0.0 counts as zero."""
-    q = A.shape[0]
-    nonzero = A != 0.0
-    if np.count_nonzero(nonzero) != q:
-        return None, None
-    cols = nonzero.argmax(axis=1)
-    sign = A[np.arange(q), cols]
-    if not (np.abs(sign) == 1.0).all():
-        return None, None
-    return _readonly(cols), _readonly(sign)
-
-
 def _gather(cols: np.ndarray, sign: np.ndarray, z: np.ndarray) -> np.ndarray:
     """A z as sign * z[cols] for the box-only A of (cols, sign). On finite z
     these are the bits of the dense product, whose other terms are exact
@@ -156,20 +139,35 @@ def _scatter(cols: np.ndarray, sign: np.ndarray, n: int, v: np.ndarray) -> np.nd
     return np.bincount(cols, sign * v, n)
 
 
-def _products(A: np.ndarray, cols: np.ndarray | None, sign: np.ndarray | None) -> tuple[Callable, Callable]:
-    """The products z -> Az and v -> A'v that a QpProblem binds: A.dot and
-    A.T.dot, or, for the box-only A of (cols, sign), partial objects of
-    _gather and _scatter."""
-    if cols is None:
-        return A.dot, A.T.dot
-    return partial(_gather, cols, sign), partial(_scatter, cols, sign, A.shape[1])
+def _box_solve(H: np.ndarray, cols: np.ndarray, n: int, w: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """The Schur solve of a box-only A whose rows sit on the columns cols: S
+    is a copy of H with each row's w summed onto its diagonal, the bits of
+    the dense H + A'(WA), except perhaps the last bit of a column hit by
+    three or more rows. H, which an MPC run shares, is not written."""
+    S = H.copy()
+    S.reshape(-1)[::n + 1] += np.bincount(cols, w, n)
+    # positional (a, b, lower, overwrite_a): S.T is a fresh Fortran-ordered
+    # array, so posv factors it in place
+    _, dz, info = _posv(S.T, rhs, 1, 1)
+    return None if info else dz
 
 
-def _kept_rows(p: "QpProblem", w: np.ndarray) -> np.ndarray | None:
-    """The rows of A that the Schur matrix H + A'WA, W = diag(w) >= 0, keeps,
-    as a boolean mask, or None for every row. Only an A with squared row norms
-    (dense, n >= _PRUNE_MIN_N) drops rows, and a mask that would keep every
-    row or none is None. Arguments are not checked.
+def _dense_solve(H: np.ndarray, A: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """The Schur solve over every row of A: S from one BLAS syrk of
+    W^1/2 A onto a copy of H."""
+    # H.T (H is exactly symmetric) and the transposed factor are in Fortran
+    # order, so f2py copies only H; the arguments are positional (alpha, a,
+    # beta, c, trans, lower), as f2py parses keywords slowly
+    _, dz, info = _posv(_syrk(1.0, (np.sqrt(w)[:, None] * A).T, 1.0, H.T, 0, 1), rhs, 1, 1)
+    return None if info else dz
+
+
+def _pruned_solve(H: np.ndarray, A: np.ndarray, row_sq: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """The Schur solve of a dense A with n >= _PRUNE_MIN_N columns, whose
+    squared row norms ||a_i||^2 are row_sq (inf where they overflow): the
+    syrk leaves out the rows whose term falls below rounding, and when posv
+    fails on that matrix, or the rule would keep every row or none,
+    _dense_solve solves over every row, so pruning alone never gives None.
 
     Row i is kept when w_i ||a_i||^2 > u max_j w_j ||a_j||^2, u = _ROUNDING
     (machine epsilon). As H is PSD, ||S|| >= max_j w_j ||a_j||^2, so each
@@ -184,55 +182,49 @@ def _kept_rows(p: "QpProblem", w: np.ndarray) -> np.ndarray | None:
     A nan or inf scale keeps no row, and then every row enters, so it reaches
     S.
     """
-    if p._row_sq is None:
-        return None
-    scaled = w * p._row_sq
+    scaled = w * row_sq
     keep = scaled > _ROUNDING * scaled.max()
-    return keep if 0 < np.count_nonzero(keep) < p.q else None
-
-
-def _schur(p: "QpProblem", w: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-    """A new Fortran-ordered array, which LAPACK takes without a copy, whose
-    lower triangle is H + A'WA, W = diag(w) >= 0, over the rows that the mask
-    keep marks (every row when None). p.H, which an MPC run shares, is not
-    written. A box-only A sums each row's w onto the diagonal of a copy of H,
-    over every row: the bits of the dense H + A'(WA), except perhaps the last
-    bit of a column hit by three or more rows. Any other A gives S from one
-    BLAS syrk of the kept rows of W^1/2 A onto a copy of H. Arguments are not
-    checked.
-    """
-    if p._box_cols is not None:
-        S = p.H.copy()
-        S.reshape(-1)[::p.n + 1] += np.bincount(p._box_cols, w, p.n)
-        return S.T
-    if keep is None:
-        rows = np.sqrt(w)[:, None] * p.A
-    else:
-        rows = p.A[keep]
+    if 0 < np.count_nonzero(keep) < A.shape[0]:
+        rows = A[keep]
         rows *= np.sqrt(w[keep])[:, None]
-    # p.H.T (H is exactly symmetric) and the transposed factor are in
-    # Fortran order, so f2py copies only H; the arguments are positional
-    # (alpha, a, beta, c, trans, lower), as f2py parses keywords slowly
-    return _syrk(1.0, rows.T, 1.0, p.H.T, 0, 1)
+        _, dz, info = _posv(_syrk(1.0, rows.T, 1.0, H.T, 0, 1), rhs, 1, 1)
+        if not info:
+            return dz
+    return _dense_solve(H, A, w, rhs)
 
 
-def _schur_solve(p: "QpProblem", w: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """dz with (H + A'WA) dz = rhs, W = diag(w) >= 0, or None when the Schur
-    matrix with every row is not numerically positive definite: the one
-    linear solve of a Newton step. One LAPACK posv call factors the lower
-    triangle of _schur(p, w, _kept_rows(p, w)) in place and solves with the
-    factor; posv is potrf followed by potrs, so the bits are theirs. A
-    dropped row can still be all that makes S definite: when posv fails on a
-    matrix that left rows out, S is built again with every row and solved
-    once more, so pruning alone never gives None. Arguments are not checked.
-    """
-    keep = None if p._row_sq is None else _kept_rows(p, w)
-    # positional (a, b, lower, overwrite_a): S is a fresh array, so posv
-    # factors it in place
-    _, dz, info = _posv(_schur(p, w, keep), rhs, 1, 1)
-    if info and keep is not None:
-        _, dz, info = _posv(_schur(p, w), rhs, 1, 1)
-    return None if info else dz
+def _row_ops(H: np.ndarray, A: np.ndarray) -> dict:
+    """What a QpProblem derives from its read-only H and A, as attributes:
+    the sizes n and q, the products _A_dot (z -> Az) and _At_dot (v -> A'v),
+    and _schur_solve (w, rhs -> dz), which solves (H + A'WA) dz = rhs,
+    W = diag(w) >= 0, or gives None when that matrix is not numerically
+    positive definite. The row structure of A is decided here, once:
+
+    - box-only, every row a signed unit vector (one nonzero, of magnitude 1;
+      -0.0 counts as zero): partial objects of _gather, _scatter and
+      _box_solve, bound to each row's column and sign (read-only). The
+      nonzero count goes first, so a dense A costs one pass;
+    - dense: A.dot, A.T.dot and _dense_solve;
+    - dense with n >= _PRUNE_MIN_N columns: A.dot, A.T.dot and
+      _pruned_solve, bound to the read-only squared row norms.
+
+    Every solve is one positional LAPACK posv, which factors its fresh
+    Schur matrix in place and solves with the factor (posv is potrf followed
+    by potrs, so the bits are theirs); only a pruned matrix that fails makes
+    a second one. Arguments are not checked."""
+    (q, n), nonzero = A.shape, A != 0.0
+    if np.count_nonzero(nonzero) == q:
+        cols = nonzero.argmax(axis=1)
+        sign = A[np.arange(q), cols]
+        if (np.abs(sign) == 1.0).all():
+            cols, sign = _readonly(cols), _readonly(sign)
+            return dict(n=n, q=q, _A_dot=partial(_gather, cols, sign), _At_dot=partial(_scatter, cols, sign, n),
+                        _schur_solve=partial(_box_solve, H, cols, n))
+    if n < _PRUNE_MIN_N:
+        return dict(n=n, q=q, _A_dot=A.dot, _At_dot=A.T.dot, _schur_solve=partial(_dense_solve, H, A))
+    with np.errstate(over="ignore"):
+        row_sq = _readonly(np.einsum("ij,ij->i", A, A))
+    return dict(n=n, q=q, _A_dot=A.dot, _At_dot=A.T.dot, _schur_solve=partial(_pruned_solve, H, A, row_sq))
 
 
 @dataclass(frozen=True)
@@ -251,18 +243,14 @@ class QpProblem:
     costs a quarter of a property's read, and the solve loop reads n about
     2.4 times per iteration.
 
-    The private `_A_dot` and `_At_dot` are the products z -> Az and v -> A'v,
-    bound once here (and shared by _with_rhs) for the solve path to call
-    directly: A.dot and A.T.dot for a dense A. When every row of A is a
-    signed unit vector, as in [I; -I], the private `_box_cols` and
-    `_box_sign` hold each row's column and sign (read-only), else None; the
-    products are then functools.partial objects of the module-level _gather
-    and _scatter, and _schur skips the product A'WA. Any other A with
-    n >= _PRUNE_MIN_N columns gets the private read-only `_row_sq`, the
-    squared norm ||a_i||^2 of each row (inf where it overflows), by which
-    _kept_rows drops the rows that fall below rounding; else it is None. A
-    pickle holds the arrays once, without the sizes or the products; loading
-    makes the arrays read-only, reads the sizes and binds the products again.
+    The private `_A_dot`, `_At_dot` and `_schur_solve` are the products
+    z -> Az and v -> A'v and the Schur solve of a Newton step, bound once
+    here by _row_ops, which decides the row structure of A (box-only, dense,
+    or dense with at least _PRUNE_MIN_N columns), and shared by _with_rhs,
+    for the solve path to call directly. A pickle holds H, f, A, b and
+    symmetry_defect only; loading makes the arrays read-only and derives the
+    sizes and the callables through _row_ops again, so a pickle of any
+    earlier layout, whose extra entries are ignored, loads too.
     """
 
     H: np.ndarray
@@ -272,11 +260,9 @@ class QpProblem:
     symmetry_defect: float = field(init=False, default=0.0)
     n: int = field(init=False, default=0, repr=False, compare=False)
     q: int = field(init=False, default=0, repr=False, compare=False)
-    _box_cols: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
-    _box_sign: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
-    _row_sq: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     _A_dot: Callable | None = field(init=False, default=None, repr=False, compare=False)
     _At_dot: Callable | None = field(init=False, default=None, repr=False, compare=False)
+    _schur_solve: Callable | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         H = _frozen(self.H, "H", (None, None))
@@ -287,34 +273,23 @@ class QpProblem:
         f, b = _frozen(self.f, "f", (n,)), _frozen(self.b, "b", (A.shape[0],))
         with np.errstate(over="ignore"):
             defect = _frobenius(H - H.T)
-        cols, sign = _unit_rows(A)
-        row_sq = None
-        if cols is None and n >= _PRUNE_MIN_N:
-            with np.errstate(over="ignore"):
-                row_sq = _readonly(np.einsum("ij,ij->i", A, A))
-        A_dot, At_dot = _products(A, cols, sign)
-        vars(self).update(H=_readonly(0.5 * H + 0.5 * H.T), f=f, A=A, b=b, symmetry_defect=defect,
-                          n=n, q=A.shape[0], _box_cols=cols, _box_sign=sign, _row_sq=row_sq,
-                          _A_dot=A_dot, _At_dot=At_dot)
+        H = _readonly(0.5 * H + 0.5 * H.T)
+        vars(self).update(H=H, f=f, A=A, b=b, symmetry_defect=defect, **_row_ops(H, A))
 
     def __getstate__(self) -> dict:
-        # the sizes are read and the products bound again on load, so a
-        # pickle holds what it held before the sizes were stored, and either
-        # loads; pickled, A.T.dot would carry a second copy of A
-        return {k: v for k, v in vars(self).items() if k not in ("n", "q", "_A_dot", "_At_dot")}
+        # pickled, A.T.dot would carry a second copy of A
+        return {k: getattr(self, k) for k in ("H", "f", "A", "b", "symmetry_defect")}
 
     def __setstate__(self, state: dict):
-        state = _readonly_state(state)
-        H, A = state["H"], state["A"]
-        A_dot, At_dot = _products(A, state["_box_cols"], state["_box_sign"])
-        vars(self).update(state, n=H.shape[0], q=A.shape[0], _A_dot=A_dot, _At_dot=At_dot)
+        H, f, A, b = (_readonly(state[k]) for k in "HfAb")
+        vars(self).update(H=H, f=f, A=A, b=b, symmetry_defect=state["symmetry_defect"], **_row_ops(H, A))
 
     def _with_rhs(self, f, b=None) -> "QpProblem":
         """A new QpProblem with this one's H, A, symmetry_defect, n, q,
-        _box_cols, _box_sign, _row_sq, _A_dot and _At_dot (read-only or bound
-        to read-only arrays, so shared, not copied), the given f and the
-        given b, or this one's b when b is None; f and b are checked as the
-        constructor checks them (InvalidProblem)."""
+        _A_dot, _At_dot and _schur_solve (read-only or bound to read-only
+        arrays, this H among them, so shared, not copied), the given f and
+        the given b, or this one's b when b is None; f and b are checked as
+        the constructor checks them (InvalidProblem)."""
         new = object.__new__(QpProblem)
         vars(new).update(vars(self), f=_frozen(f, "f", (self.n,)),
                          b=self.b if b is None else _frozen(b, "b", (self.q,)))

@@ -141,7 +141,8 @@ def test_merit_gradient_identity():
         p = random_strictly_convex_qp(n, q, rng)
         x = PrimalDualPoint(2 * rng.standard_normal(n), 2 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-4, 0)
-        _, F, y, _, r, _ = _evaluate(p, x.as_vector(), eps)
+        point = _evaluate(p, x.as_vector(), eps)
+        F, y, r = point.F, point.y, point.r
         g = _merit_gradient(p, F, *_coefficients(y, x.v, r, 0.0))
         vec = x.as_vector()
         fd = np.empty_like(g)
@@ -170,7 +171,8 @@ def test_solve_path_equivalence():
         x = PrimalDualPoint(3 * rng.standard_normal(n), 3 * rng.standard_normal(q))
         eps = 10.0 ** rng.uniform(-6, 0)
         delta = 10.0 ** rng.uniform(-10, -2)
-        _, F, y, _, r, _ = _evaluate(p, x.as_vector(), eps)
+        point = _evaluate(p, x.as_vector(), eps)
+        F, y, r = point.F, point.y, point.r
         gamma, mu = _coefficients(y, x.v, r, delta)
         try:
             dx_full = lu_step(p, gamma, mu, -F)

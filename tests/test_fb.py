@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fbrs import QpProblem
 from fbrs.fb import _coefficients, _evaluate, _phi
+from fbrs.problem import _box_solve
 
 from conftest import phi_eps
 
@@ -84,7 +85,7 @@ def test_evaluate_writes_the_bits_of_the_concatenated_blocks(box_only):
     n, q = 7, 14
     A = np.vstack([np.eye(n), -np.eye(n)]) if box_only else rng.standard_normal((q, n))
     p = QpProblem(np.diag(rng.uniform(1, 2, n)), rng.standard_normal(n), A, rng.uniform(0.1, 1, q))
-    assert (p._box_cols is not None) == box_only
+    assert (p._schur_solve.func is _box_solve) == box_only
     seen = set()
     for draw in range(5):
         # a finite draw, then entries of magnitude 1 ... 1.7e308 and inf, mixed

@@ -28,6 +28,7 @@ from fbrs.mpc import (
 )
 from fbrs.newton import fbrs_solve
 from fbrs.oracle import solve_by_enumeration
+from fbrs.problem import _box_solve
 
 
 def _simple_spec(horizon=3, with_state_bounds=False):
@@ -254,9 +255,10 @@ def test_run_sequence_step_qps_share_h_and_a(monkeypatch, make_spec):
         for name in ("H", "f", "A", "b"):
             assert np.array_equal(getattr(qp, name), getattr(fresh, name))
         assert qp.symmetry_defect == fresh.symmetry_defect
-        assert (qp._box_cols is None) == (fresh._box_cols is None) == (spec.x_lo is not None)
-        if qp._box_cols is not None:
-            assert np.array_equal(qp._box_cols, fresh._box_cols)
+        assert qp._schur_solve.func is fresh._schur_solve.func
+        assert (qp._schur_solve.func is _box_solve) == (spec.x_lo is None)
+        if spec.x_lo is None:
+            assert np.array_equal(qp._schur_solve.args[1], fresh._schur_solve.args[1])
 
 
 def test_with_rhs_checks_f_and_b():

@@ -29,7 +29,7 @@ from fbrs.oracle import (
     solve_by_enumeration,
     verify_kkt,
 )
-from fbrs.problem import _finite
+from fbrs.problem import _box_solve, _finite
 
 from conftest import kkt_matrix, lu_step, tail_pairs
 
@@ -288,7 +288,7 @@ def test_the_schur_solve_is_owned_by_problem():
 def test_box_schur_matrix_gives_the_dense_bits():
     # A = [I; -I]: the dense product adds only exact zeros to w_j + w_{n+j}
     p = mpc.condense(mass_spring_chain(40))
-    assert p._box_cols is not None
+    assert p._schur_solve.func is _box_solve
     rng = np.random.default_rng(40)
     for _ in range(20):
         gamma, mu = 10.0 ** rng.uniform(-8, 0.3, (2, p.q))
@@ -301,7 +301,7 @@ def test_box_schur_matrix_with_a_duplicated_bound_row():
     # dense product, so only the accuracy is checked
     base = mpc.condense(mass_spring_chain(8))
     p = QpProblem(base.H, base.f, np.vstack([base.A, base.A[:3]]), np.concatenate([base.b, base.b[:3]]))
-    assert p._box_cols is not None
+    assert p._schur_solve.func is _box_solve
     rng = np.random.default_rng(41)
     for _ in range(20):
         gamma, mu = 10.0 ** rng.uniform(-3, 0.3, (2, p.q))
@@ -315,7 +315,7 @@ def test_syrk_schur_step_is_as_accurate_as_the_dense_product(n, q, draws):
     # the symmetrized H + A'(WA), but the step it gives is as accurate, for
     # row weights w = gamma / mu over 1e-10 ... 1e10 (at (300, 600) the Schur
     # solve leaves out the rows that fall below rounding; the docstring of
-    # problem._kept_rows gives the bound); no argument is written
+    # problem._pruned_solve gives the bound); no argument is written
     rng = np.random.default_rng(n + q)
     for _ in range(draws):
         p = random_strictly_convex_qp(n, q, rng)
@@ -350,7 +350,9 @@ def test_box_schur_step_writes_neither_its_arguments_nor_the_shared_h(monkeypatc
 
     monkeypatch.setattr(mpc, "fbrs_solve", capturing)
     run_sequence(spec, 20, "warm")
-    assert all(qp.H is qps[0].H and qp._box_sign is qps[0]._box_sign for qp in qps)
+    # every step's QP shares the first one's bound solve, itself bound to the shared H
+    assert all(qp.H is qps[0].H and qp._schur_solve is qps[0]._schur_solve for qp in qps)
+    assert qps[0]._schur_solve.args[0] is qps[0].H
     assert np.array_equal(qps[0].H, mpc.condense(spec).H)
 
 
@@ -772,7 +774,7 @@ def test_returned_points_are_read_only_and_unaliased():
     rng = np.random.default_rng(34)
     dense = random_strictly_convex_qp(20, 40, rng)
     box = mpc.condense(mass_spring_chain(8))
-    assert box._box_cols is not None
+    assert box._schur_solve.func is _box_solve
     first = fbrs_solve(box, PrimalDualPoint.zeros(box.n, box.q))
     cases = [
         (dense, random_infeasible_start(dense, rng), SolverConfig(), Status.SOLVED),
@@ -831,7 +833,10 @@ def test_non_finite_newton_step_falls_back_to_the_gradient_step(monkeypatch):
     # a Newton direction that is not finite is one more failed Newton step:
     # the pass takes the merit-gradient step, and the solve goes on
     calls, gradients = [], []
-    schur_solve, gradient = newton._schur_solve, newton._merit_gradient
+    gradient = newton._merit_gradient
+    rng = np.random.default_rng([1, 0])
+    p = random_strictly_convex_qp(20, 40, rng)
+    schur_solve = p._schur_solve
 
     def overflowing_first_solve(*args):
         dz = schur_solve(*args)
@@ -842,10 +847,9 @@ def test_non_finite_newton_step_falls_back_to_the_gradient_step(monkeypatch):
         gradients.append(args)
         return gradient(*args)
 
-    monkeypatch.setattr(newton, "_schur_solve", overflowing_first_solve)
+    # the problem is frozen and local, so its bound solve is replaced in place
+    object.__setattr__(p, "_schur_solve", overflowing_first_solve)
     monkeypatch.setattr(newton, "_merit_gradient", counting_gradient)
-    rng = np.random.default_rng([1, 0])
-    p = random_strictly_convex_qp(20, 40, rng)
     result = fbrs_solve(p, random_infeasible_start(p, rng), SolverConfig(tol=1e-8, max_iters=100))
     assert result.status == Status.SOLVED
     assert result.iterations == 11

@@ -29,7 +29,7 @@ from fbrs import (
 from fbrs.fb import _evaluate
 from fbrs.mpc import condense, double_integrator, mass_spring_chain, run_sequence
 from fbrs.oracle import random_infeasible_start, random_strictly_convex_qp, solve_by_enumeration, verify_kkt
-from fbrs.problem import _PRUNE_MIN_N, _gather, _kept_rows, _schur, _schur_solve, _scatter, _syrk
+from fbrs.problem import _PRUNE_MIN_N, _box_solve, _dense_solve, _gather, _pruned_solve, _scatter, _syrk
 from fbrs.qpfile import serialize_qp
 
 
@@ -137,9 +137,15 @@ def test_problem_arrays_immutable(qp_1d):
         qp_1d.H[0, 0] = 5.0
 
 
+def _box_cols(p):
+    # the column of each row that a box-only problem binds into its Schur
+    # solve, or None when the problem is not box-only
+    return p._schur_solve.args[1] if p._schur_solve.func is _box_solve else None
+
+
 def _detected_cols(A):
     A = np.asarray(A, dtype=float)
-    return QpProblem(np.eye(A.shape[1]), np.zeros(A.shape[1]), A, np.ones(A.shape[0]))._box_cols
+    return _box_cols(QpProblem(np.eye(A.shape[1]), np.zeros(A.shape[1]), A, np.ones(A.shape[0])))
 
 
 @pytest.mark.parametrize("A, cols", [
@@ -155,9 +161,9 @@ def test_signed_unit_rows_are_detected(A, cols):
 
 
 def test_box_fixture_and_input_box_mpc_are_detected(qp_box_2d):
-    assert np.array_equal(qp_box_2d._box_cols, [0, 1])
+    assert np.array_equal(_box_cols(qp_box_2d), [0, 1])
     m = 2 * 8  # mass_spring_chain(8): nu = 2 over 8 stages
-    assert np.array_equal(condense(mass_spring_chain(8))._box_cols, np.tile(np.arange(m), 2))
+    assert np.array_equal(_box_cols(condense(mass_spring_chain(8))), np.tile(np.arange(m), 2))
 
 
 @pytest.mark.parametrize("A", [
@@ -176,12 +182,12 @@ def test_state_box_and_random_problems_are_not_detected():
     x_hi = np.full(spec.nx, 10.0)
     boxed = LtiMpcSpec(spec.Ad, spec.Bd, spec.Q, spec.R, spec.horizon, spec.u_lo, spec.u_hi,
                        spec.x_init, -x_hi, x_hi)
-    assert condense(boxed)._box_cols is None
+    assert _box_cols(condense(boxed)) is None
     rng = np.random.default_rng(13)
     # at n = 1 every normalized row is +-1, so a random 1-D QP is a box QP
     for _ in range(200):
         n = int(rng.integers(2, 10))
-        assert random_strictly_convex_qp(n, int(rng.integers(1, 2 * n)), rng)._box_cols is None
+        assert _box_cols(random_strictly_convex_qp(n, int(rng.integers(1, 2 * n)), rng)) is None
 
 
 @pytest.mark.parametrize("make_qp", [
@@ -193,11 +199,14 @@ def test_state_box_and_random_problems_are_not_detected():
 def test_gather_scatter_products_are_the_dense_bits(make_qp):
     # A z = sign * z[cols] and A'v = bincount(cols, sign * v), the products
     # that QpProblem binds for a box-only A: each other term of the dense
-    # products is an exact zero
+    # products is an exact zero. The three bound callables share one cols
+    # and one sign
     p = make_qp()
-    assert (p._A_dot.func, p._At_dot.func) == (_gather, _scatter)
-    assert np.array_equal(p._box_sign, p.A[np.arange(p.q), p._box_cols])
-    assert not p._box_sign.flags.writeable
+    assert (p._A_dot.func, p._At_dot.func, p._schur_solve.func) == (_gather, _scatter, _box_solve)
+    cols, sign = p._A_dot.args
+    assert p._At_dot.args[0] is p._schur_solve.args[1] is cols and p._At_dot.args[1] is sign
+    assert np.array_equal(sign, p.A[np.arange(p.q), cols])
+    assert not sign.flags.writeable
     rng = np.random.default_rng(p.q)
     for _ in range(20):
         z = 10.0 ** rng.uniform(-8, 8, p.n) * rng.standard_normal(p.n)
@@ -238,7 +247,8 @@ def test_the_solve_path_forms_no_product_with_matmul():
     build = next(node for node in ast.walk(ast.parse(inspect.getsource(fbrs.mpc._condenser)))
                  if isinstance(node, ast.FunctionDef) and node.name == "build")
     trees = [ast.parse(inspect.getsource(obj))
-             for obj in (fbrs.fb, fbrs.newton, _gather, _scatter, _schur, run_sequence)] + [build]
+             for obj in (fbrs.fb, fbrs.newton, _gather, _scatter, _box_solve, _dense_solve, _pruned_solve,
+                         run_sequence)] + [build]
     assert not any(isinstance(node, ast.MatMult) for tree in trees for node in ast.walk(tree))
     p = random_strictly_convex_qp(3, 5, np.random.default_rng(0))
     assert p._A_dot.__name__ == p._At_dot.__name__ == "dot"
@@ -250,40 +260,71 @@ def test_the_solve_path_forms_no_product_with_matmul():
     lambda: random_strictly_convex_qp(20, 40, np.random.default_rng([1, 0])),
 ], ids=["box-only-mpc", "dense"])
 def test_a_pickled_problem_solves_with_the_same_bits(make_qp):
-    # QpProblem binds its products with A and A' (A.dot and A.T.dot, or
-    # functools.partial objects of module-level functions); a pickle holds
-    # the arrays once, and loading makes them read-only, as the constructor
-    # does, and binds the products to the copy's own
+    # QpProblem binds its products with A and A' and its Schur solve (A.dot
+    # and A.T.dot, or functools.partial objects of module-level functions);
+    # a pickle holds H, f, A, b and symmetry_defect once, and loading makes
+    # the arrays read-only, as the constructor does, and binds the callables
+    # to the copy's own
     p = make_qp()
     twin = pickle.loads(pickle.dumps(p))
-    for name in ("H", "f", "A", "b", "_box_cols", "_box_sign", "_row_sq"):
+    for name in ("H", "f", "A", "b"):
         mine, theirs = getattr(p, name), getattr(twin, name)
-        assert mine is theirs is None or _same_bits(mine, theirs) and not theirs.flags.writeable, name
-    if p._box_cols is None:
+        assert _same_bits(mine, theirs) and not theirs.flags.writeable, name
+    assert (twin.n, twin.q) == (p.n, p.q) == p.A.shape[::-1]
+    assert twin._schur_solve.func is p._schur_solve.func and twin._schur_solve.args[0] is twin.H
+    for mine, theirs in zip(p._schur_solve.args, twin._schur_solve.args, strict=True):
+        assert _same_bits(mine, theirs) and not (isinstance(theirs, np.ndarray) and theirs.flags.writeable)
+    if _box_cols(p) is None:
         assert twin._A_dot.__self__ is twin.A and twin._At_dot.__self__.base is twin.A
+        assert twin._schur_solve.args[1] is twin.A
     else:
-        cols, sign = twin._box_cols, twin._box_sign
-        assert twin._A_dot.args[0] is twin._At_dot.args[0] is cols
-        assert twin._A_dot.args[1] is twin._At_dot.args[1] is sign
+        cols, sign = twin._A_dot.args
+        assert twin._At_dot.args[0] is twin._schur_solve.args[1] is cols and twin._At_dot.args[1] is sign
     assert len(pickle.dumps(p)) < p.H.nbytes + 2 * p.A.nbytes
-    # QpProblem stores n and q; a state dict without them, as pickles made
-    # before they were stored hold, with arrays writeable as pickle loads
-    # them, reads both from the arrays
-    state = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in vars(p).items()
-             if k not in ("n", "q", "_A_dot", "_At_dot")}
-    older = object.__new__(QpProblem)
-    older.__setstate__(state)
-    assert (older.n, older.q) == (twin.n, twin.q) == (p.n, p.q) == p.A.shape[::-1]
-    assert not older.A.flags.writeable
     cfg = SolverConfig(tol=1e-10, max_iters=100)
     x0 = PrimalDualPoint(np.ones(p.n), -np.ones(p.q))
-    a = fbrs_solve(p, x0, cfg)
-    for b in (fbrs_solve(twin, x0, cfg), fbrs_solve(older, x0, cfg)):
-        assert (a.status, a.iterations) == (b.status, b.iterations) == (Status.SOLVED, a.iterations)
-        assert _same_bits(a.x.z, b.x.z) and _same_bits(a.x.v, b.x.v)
-        fields = ("norm_Feps", "norm_F0", "norm_Fnr", "t", "delta", "backtracks")
-        for rec_a, rec_b in zip(a.trace, b.trace, strict=True):
-            assert [getattr(rec_a, f) for f in fields] == [getattr(rec_b, f) for f in fields]
+    _assert_same_solve(fbrs_solve(p, x0, cfg), fbrs_solve(twin, x0, cfg))
+
+
+def _assert_same_solve(a, b):
+    # both solves reach Solved with the same bits in x and in every record
+    assert (a.status, a.iterations) == (b.status, b.iterations) == (Status.SOLVED, a.iterations)
+    assert _same_bits(a.x.z, b.x.z) and _same_bits(a.x.v, b.x.v)
+    fields = ("norm_Feps", "norm_F0", "norm_Fnr", "t", "delta", "backtracks")
+    for rec_a, rec_b in zip(a.trace, b.trace, strict=True):
+        assert [getattr(rec_a, f) for f in fields] == [getattr(rec_b, f) for f in fields]
+
+
+@pytest.mark.parametrize("make_qp", [
+    lambda: condense(mass_spring_chain(8)),
+    lambda: random_strictly_convex_qp(20, 40, np.random.default_rng([1, 0])),
+    lambda: random_strictly_convex_qp(100, 200, np.random.default_rng([1, 0])),
+], ids=["box-only-mpc", "dense", "pruned"])
+def test_a_state_of_an_earlier_layout_loads(make_qp):
+    # pickles made before the row structure moved into the bound callables
+    # hold the box rows' _box_cols and _box_sign and the squared row norms
+    # _row_sq (None where the structure has none), and no n or q; pickles
+    # made since hold neither. Either state, with its arrays writeable as
+    # pickle loads them, loads read-only, leaves the old fields out, derives
+    # the sizes and the callables, solves with the same bits and pickles
+    # without a second copy of A
+    p = make_qp()
+    current = {name: getattr(p, name) for name in ("H", "f", "A", "b", "symmetry_defect")}
+    cols = _box_cols(p)
+    earlier = dict(current, _box_cols=cols, _box_sign=None if cols is None else p._A_dot.args[1],
+                   _row_sq=p._schur_solve.args[2] if p._schur_solve.func is _pruned_solve else None)
+    cfg = SolverConfig(tol=1e-10, max_iters=100)
+    x0 = PrimalDualPoint(np.ones(p.n), -np.ones(p.q))
+    reference = fbrs_solve(p, x0, cfg)
+    for state in (earlier, current):
+        loaded = object.__new__(QpProblem)
+        loaded.__setstate__({k: v.copy() if isinstance(v, np.ndarray) else v for k, v in state.items()})
+        assert list(vars(loaded)) == list(vars(p))
+        assert (loaded.n, loaded.q) == (p.n, p.q) == p.A.shape[::-1]
+        assert not any(getattr(loaded, name).flags.writeable for name in "HfAb")
+        assert loaded._schur_solve.func is p._schur_solve.func
+        assert len(pickle.dumps(loaded)) < p.H.nbytes + 2 * p.A.nbytes
+        _assert_same_solve(reference, fbrs_solve(loaded, x0, cfg))
 
 
 def _fortran(value):
@@ -315,26 +356,54 @@ def test_fortran_ordered_input_gives_the_c_ordered_bits():
     assert [r.iterations for r in c_stats.records] == [r.iterations for r in f_stats.records]
 
 
+@pytest.fixture
+def schur_matrices(monkeypatch):
+    # the Schur matrix of each LAPACK posv call, in call order: the spy
+    # copies S before the real posv factors it in place
+    matrices = []
+    posv = fbrs.problem._posv
+
+    def spy(S, *args):
+        matrices.append(S.copy())
+        return posv(S, *args)
+
+    monkeypatch.setattr(fbrs.problem, "_posv", spy)
+    return matrices
+
+
+def _syrk_schur(p, w, keep=None):
+    # the lower triangle of H + A'WA from one syrk of W^1/2 A onto a copy of
+    # H, over the rows that the mask keep marks (every row when None)
+    rows = np.sqrt(w)[:, None] * p.A
+    return _syrk(1.0, (rows if keep is None else rows[keep]).T, beta=1.0, c=p.H.T, trans=0, lower=1)
+
+
+def _kept_rows(p, w):
+    # the rows that a pruned Schur solve keeps: w_i ||a_i||^2 > u max_j w_j ||a_j||^2
+    scaled = w * np.einsum("ij,ij->i", p.A, p.A)
+    return scaled > np.finfo(float).eps * scaled.max()
+
+
 @pytest.mark.parametrize("n, equal_weights", [(20, False), (100, True)],
                          ids=["below-the-size-rule", "no-row-dropped"])
-def test_unpruned_schur_matrix_is_the_full_syrk_bits(n, equal_weights):
+def test_unpruned_schur_matrix_is_the_full_syrk_bits(n, equal_weights, schur_matrices):
     # below the size rule the weights span 1e-10 ... 1e10, far past rounding,
     # yet every row enters; above it, equal weights on unit rows drop none
     rng = np.random.default_rng(n)
     p = random_strictly_convex_qp(n, 2 * n, rng)
-    assert (p._row_sq is None) == (n < _PRUNE_MIN_N)
+    assert p._schur_solve.func is (_dense_solve if n < _PRUNE_MIN_N else _pruned_solve)
     for _ in range(5):
         if equal_weights:
             w = np.full(p.q, 10.0 ** rng.uniform(-10, 10))
         else:
             w = 10.0 ** rng.uniform(-10, 10, p.q)
-        keep = _kept_rows(p, w)
-        assert keep is None
-        S = _schur(p, w, keep)
-        assert np.array_equal(S, _syrk(1.0, (np.sqrt(w)[:, None] * p.A).T, beta=1.0, c=p.H.T, trans=0, lower=1))
+        schur_matrices.clear()
+        p._schur_solve(w, np.ones(p.n))
+        assert len(schur_matrices) == 1
+        assert np.array_equal(schur_matrices[0], _syrk_schur(p, w))
 
 
-def test_schur_keeps_a_large_row_with_a_small_weight():
+def test_schur_keeps_a_large_row_with_a_small_weight(schur_matrices):
     # w_0 = 1e-20 is below rounding against the other weights (1), but row 0
     # scaled by 1e4 makes its term w_0 ||a_0||^2 = 1e-12, which is not
     rng = np.random.default_rng(7)
@@ -342,24 +411,31 @@ def test_schur_keeps_a_large_row_with_a_small_weight():
     A = p.A.copy()
     A[0] *= 1e4
     scaled = QpProblem(p.H, p.f, A, p.b)
-    assert scaled._row_sq[0] == pytest.approx(1e8) and not scaled._row_sq.flags.writeable
+    row_sq = scaled._schur_solve.args[2]
+    assert row_sq[0] == pytest.approx(1e8) and not row_sq.flags.writeable
     w = np.ones(p.q)
     w[0] = 1e-20
-    keep = _kept_rows(scaled, w)
-    assert keep is None
-    every_row = _syrk(1.0, (np.sqrt(w)[:, None] * scaled.A).T, beta=1.0, c=scaled.H.T, trans=0, lower=1)
-    assert np.array_equal(_schur(scaled, w, keep), every_row)
+    rhs = np.ones(p.n)
+    scaled._schur_solve(w, rhs)
+    assert len(schur_matrices) == 1
+    assert np.array_equal(schur_matrices[0], _syrk_schur(scaled, w))
     # the same weight on the unit row falls below rounding and is dropped
-    assert np.array_equal(_kept_rows(p, w), np.arange(p.q) > 0)
+    schur_matrices.clear()
+    p._schur_solve(w, rhs)
+    assert len(schur_matrices) == 1
+    assert np.array_equal(schur_matrices[0], _syrk_schur(p, w, np.arange(p.q) > 0))
     # a squared row norm that overflows reads inf, without a warning, and
     # then every row enters
     A[0] = 1e200
     huge = QpProblem(p.H, p.f, A, p.b)
-    assert huge._row_sq[0] == np.inf
-    assert _kept_rows(huge, np.ones(p.q)) is None
+    assert huge._schur_solve.args[2][0] == np.inf
+    schur_matrices.clear()
+    huge._schur_solve(np.ones(p.q), rhs)
+    assert len(schur_matrices) == 1
+    assert np.array_equal(schur_matrices[0], _syrk_schur(huge, np.ones(p.q)), equal_nan=True)
 
 
-def test_a_pruned_schur_matrix_that_fails_is_factored_again_with_every_row():
+def test_a_pruned_schur_matrix_that_fails_is_factored_again_with_every_row(schur_matrices):
     # H = 0; the heavy rows (w = 1e8) span only the first k columns and the
     # light ones (w = 1e-9, below rounding) the rest, so the pruned Schur
     # matrix is singular and the full one block-diagonal and positive
@@ -371,51 +447,47 @@ def test_a_pruned_schur_matrix_that_fails_is_factored_again_with_every_row():
     A = scipy.linalg.block_diag(*(np.linalg.qr(rng.standard_normal((m, m)))[0] for m in (k, n - k)))
     p = QpProblem(np.zeros((n, n)), np.zeros(n), A, np.ones(n))
     w = np.where(np.arange(n) < k, 1e8, 1e-9)
-    keep = _kept_rows(p, w)
-    assert keep is not None
-    assert scipy.linalg.lapack.dpotrf(_schur(p, w, keep), lower=1)[1] == k + 1
     # the reference: the dense, symmetrized H + A'(WA) through scipy's Cholesky wrappers
     S = p.H + p.A.T @ (w[:, None] * p.A)
     factor = scipy.linalg.cho_factor(0.5 * (S + S.T), lower=True)
     for _ in range(5):
         rhs = rng.standard_normal(n)
-        dz = _schur_solve(p, w, rhs)
+        schur_matrices.clear()
+        dz = p._schur_solve(w, rhs)
+        pruned, every_row = schur_matrices
+        assert np.array_equal(pruned, _syrk_schur(p, w, np.arange(n) < k))
+        assert scipy.linalg.lapack.dpotrf(pruned, lower=1)[1] == k + 1
+        assert np.array_equal(every_row, _syrk_schur(p, w))
         assert np.isfinite(dz).all()
         reference = scipy.linalg.cho_solve(factor, rhs)
         assert np.linalg.norm(S @ dz - rhs) <= 10.0 * np.linalg.norm(S @ reference - rhs)
 
 
-def test_one_lapack_call_per_newton_step(monkeypatch):
+def test_one_lapack_call_per_newton_step(schur_matrices):
     # posv factors and solves in one call; only a pruned matrix that fails
     # makes a second one, with every row
-    calls = []
-    posv = fbrs.problem._posv
-
-    def counting(*args):
-        calls.append(args)
-        return posv(*args)
-
-    monkeypatch.setattr(fbrs.problem, "_posv", counting)
     rng = np.random.default_rng(20)
     for _ in range(5):
         p = random_strictly_convex_qp(20, 40, rng)
-        calls.clear()
+        schur_matrices.clear()
         result = fbrs_solve(p, random_infeasible_start(p, rng))
         assert result.status == Status.SOLVED
-        assert len(calls) == result.iterations > 0
+        assert len(schur_matrices) == result.iterations > 0
     n, k = _PRUNE_MIN_N, 40
     A = scipy.linalg.block_diag(*(np.linalg.qr(rng.standard_normal((m, m)))[0] for m in (k, n - k)))
     p = QpProblem(np.zeros((n, n)), np.zeros(n), A, np.ones(n))
-    calls.clear()
-    _schur_solve(p, np.where(np.arange(n) < k, 1e8, 1e-9), rng.standard_normal(n))
-    assert len(calls) == 2
+    schur_matrices.clear()
+    p._schur_solve(np.where(np.arange(n) < k, 1e8, 1e-9), rng.standard_normal(n))
+    assert len(schur_matrices) == 2
     # a pruned matrix that is definite takes one call
     p = random_strictly_convex_qp(100, 200, rng)
     w = 10.0 ** rng.uniform(-8, 8, p.q)
-    assert _kept_rows(p, w) is not None
-    calls.clear()
-    _schur_solve(p, w, rng.standard_normal(p.n))
-    assert len(calls) == 1
+    keep = _kept_rows(p, w)
+    assert 0 < np.count_nonzero(keep) < p.q
+    schur_matrices.clear()
+    p._schur_solve(w, rng.standard_normal(p.n))
+    assert len(schur_matrices) == 1
+    assert np.array_equal(schur_matrices[0], _syrk_schur(p, w, keep))
 
 
 @pytest.mark.parametrize("make_qp, pruned", [
@@ -423,17 +495,23 @@ def test_one_lapack_call_per_newton_step(monkeypatch):
     (lambda rng: random_strictly_convex_qp(100, 200, rng), True),
     (lambda rng: condense(mass_spring_chain(40)), False),
 ], ids=["dense-20", "pruned-100", "box-only"])
-def test_posv_gives_the_potrf_potrs_bits(make_qp, pruned):
+def test_posv_gives_the_potrf_potrs_bits(make_qp, pruned, schur_matrices):
     rng = np.random.default_rng(64)
     p = make_qp(rng)
+    assert (p._schur_solve.func is _pruned_solve) == pruned
     for _ in range(5):
         w = 10.0 ** rng.uniform(-8, 8, p.q)
         rhs = rng.standard_normal(p.n)
-        keep = _kept_rows(p, w)
-        assert (keep is not None) == pruned
-        factor, info = scipy.linalg.lapack.dpotrf(_schur(p, w, keep), lower=1, clean=0)
+        schur_matrices.clear()
+        dz = p._schur_solve(w, rhs)
+        (S,) = schur_matrices
+        if pruned:
+            keep = _kept_rows(p, w)
+            assert 0 < np.count_nonzero(keep) < p.q
+            assert np.array_equal(S, _syrk_schur(p, w, keep))
+        factor, info = scipy.linalg.lapack.dpotrf(S, lower=1, clean=0)
         assert info == 0
-        assert np.array_equal(_schur_solve(p, w, rhs), scipy.linalg.lapack.dpotrs(factor, rhs, lower=1)[0])
+        assert np.array_equal(dz, scipy.linalg.lapack.dpotrs(factor, rhs, lower=1)[0])
 
 
 def test_validate_identity_hessian_passes():
