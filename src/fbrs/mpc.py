@@ -11,13 +11,13 @@ previous solution, as it is or shifted by one stage.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InvalidProblem, InvalidSpec, MpcSequenceError
-from .newton import SolverConfig, Status, fbrs_solve
+from .newton import IterationRecord, SolverConfig, Status, fbrs_solve
 from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _frozen, _readonly, _readonly_state
 
 
@@ -182,12 +182,23 @@ def shift_solution(spec: LtiMpcSpec, x: PrimalDualPoint) -> PrimalDualPoint:
 
 @dataclass(frozen=True)
 class QpSolveRecord:
+    """One closed-loop step's solve: its status, Newton steps and wall time,
+    and the solve's last IterationRecord, which forms norm_F0 and norm_Fnr,
+    the final norms, when first read (by write_csv, say), not in the loop."""
+
     step: int
     status: str
     iterations: int
-    norm_F0: float
-    norm_Fnr: float
     solve_time: float
+    _last: IterationRecord = field(repr=False)
+
+    @property
+    def norm_F0(self) -> float:
+        return self._last.norm_F0
+
+    @property
+    def norm_Fnr(self) -> float:
+        return self._last.norm_Fnr
 
 
 @dataclass(frozen=True)
@@ -275,16 +286,7 @@ def run_sequence(
         state = spec.Ad.dot(state) + spec.Bd.dot(u0)
         states.append(state)
         inputs.append(u0)
-        records.append(
-            QpSolveRecord(
-                step=step,
-                status=result.status.value,
-                iterations=result.iterations,
-                norm_F0=result.final_norm_F0,
-                norm_Fnr=result.final_norm_Fnr,
-                solve_time=elapsed,
-            )
-        )
+        records.append(QpSolveRecord(step, result.status.value, result.iterations, elapsed, result.trace[-1]))
         previous = result.x
     return Trajectory(np.array(states), np.array(inputs)), SequenceStats(tuple(records))
 

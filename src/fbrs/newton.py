@@ -15,10 +15,10 @@ row structure of A nor a residual formula. The loop globalizes with a
 backtracking linesearch on the merit function theta = 0.5 ||F_eps||^2, and
 takes a merit-gradient step instead of the Newton step when the Newton step
 fails: the Schur matrix is not numerically positive definite (as on ker H
-when H is only PSD), the direction is not finite, or the linesearch rejects
-it. Each step function reports its failure by returning None; none raises.
-The smoothing eps stays fixed; each point is regularized with
-delta = min(delta0, ||F_eps||). The solve stops once ||F_0|| <= tol. The
+when H is only PSD), or the linesearch rejects the direction, as it does
+one that is not finite. Each step function reports its failure by returning
+None; none raises. The smoothing eps stays fixed; each point is regularized
+with delta = min(delta0, ||F_eps||). The solve stops once ||F_0|| <= tol. The
 Armijo constants and the regularization cap are fixed (SolverConfig.sigma,
 .beta, .max_backtracks, .delta0); tol and max_iters are the only settings.
 
@@ -26,13 +26,15 @@ fbrs_solve holds one evaluated point, fb._evaluate's record of the flat
 iterate x = [z; v] with v, F_eps, y, hypot(v, y), hypot(hypot(v, y), eps) and
 F_eps'F_eps, and the linesearch returns the point it accepts. That point gives
 the next pass its norms, its delta, its Newton right-hand side -F_eps, its FB
-coefficients and theta. Each pass's IterationRecord keeps its point; the
-loop forms ||F_0|| only once ||F_eps|| <= 2 tol, and the last record's ||F_0||
-and natural residual ||F_nr|| at exit, and every other record forms them the
-first time they are read, so a solve whose trace nobody reads forms them near
-the end only. Inputs are validated at entry only: the step functions take the
-loop's arrays unchecked, the returned point is not checked again, and
-overflow in the loop becomes a status, not a warning.
+coefficients and theta. Each pass's IterationRecord keeps its point. The loop
+stops on ||F_eps|| <= _CERTIFIED tol, which certifies ||F_0|| <= tol, and
+forms ||F_0|| only on the passes between that and 2 tol, so the stop is the
+pass that the test ||F_0|| <= tol picks; nothing is formed at exit. Every
+other norm of a record, and so the result's final norms, is formed the first
+time it is read, so a solve whose trace nobody reads forms few or none.
+Inputs are validated at entry only: the step functions take the loop's
+arrays unchecked, the returned point is not checked again, and overflow in
+the loop becomes a status, not a warning.
 
 The loop hands the ufuncs of fbrs.fb a 0-d float64 eps and delta, which numpy
 takes faster than a Python float and with the same bits (see fbrs.fb), and
@@ -53,6 +55,19 @@ import numpy as np
 from .errors import InvalidConfig
 from .fb import _coefficients, _evaluate, _norm_F0, _norm_Fnr, _Point
 from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _finite, _positive
+
+
+# ||F_eps|| <= _CERTIFIED tol certifies ||F_0|| <= tol without forming ||F_0||.
+# The residuals share their top block and |phi_0 - phi_eps| <= eps per row, so
+# ||F_0|| <= ||F_eps|| + sqrt(q) eps = ||F_eps|| + tol / 2 <= 0.99 tol. The
+# 0.01 tol margin holds the rounding: fb._phi forms the rows with a + b > 0 in
+# quotient form, where a + b - r would cancel, so each computed phi_0 row errs
+# by a few ulps of its value and each phi_eps row by a few ulps of |phi_eps| +
+# eps, and both norms are accurate to far below 1% of tol.
+# The certificate thus stops no pass that ||F_0|| <= tol would not stop, and
+# since ||F_0|| >= ||F_eps|| - tol / 2, the loop forms ||F_0|| only on passes
+# with _CERTIFIED tol < ||F_eps|| <= 2 tol
+_CERTIFIED = 0.49
 
 
 class Status(Enum):
@@ -94,8 +109,8 @@ class IterationRecord:
     """Observable state of one loop pass, in Python floats; t = 0 means no
     step was taken. norm_F0 and norm_Fnr are formed from the pass's point
     when first read, each in its own np.errstate context, so overflow reads
-    inf without a warning; the solve loop caches those it forms in its own
-    context (norm_F0 near tol, and both norms of the last record)."""
+    inf without a warning; the solve loop caches the norm_F0 it forms in its
+    own context, on passes with _CERTIFIED tol < ||F_eps|| <= 2 tol."""
 
     k: int
     norm_Feps: float
@@ -118,13 +133,27 @@ class IterationRecord:
 
 @dataclass
 class SolverResult:
+    """The returned point, the status, the Newton steps taken and one record
+    per pass. The final norms are the last record's, read from it, so
+    final_norm_F0 and final_norm_Fnr are formed when first read (see
+    IterationRecord)."""
+
     x: PrimalDualPoint
     status: Status
     iterations: int
-    final_norm_F0: float
-    final_norm_Feps: float
-    final_norm_Fnr: float
-    trace: list[IterationRecord] = field(default_factory=list)
+    trace: list[IterationRecord]
+
+    @property
+    def final_norm_F0(self) -> float:
+        return self.trace[-1].norm_F0
+
+    @property
+    def final_norm_Feps(self) -> float:
+        return self.trace[-1].norm_Feps
+
+    @property
+    def final_norm_Fnr(self) -> float:
+        return self.trace[-1].norm_Fnr
 
 
 def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -135,17 +164,17 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
     step dx = (dz, dv). Arguments are not checked. The row weights
     w = gamma / mu are >= 0 (|y| <= r makes 1 - y/r >= 0, and delta >= 0).
 
-    Returns None when the Schur matrix is not numerically positive definite
-    or dx is not finite (problem._finite, one BLAS call that warns for no
-    entry); fbrs_solve then takes a merit-gradient step. The
-    loop's mu is >= delta > 0 (|v| <= r); a zero mu_i gives None.
+    Returns None when the Schur matrix is not numerically positive definite;
+    fbrs_solve then takes a merit-gradient step. dx is returned unchecked:
+    linesearch rejects one that is not finite. The loop's mu is >= delta > 0
+    (|v| <= r); a zero mu_i gives None or a direction that is not finite.
     """
     n = p.n
     r_s, r_c = rhs[:n], rhs[n:]
     dz = p._schur_solve(gamma / mu, r_s - p._At_dot(r_c / mu))
     if dz is None:
         return None
-    return _finite(np.concatenate([dz, (r_c + gamma * p._A_dot(dz)) / mu]))
+    return np.concatenate([dz, (r_c + gamma * p._A_dot(dz)) / mu])
 
 
 def _merit_gradient(p: QpProblem, F: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -163,8 +192,11 @@ def linesearch(p: QpProblem, point: _Point, dx, eps):
     or a 0-d float array, passed on to _evaluate) and sigma, beta are
     SolverConfig's. Returns (t, backtracks, point') with point' the
     evaluated accepted point, or None when SolverConfig.max_backtracks
-    reductions were not enough (dx is no usable descent direction). dx is
-    not checked; fbrs_solve passes only finite directions.
+    reductions were not enough (dx is no usable descent direction) or dx is
+    not finite. A non-finite dx makes every entry of Hz, or a phi row, of
+    the first trial non-finite, and so its merit; only then is dx tested
+    (problem._finite, one BLAS call that warns for no entry), so a finite
+    dx whose first trial overflows backtracks on.
     """
     # read at call time, not import time, so a patched constant takes effect
     beta, sigma, max_backtracks = SolverConfig.beta, SolverConfig.sigma, SolverConfig.max_backtracks
@@ -175,6 +207,8 @@ def linesearch(p: QpProblem, point: _Point, dx, eps):
         trial = _evaluate(p, x + t * dx if j else x + dx, eps)
         if 0.5 * trial.ff < (1.0 - 2.0 * t * sigma) * theta0:
             return t, j, trial
+        if not j and not math.isfinite(trial.ff) and _finite(dx) is None:
+            return None
     return None
 
 
@@ -183,16 +217,18 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
 
     Per pass: set delta = min(delta0, ||F_eps||) at the current point, stop if
     ||F_0|| <= tol already holds (so a warmstart at the solution costs zero
-    Newton solves), otherwise take a globalized step. When the Newton step
-    fails (solve_condensed or linesearch returns None), a merit-gradient step
-    is taken instead; when the linesearch rejects that too, the solve ends
-    with status LINESEARCH_FAILURE (as with H = 0 and A = 0, at iteration 0).
+    Newton solves), otherwise take a globalized step. ||F_eps|| <=
+    _CERTIFIED tol certifies the stop without forming ||F_0||, which is
+    formed only on passes with _CERTIFIED tol < ||F_eps|| <= 2 tol. When the
+    Newton step fails (solve_condensed or linesearch returns None), a
+    merit-gradient step is taken instead; when the linesearch rejects that
+    too, the solve ends with status LINESEARCH_FAILURE (as with H = 0 and
+    A = 0, at iteration 0).
     A non-finite merit gradient (the residual overflowed) ends it with status
     INVALID_PROBLEM. Either way the last accepted iterate is returned. The
     trace gets one record per pass including the terminal one, so it has
-    iterations + 1 entries; the loop forms ||F_0|| near tol and the last
-    record's ||F_0|| and ||F_nr||, which final_norm_F0 and final_norm_Fnr
-    read, and every other record forms them when first read. Each pass
+    iterations + 1 entries, and the result's final norms read the last
+    one, which forms them when first read, as every record does. Each pass
     reads the evaluated point (fb._evaluate) that the previous linesearch
     accepted, so every point is evaluated once. The solve enters one
     np.errstate context, emits no floating-point warnings, and ends each
@@ -214,9 +250,10 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     eps_0d, delta0_0d = np.array(eps), np.array(delta0)
     trace: list[IterationRecord] = []
     status = Status.MAX_ITERS
+    certified, near_tol = _CERTIFIED * tol, 2.0 * tol
     # overflow and NaN are statuses here (a failed Armijo test or a
-    # non-finite direction), not warnings; every norm of the solve is formed
-    # in this one context
+    # non-finite direction), not warnings; the norms the loop forms are
+    # formed in this one context
     with np.errstate(all="ignore"):
         point = _evaluate(p, x0.as_vector(), eps_0d)
         for k in range(max_iters + 1):
@@ -231,13 +268,13 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
             # positional: keywords cost a dataclass __init__ their parsing
             rec = IterationRecord(k, n_feps, 0.0, delta, eps, 0, point)
             trace.append(rec)
-            # |phi_eps - phi_0| <= eps per row, so ||F_0|| >= ||F_eps|| - sqrt(q) eps
-            # = ||F_eps|| - tol / 2: no point with ||F_eps|| > 1.5 tol passes, and
-            # 2 tol leaves a margin for rounding
-            near_tol = n_feps <= 2.0 * tol
-            if near_tol:
-                rec.norm_F0 = _norm_F0(point)
-                if rec.norm_F0 <= tol:
+            # see _CERTIFIED: the certificate, then ||F_0|| <= tol, which no
+            # point with ||F_eps|| > 1.5 tol passes (2 tol leaves a margin
+            # for rounding)
+            if n_feps <= near_tol:
+                if n_feps > certified:
+                    rec.norm_F0 = _norm_F0(point)
+                if n_feps <= certified or rec.norm_F0 <= tol:
                     status = Status.SOLVED
                     break
             if k == max_iters:
@@ -254,18 +291,10 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
                     status = Status.LINESEARCH_FAILURE
                     break
             rec.t, rec.backtracks, point = step
-        # every exit breaks out of the pass of the last record, rec, at its
-        # point; its ||F_0|| is formed already when the pass was near tol
-        if not near_tol:
-            rec.norm_F0 = _norm_F0(point)
-        rec.norm_Fnr = _norm_Fnr(point)
 
     return SolverResult(
         x=PrimalDualPoint._trusted(point.x[:n], point.v),
         status=status,
         iterations=len(trace) - 1,
-        final_norm_F0=rec.norm_F0,
-        final_norm_Feps=rec.norm_Feps,
-        final_norm_Fnr=rec.norm_Fnr,
         trace=trace,
     )

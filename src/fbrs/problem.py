@@ -13,7 +13,7 @@ onto a copy of H, one syrk over every row, or one syrk over the rows whose
 term does not fall below the rounding of the sum, and every row when that
 fails), and factors and solves with it in one LAPACK call. It also owns the
 input checks (_frozen), which points built by the package skip (_trusted),
-and the finiteness test of a Newton step (_finite).
+and the finiteness test of a step (_finite).
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ from fbrs import (
     Status,
     validate_problem,
 )
-from fbrs import mpc
+from fbrs import mpc, newton
+from fbrs.fb import _norm_F0, _norm_Fnr
 from fbrs.mpc import (
     BUNDLED_EXAMPLES,
     LtiMpcSpec,
@@ -415,6 +416,45 @@ def test_sequence_stats_aggregates_and_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "step,status,iterations,norm_F0,norm_Fnr,solve_time"
     assert len(lines) == 11
+
+
+def test_record_norms_are_formed_when_read(monkeypatch, tmp_path):
+    # each QpSolveRecord keeps its solve's last IterationRecord: an unread
+    # warm mass-spring N=40 run forms ||F_0|| only on the passes with
+    # _CERTIFIED tol < ||F_eps|| <= 2 tol and no ||F_nr||, and the records
+    # and write_csv then read the norms formed eagerly from the same solves
+    calls = {"F0": 0, "Fnr": 0}
+    eager, in_band = [], []
+
+    def counting(name, norm):
+        def counted(point):
+            calls[name] += 1
+            return norm(point)
+        return counted
+
+    def recording_solve(p, x0, cfg):
+        result = fbrs_solve(p, x0, cfg)
+        with np.errstate(all="ignore"):
+            eager.append((_norm_F0(result.trace[-1]._point), _norm_Fnr(result.trace[-1]._point)))
+        in_band.append([newton._CERTIFIED * cfg.tol < rec.norm_Feps <= 2.0 * cfg.tol for rec in result.trace])
+        return result
+
+    monkeypatch.setattr(newton, "_norm_F0", counting("F0", _norm_F0))
+    monkeypatch.setattr(newton, "_norm_Fnr", counting("Fnr", _norm_Fnr))
+    monkeypatch.setattr(mpc, "fbrs_solve", recording_solve)
+    _, stats = run_sequence(mass_spring_chain(40), 50, "warm")
+    band_passes, band_exits = sum(map(sum, in_band)), sum(passes[-1] for passes in in_band)
+    assert calls == {"F0": band_passes, "Fnr": 0}
+    assert band_exits == 17
+    assert [(r.norm_F0, r.norm_Fnr) for r in stats.records] == eager
+    read = {"F0": band_passes + 50 - band_exits, "Fnr": 50}
+    assert calls == read
+    out = tmp_path / "stats.csv"
+    stats.write_csv(out)
+    rows = [f"{r.step},{r.status},{r.iterations},{f0:.17g},{fnr:.17g},{r.solve_time:.17g}\n"
+            for r, (f0, fnr) in zip(stats.records, eager)]
+    assert out.read_bytes() == ("step,status,iterations,norm_F0,norm_Fnr,solve_time\n" + "".join(rows)).encode()
+    assert calls == read
 
 
 def test_overflowing_predictions_are_an_invalid_spec():

@@ -166,15 +166,43 @@ def test_solve_condensed_matches_lu_reference_on_toy():
     assert _solve_residual(*sys, dx_cond) <= 1e-14
 
 
-def test_solve_condensed_returns_none_on_indefinite_schur():
-    # an indefinite Schur matrix, and a zero mu (D singular), which the loop
-    # never passes (mu >= delta > 0, see test_fb); its division by zero is
+def _assert_a_failed_newton_step(p, dx, monkeypatch):
+    # a direction that is not finite makes the first trial's merit non-finite,
+    # so linesearch tests dx and returns None, and fbrs_solve, given dx as
+    # its first Newton step, takes the merit-gradient step in that pass
+    assert not np.isfinite(dx).all()
+    point = _evaluate(p, np.full(p.n + p.q, 3.0), 1e-9)
+    with np.errstate(all="ignore"):
+        assert not math.isfinite(_evaluate(p, point.x + dx, 1e-9).ff)
+        assert linesearch(p, point, dx, 1e-9) is None
+    directions, gradients = [dx], []
+
+    def first_direction(*args):
+        return directions.pop() if directions else solve_condensed(*args)
+
+    def counting_gradient(*args):
+        gradients.append(len(directions))
+        return _merit_gradient(*args)
+
+    monkeypatch.setattr(newton, "solve_condensed", first_direction)
+    monkeypatch.setattr(newton, "_merit_gradient", counting_gradient)
+    result = fbrs_solve(p, PrimalDualPoint(np.full(p.n, 3.0), np.full(p.q, 3.0)))
+    assert result.status == Status.SOLVED
+    assert gradients == [0] and result.trace[0].t > 0.0
+
+
+def test_solve_condensed_returns_none_on_indefinite_schur(monkeypatch):
+    # an indefinite Schur matrix gives None; a zero mu (D singular), which the
+    # loop never passes (mu >= delta > 0, see test_fb), gives a direction
+    # that is not finite, returned unchecked: the linesearch rejects it, and
+    # the pass takes the merit-gradient step. Its division by zero is
     # silenced here as the loop silences it
     p = QpProblem([[-2.0]], [0.0], [[1.0]], [0.0])
     assert solve_condensed(p, np.ones(1), np.ones(1), np.ones(2)) is None
     p = QpProblem(np.eye(1), [0.0], np.eye(1), [0.0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert solve_condensed(p, np.ones(1), np.zeros(1), np.ones(2)) is None
+        dx = solve_condensed(p, np.ones(1), np.zeros(1), np.ones(2))
+    _assert_a_failed_newton_step(p, dx, monkeypatch)
 
 
 def test_lu_reference_accuracy_random():
@@ -211,12 +239,13 @@ def test_condensed_lu_reference_agreement_random():
         assert np.linalg.norm(dx_full - dx_cond) <= 1e-8 * (1 + np.linalg.norm(dx_full))
 
 
-def test_the_finiteness_test_is_exact_and_silent():
+def test_the_finiteness_test_is_exact_and_silent(monkeypatch):
     # problem._finite tests a step by one BLAS ddot with zeros: inf, -inf or
     # nan at any position, in any SIMD tail, gives None, and finite entries
     # up to the largest double give dx itself, with no overflow. No warning
-    # escapes, here or from solve_condensed outside fbrs_solve's error-state
-    # context, where the invalid 0 inf would warn through ndarray.dot
+    # escapes, here, where the invalid 0 inf would warn through ndarray.dot,
+    # or from a solve whose first Newton direction is not finite, which the
+    # linesearch rejects after its first trial
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for size in [*range(1, 18), 60, 240]:
@@ -230,9 +259,9 @@ def test_the_finiteness_test_is_exact_and_silent():
                         assert _finite(probe) is None
         p = QpProblem([[1.0]], [0.0], [[1.0]], [1.0])
         ones = np.ones(1)
-        assert solve_condensed(p, ones, ones, np.array([1.0, 0.0])) is not None
+        assert _finite(solve_condensed(p, ones, ones, np.array([1.0, 0.0]))) is not None
         for bad in (np.inf, -np.inf, np.nan):
-            assert solve_condensed(p, ones, ones, np.array([bad, 0.0])) is None
+            _assert_a_failed_newton_step(p, solve_condensed(p, ones, ones, np.array([bad, 0.0])), monkeypatch)
 
 
 def test_condensed_survives_tiny_mu():
@@ -439,6 +468,43 @@ def test_linesearch_fails_on_ascent_direction(qp_1d, monkeypatch):
     assert linesearch(qp_1d, point, up, 0.1) is None
     # the unit step and 10 backtracks
     assert len(trials) == 11
+
+
+def test_linesearch_tests_a_direction_only_after_a_non_finite_first_trial(monkeypatch):
+    # dx is tested (problem._finite) only when the merit of the first trial is
+    # not finite: a finite dx whose unit step overflows the merit backtracks
+    # on to an accepted step, a dx that is not finite is rejected after its
+    # one trial, and a finite trial merit, accepted or not, tests nothing
+    tests, trials = [], []
+
+    def counting_finite(dx):
+        tests.append(dx)
+        return _finite(dx)
+
+    def counting_evaluate(*args):
+        trials.append(args)
+        return _evaluate(*args)
+
+    monkeypatch.setattr(newton, "_finite", counting_finite)
+    monkeypatch.setattr(newton, "_evaluate", counting_evaluate)
+    # F = [z; -2z] at v = 0 and z > 0, and [z; ~0] at z < 0: theta = 2.5e306
+    # here, and the unit step's ||F||^2 = 4e308 overflows
+    p = QpProblem([[1.0]], [0.0], [[1.0]], [0.0])
+    point = _evaluate(p, np.array([1e153, 0.0]), 1e-9)
+    cases = [([-2.1e154, 0.0], 6, 1), ([np.nan, 0.0], None, 1), ([np.inf, 0.0], None, 1),
+             ([-1e153, 0.0], 0, 0), ([1e152, 0.0], None, 0)]
+    for dx, backtracks, tested in cases:
+        tests.clear()
+        trials.clear()
+        with np.errstate(all="ignore"):
+            step = linesearch(p, point, np.array(dx), 1e-9)
+        if backtracks is None:
+            assert step is None
+            assert len(trials) == (1 if tested else SolverConfig.max_backtracks + 1)
+        else:
+            assert step[1] == backtracks and len(trials) == backtracks + 1
+            assert math.isfinite(step[2].ff)
+        assert len(tests) == tested
 
 
 def test_linesearch_returns_the_evaluated_point(monkeypatch):
@@ -698,10 +764,17 @@ def test_record_norms_are_the_eager_formula_at_every_pass(monkeypatch):
             assert rec.norm_Fnr == np.linalg.norm(np.concatenate([F[:p.n], np.minimum(y, v)]))
 
 
+def _in_f0_band(rec, tol):
+    # the passes whose ||F_0|| the loop forms: ||F_eps|| above the
+    # certificate's _CERTIFIED tol, and not above 2 tol
+    return newton._CERTIFIED * tol < rec.norm_Feps <= 2.0 * tol
+
+
 def test_unread_trace_forms_the_f0_tail_only_near_tol(monkeypatch):
-    # ||F_0|| >= ||F_eps|| - tol / 2, so the loop forms the ||F_0|| tail only
-    # on passes with ||F_eps|| <= 2 tol, and for the last record at exit
-    # (final_norm_F0); reading the trace later forms each other tail once
+    # ||F_eps|| <= _CERTIFIED tol certifies the stop and ||F_0|| >= ||F_eps||
+    # - tol / 2, so the loop forms the ||F_0|| tail only on passes with
+    # _CERTIFIED tol < ||F_eps|| <= 2 tol, and none at exit; reading the
+    # trace later forms each other tail once
     calls = []
 
     def counting(*args):
@@ -711,26 +784,29 @@ def test_unread_trace_forms_the_f0_tail_only_near_tol(monkeypatch):
     norm_F0 = newton._norm_F0
     monkeypatch.setattr(newton, "_norm_F0", counting)
     rng = np.random.default_rng(33)
-    statuses = set()
+    statuses, certified = set(), 0
     for max_iters in (100, 3, 100, 100):
         p = random_strictly_convex_qp(20, 40, rng)
         cfg = SolverConfig(max_iters=max_iters)
         calls.clear()
         result = fbrs_solve(p, random_infeasible_start(p, rng), cfg)
         statuses.add(result.status)
-        near = {rec.k for rec in result.trace if rec.norm_Feps <= 2.0 * cfg.tol}
-        assert len(calls) == len(near | {result.iterations}) < len(result.trace)
+        certified += not _in_f0_band(result.trace[-1], cfg.tol) and result.status == Status.SOLVED
+        band = [rec.k for rec in result.trace if _in_f0_band(rec, cfg.tol)]
+        assert len(calls) == len(band) < len(result.trace)
         for rec in result.trace + result.trace:
             rec.norm_F0
         assert len(calls) == len(result.trace)
     assert statuses == {Status.SOLVED, Status.MAX_ITERS}
+    assert certified > 0
 
 
 def test_an_unread_solve_enters_errstate_once(monkeypatch):
-    # the loop forms the norms it needs, near tol and for the last record,
-    # inside its own np.errstate context (at about 1 us per entry), so a solve
-    # whose trace nobody reads enters one, from an infeasible start and from
-    # a warm start at the solution, which takes no Newton step
+    # the loop forms the norms it needs, the ||F_0|| of passes between the
+    # certificate and 2 tol, inside its own np.errstate context (at about
+    # 1 us per entry), so a solve whose trace nobody reads enters one, from
+    # an infeasible start and from a warm start at the solution, which takes
+    # no Newton step
     entries = []
     errstate = np.errstate
 
@@ -750,13 +826,76 @@ def test_an_unread_solve_enters_errstate_once(monkeypatch):
     warm = fbrs_solve(p, cold.x, cfg)
     assert warm.status == Status.SOLVED and warm.iterations == 0
     assert len(entries) == 1
-    # the result's norms are the last record's, formed in the loop; a record
-    # read after the solve forms its norm in a context of its own
-    entries.clear()
-    assert (cold.final_norm_F0, cold.final_norm_Fnr) == (cold.trace[-1].norm_F0, cold.trace[-1].norm_Fnr)
-    assert len(entries) == 0
+    # the result's final norms are the last record's, which forms each when
+    # first read, in a context of its own, unless the loop formed its
+    # ||F_0||; a second read forms nothing
+    formed = []
+    for result in (cold, warm):
+        last = result.trace[-1]
+        formed.append(_in_f0_band(last, cfg.tol))
+        entries.clear()
+        assert (result.final_norm_F0, result.final_norm_Fnr) == (last.norm_F0, last.norm_Fnr)
+        assert len(entries) == 2 - formed[-1]
+        assert result.final_norm_Feps == last.norm_Feps
+        entries.clear()
+        assert (result.final_norm_F0, result.final_norm_Fnr) == (last.norm_F0, last.norm_Fnr)
+        assert len(entries) == 0
+    assert False in formed
     cold.trace[0].norm_F0
     assert len(entries) == 1
+
+
+def _survey_problem(seed, i):
+    # the CI bit digest's surveys from zeros: rank-n/2 PSD Hessians at seed 7
+    # and LPs (H = 0) at seed 9
+    rng = np.random.default_rng([seed, i])
+    n = int(rng.integers(2, 9))
+    q = int(rng.integers(n + 1, 2 * n + 3))
+    M = rng.standard_normal((max(n // 2, 1), n)) if seed == 7 else np.zeros((1, n))
+    A = rng.standard_normal((q, n))
+    b = rng.uniform(0.1, 1, q)
+    f = rng.standard_normal(n)
+    return QpProblem(M.T @ M, f, A, b), PrimalDualPoint.zeros(n, q)
+
+
+def test_the_certified_stop_is_the_old_stop(monkeypatch):
+    # the loop stops on ||F_eps|| <= _CERTIFIED tol without forming ||F_0||;
+    # it must stop on the pass where the test ||F_0|| <= tol alone would: a
+    # Solved result ends at the first record that reads norm_F0 <= tol, and
+    # any other result has no such record. Over the (20, 40) and (100, 200)
+    # pools, the PSD-H and LP surveys and the 12 bundled closed loops
+    solves = []
+
+    def recording_solve(p, x0, cfg):
+        solves.append((cfg.tol, fbrs_solve(p, x0, cfg)))
+        return solves[-1][1]
+
+    cfg = SolverConfig(tol=1e-8, max_iters=100)
+    for n, q, count in ((20, 40, 50), (100, 200, 20)):
+        for i in range(count):
+            rng = np.random.default_rng([1, i])
+            p = random_strictly_convex_qp(n, q, rng)
+            recording_solve(p, random_infeasible_start(p, rng), cfg)
+    for seed in (7, 9):
+        for i in range(100):
+            recording_solve(*_survey_problem(seed, i), cfg)
+    monkeypatch.setattr(mpc, "fbrs_solve", recording_solve)
+    for make_spec in (mass_spring_chain, mpc.double_integrator):
+        for horizon in (8, 40):
+            for mode in ("cold", "warm", "shift"):
+                run_sequence(make_spec(horizon), 50, mode)
+    assert len(solves) == 70 + 200 + 600
+    exits = {"certified": 0, "tested": 0, "other": 0}
+    for tol, result in solves:
+        first = next((rec.k for rec in result.trace if rec.norm_F0 <= tol), None)
+        if result.status == Status.SOLVED:
+            assert first == result.iterations
+            assert result.final_norm_F0 <= tol
+            exits["tested" if _in_f0_band(result.trace[-1], tol) else "certified"] += 1
+        else:
+            assert first is None
+            exits["other"] += 1
+    assert min(exits.values()) > 0
 
 
 def test_warmstart_at_solution_takes_zero_iterations(qp_1d):
