@@ -7,10 +7,11 @@ coefficients of the Newton system. The residual
     F_eps(z, v) = [Hz + f + A'v; phi_eps(v, y)],   y = b - Az,
 
 is formed in one place, _evaluate, which returns the evaluated point
-(_Point): the flat iterate x = [z; v], its v, F_eps, y, r0 = hypot(v, y),
-r = hypot(r0, eps) and F_eps'F_eps. The solve loop reads every per-point
-quantity from it: the coefficients (_coefficients with r), the merit, and a
-trace record's ||F_0|| and ||F_nr|| (_norm_F0, _norm_Fnr). This module forms
+(_Point): the flat iterate x = [z; v], its v, F_eps, y,
+r = hypot(hypot(v, y), eps) and F_eps'F_eps, each of which every Newton pass
+reads: the coefficients (_coefficients with r), the right-hand side and the
+merit. A trace record's ||F_0|| and ||F_nr|| (_norm_F0, _norm_Fnr), which
+few passes read, form what else they need from the point. This module forms
 every residual; none of these functions checks its arguments.
 
 Every scalar that these functions hand a ufunc is a 0-d float64 array: the
@@ -74,13 +75,12 @@ def _coefficients(y: np.ndarray, v: np.ndarray, r: np.ndarray, delta):
 
 class _Point(NamedTuple):
     """An evaluated iterate: x = [z; v], v (a view of x), F = F_eps(x),
-    y = b - Az, r0 = hypot(v, y), r = hypot(r0, eps) and ff = F'F."""
+    y = b - Az, r = hypot(hypot(v, y), eps) and ff = F'F."""
 
     x: np.ndarray
     v: np.ndarray
     F: np.ndarray
     y: np.ndarray
-    r0: np.ndarray
     r: np.ndarray
     ff: float
 
@@ -90,23 +90,25 @@ def _evaluate(p: QpProblem, x: np.ndarray, eps) -> _Point:
     at eps a float or a 0-d float array (the solve loop passes the latter).
     A and A' are applied by the problem's bound products. F is one new array
     that the last add of (Hz + f) + A'v and _phi write their blocks into, with
-    the bits of the concatenated blocks. Arguments are not checked."""
+    the bits of the concatenated blocks. Of r = hypot(hypot(v, y), eps) the
+    point keeps only r: the inner hypot(v, y) serves only _norm_F0, which
+    forms it again. Arguments are not checked."""
     n = p.n
     z, v = x[:n], x[n:]
     y = p.b - p._A_dot(z)
-    r0 = np.hypot(v, y)
-    r = np.hypot(r0, eps)
+    r = np.hypot(np.hypot(v, y), eps)
     F = np.empty(x.size)
     np.add(p.H.dot(z) + p.f, p._At_dot(v), out=F[:n])
     _phi(v, y, eps, r, F[n:])
-    return _Point(x, v, F, y, r0, r, float(F.dot(F)))
+    return _Point(x, v, F, y, r, float(F.dot(F)))
 
 
 def _norm_F0(point: _Point) -> float:
-    """||F_0|| at point: its F_eps with the phi tail at eps = 0, from r0.
-    Overflow warns unless the caller holds an np.errstate context, as
-    fbrs_solve and the IterationRecord properties do."""
-    F0 = np.concatenate([point.F[:-point.v.size], _phi(point.v, point.y, _ZERO, point.r0)])
+    """||F_0|| at point: its F_eps with the phi tail at eps = 0, from
+    r = hypot(v, y), formed here since few passes read it. Overflow warns
+    unless the caller holds an np.errstate context, as fbrs_solve and the
+    IterationRecord properties do."""
+    F0 = np.concatenate([point.F[:-point.v.size], _phi(point.v, point.y, _ZERO, np.hypot(point.v, point.y))])
     return math.sqrt(F0.dot(F0))
 
 

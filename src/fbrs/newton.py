@@ -15,17 +15,18 @@ row structure of A nor a residual formula. The loop globalizes with a
 backtracking linesearch on the merit function theta = 0.5 ||F_eps||^2, and
 takes a merit-gradient step instead of the Newton step when the Newton step
 fails: the Schur matrix is not numerically positive definite (as on ker H
-when H is only PSD), or the linesearch rejects the direction, as it does
-one that is not finite. Each step function reports its failure by returning
-None; none raises. The smoothing eps stays fixed; each point is regularized
-with delta = min(delta0, ||F_eps||). The solve stops once ||F_0|| <= tol. The
-Armijo constants and the regularization cap are fixed (SolverConfig.sigma,
-.beta, .max_backtracks, .delta0); tol and max_iters are the only settings.
+when H is only PSD), or the linesearch rejects the direction, as its Armijo
+test rejects every trial of one that is not finite. Each step function
+reports its failure by returning None; none raises. The smoothing eps stays
+fixed; each point is regularized with delta = min(delta0, ||F_eps||). The
+solve stops once ||F_0|| <= tol. The Armijo constants and the regularization
+cap are fixed (SolverConfig.sigma, .beta, .max_backtracks, .delta0); tol and
+max_iters are the only settings.
 
 fbrs_solve holds one evaluated point, fb._evaluate's record of the flat
-iterate x = [z; v] with v, F_eps, y, hypot(v, y), hypot(hypot(v, y), eps) and
-F_eps'F_eps, and the linesearch returns the point it accepts. That point gives
-the next pass its norms, its delta, its Newton right-hand side -F_eps, its FB
+iterate x = [z; v] with v, F_eps, y, hypot(hypot(v, y), eps) and F_eps'F_eps,
+and the linesearch returns the point it accepts. That point gives the next
+pass its norms, its delta, its Newton right-hand side -F_eps, its FB
 coefficients and theta. Each pass's IterationRecord keeps its point. The loop
 stops on ||F_eps|| <= _CERTIFIED tol, which certifies ||F_0|| <= tol, and
 forms ||F_0|| only on the passes between that and 2 tol, so the stop is the
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .fb import _coefficients, _evaluate, _norm_F0, _norm_Fnr, _Point
-from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _finite, _positive
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive
 
 
 # ||F_eps|| <= _CERTIFIED tol certifies ||F_0|| <= tol without forming ||F_0||.
@@ -166,8 +167,9 @@ def solve_condensed(p: QpProblem, gamma: np.ndarray, mu: np.ndarray, rhs: np.nda
 
     Returns None when the Schur matrix is not numerically positive definite;
     fbrs_solve then takes a merit-gradient step. dx is returned unchecked:
-    linesearch rejects one that is not finite. The loop's mu is >= delta > 0
-    (|v| <= r); a zero mu_i gives None or a direction that is not finite.
+    linesearch rejects one that is not finite, since no trial along it has a
+    finite merit. The loop's mu is >= delta > 0 (|v| <= r); a zero mu_i
+    gives None or a direction that is not finite.
     """
     n = p.n
     r_s, r_c = rhs[:n], rhs[n:]
@@ -192,11 +194,11 @@ def linesearch(p: QpProblem, point: _Point, dx, eps):
     or a 0-d float array, passed on to _evaluate) and sigma, beta are
     SolverConfig's. Returns (t, backtracks, point') with point' the
     evaluated accepted point, or None when SolverConfig.max_backtracks
-    reductions were not enough (dx is no usable descent direction) or dx is
-    not finite. A non-finite dx makes every entry of Hz, or a phi row, of
-    the first trial non-finite, and so its merit; only then is dx tested
-    (problem._finite, one BLAS call that warns for no entry), so a finite
-    dx whose first trial overflows backtracks on.
+    reductions were not enough (dx is no usable descent direction). A dx
+    that is not finite is one such: an inf or nan entry makes an entry of
+    Hz, or a phi row, of every trial non-finite, and so its merit, which
+    fails the Armijo test. A finite dx whose first trials overflow the
+    merit backtracks on the same way.
     """
     # read at call time, not import time, so a patched constant takes effect
     beta, sigma, max_backtracks = SolverConfig.beta, SolverConfig.sigma, SolverConfig.max_backtracks
@@ -207,8 +209,6 @@ def linesearch(p: QpProblem, point: _Point, dx, eps):
         trial = _evaluate(p, x + t * dx if j else x + dx, eps)
         if 0.5 * trial.ff < (1.0 - 2.0 * t * sigma) * theta0:
             return t, j, trial
-        if not j and not math.isfinite(trial.ff) and _finite(dx) is None:
-            return None
     return None
 
 
@@ -224,7 +224,8 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     merit-gradient step is taken instead; when the linesearch rejects that
     too, the solve ends with status LINESEARCH_FAILURE (as with H = 0 and
     A = 0, at iteration 0).
-    A non-finite merit gradient (the residual overflowed) ends it with status
+    A non-finite merit gradient (the residual overflowed), which
+    np.isfinite finds exactly and without a warning, ends it with status
     INVALID_PROBLEM. Either way the last accepted iterate is returned. The
     trace gets one record per pass including the terminal one, so it has
     iterations + 1 entries, and the result's final norms read the last
@@ -252,7 +253,7 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
     status = Status.MAX_ITERS
     certified, near_tol = _CERTIFIED * tol, 2.0 * tol
     # overflow and NaN are statuses here (a failed Armijo test or a
-    # non-finite direction), not warnings; the norms the loop forms are
+    # non-finite merit gradient), not warnings; the norms the loop forms are
     # formed in this one context
     with np.errstate(all="ignore"):
         point = _evaluate(p, x0.as_vector(), eps_0d)
@@ -282,8 +283,8 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
             dx = solve_condensed(p, *_coefficients(y, v, point.r, delta_0d), -F)
             step = None if dx is None else linesearch(p, point, dx, eps_0d)
             if step is None:
-                dx = _finite(-_merit_gradient(p, F, *_coefficients(y, v, point.r, 0.0)))
-                if dx is None:
+                dx = -_merit_gradient(p, F, *_coefficients(y, v, point.r, 0.0))
+                if not np.isfinite(dx).all():
                     status = Status.INVALID_PROBLEM
                     break
                 step = linesearch(p, point, dx, eps_0d)

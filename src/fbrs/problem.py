@@ -12,8 +12,7 @@ Newton step, which builds H + A'WA as the structure allows (a diagonal sum
 onto a copy of H, one syrk over every row, or one syrk over the rows whose
 term does not fall below the rounding of the sum, and every row when that
 fails), and factors and solves with it in one LAPACK call. It also owns the
-input checks (_frozen), which points built by the package skip (_trusted),
-and the finiteness test of a step (_finite).
+input checks (_frozen), which points built by the package skip (_trusted).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg.blas import ddot as _ddot, dnrm2, dsyrk as _syrk
+from scipy.linalg.blas import dnrm2, dsyrk as _syrk
 # the LAPACK float64 Cholesky solve, called without the per-call work of
 # scipy's wrappers
 from scipy.linalg.lapack import dposv as _posv
@@ -112,16 +111,6 @@ def _frobenius(M: np.ndarray) -> float:
     """||M||_F by BLAS dnrm2, which scales instead of squaring: finite for
     every finite M, inf when an entry is."""
     return float(dnrm2(M.ravel()))
-
-
-def _finite(x: np.ndarray) -> np.ndarray | None:
-    """x, or None when an entry of the float vector x is inf or nan, tested
-    by one BLAS ddot of x with zeros: 0 inf and 0 nan are nan, and 0 times a
-    finite entry is 0, even at 1.7e308, so the sum is nan exactly then and
-    cannot overflow. scipy's ddot, unlike ndarray.dot, raises no numpy
-    floating-point warning for the invalid 0 inf. Arguments are not
-    checked."""
-    return None if math.isnan(_ddot(x, np.zeros(x.size))) else x
 
 
 def _gather(cols: np.ndarray, sign: np.ndarray, z: np.ndarray) -> np.ndarray:

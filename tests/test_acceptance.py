@@ -113,6 +113,45 @@ def test_quadratic_tail_with_unit_steps(hard_suite):
     )
 
 
+def test_design_ablation(monkeypatch):
+    # the abstract: "regularization and smoothing are applied to improve the
+    # practical performance". Each setting patches the regularization cap
+    # delta0 and the smoothing eps (1e-300 stands in for 0, since the FB
+    # coefficients divide by r = hypot(hypot(v, y), eps)); a smaller eps
+    # only shrinks the gap sqrt(q) eps that the stop certificate allows for
+    settings = {
+        "shipped": (SolverConfig.delta0, SolverConfig.effective_eps),
+        "delta0=0": (0.0, SolverConfig.effective_eps),
+        "eps=1e-300": (SolverConfig.delta0, lambda self, q: 1e-300),
+        "both": (0.0, lambda self, q: 1e-300),
+    }
+    pools = {}
+    for n, q, count in ((20, 40, 30), (100, 200, 5)):
+        pools[n, q] = []
+        for i in range(count):
+            rng = np.random.default_rng([1, i])
+            p = random_strictly_convex_qp(n, q, rng)
+            pools[n, q].append((p, random_infeasible_start(p, rng)))
+    cfg = SolverConfig(tol=1e-8, max_iters=100)
+    rows = {}
+    for name, (delta0, effective_eps) in settings.items():
+        monkeypatch.setattr(SolverConfig, "delta0", delta0)
+        monkeypatch.setattr(SolverConfig, "effective_eps", effective_eps)
+        for size, pool in pools.items():
+            results = [fbrs_solve(p, x0, cfg) for p, x0 in pool]
+            solved = sum(r.status == Status.SOLVED for r in results)
+            rows[name, size] = (solved, len(pool), np.mean([r.iterations for r in results]))
+    # the paper's claims only: as shipped, both pools are solved, and
+    # without regularization the (20, 40) pool loses Solved instances
+    shipped_solves = all(rows["shipped", size][0] == len(pool) for size, pool in pools.items())
+    ok = shipped_solves and rows["delta0=0", (20, 40)][0] < len(pools[20, 40])
+    table = "; ".join(
+        f"{name} " + ", ".join(f"{s}/{c} in {m:.1f}" for s, c, m in (rows[name, size] for size in pools))
+        for name in settings
+    )
+    assert _report("design-ablation", ok, f"(20, 40) and (100, 200) solved in mean iterations: {table}")
+
+
 def test_smoothing_bound():
     rng = np.random.default_rng(2002)
     violations = 0

@@ -29,7 +29,7 @@ from fbrs.oracle import (
     solve_by_enumeration,
     verify_kkt,
 )
-from fbrs.problem import _box_solve, _finite
+from fbrs.problem import _box_solve
 
 from conftest import kkt_matrix, lu_step, tail_pairs
 
@@ -167,9 +167,10 @@ def test_solve_condensed_matches_lu_reference_on_toy():
 
 
 def _assert_a_failed_newton_step(p, dx, monkeypatch):
-    # a direction that is not finite makes the first trial's merit non-finite,
-    # so linesearch tests dx and returns None, and fbrs_solve, given dx as
-    # its first Newton step, takes the merit-gradient step in that pass
+    # a direction that is not finite makes every trial's merit non-finite,
+    # so no Armijo test accepts one and linesearch returns None, and
+    # fbrs_solve, given dx as its first Newton step, takes the merit-gradient
+    # step in that pass
     assert not np.isfinite(dx).all()
     point = _evaluate(p, np.full(p.n + p.q, 3.0), 1e-9)
     with np.errstate(all="ignore"):
@@ -240,26 +241,35 @@ def test_condensed_lu_reference_agreement_random():
 
 
 def test_the_finiteness_test_is_exact_and_silent(monkeypatch):
-    # problem._finite tests a step by one BLAS ddot with zeros: inf, -inf or
-    # nan at any position, in any SIMD tail, gives None, and finite entries
-    # up to the largest double give dx itself, with no overflow. No warning
-    # escapes, here, where the invalid 0 inf would warn through ndarray.dot,
-    # or from a solve whose first Newton direction is not finite, which the
-    # linesearch rejects after its first trial
+    # a merit gradient with inf, -inf or nan at any position, in any SIMD
+    # tail, ends the solve InvalidProblem, and one with finite entries up to
+    # the largest double does not: the gradient step's test is exact, with
+    # no overflow. No warning escapes, from those solves or from a solve
+    # whose first Newton direction is not finite, which the linesearch
+    # rejects by its Armijo test. A gradient has n + q >= 2 entries
+    def ends_invalid(p, gradient):
+        with monkeypatch.context() as patched:
+            patched.setattr(newton, "solve_condensed", lambda *args: None)
+            patched.setattr(newton, "_merit_gradient", lambda *args: gradient)
+            result = fbrs_solve(p, PrimalDualPoint.zeros(p.n, p.q), SolverConfig(max_iters=1))
+        return result.status == Status.INVALID_PROBLEM
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for size in [*range(1, 18), 60, 240]:
+        for size in [*range(2, 18), 60, 240]:
+            n = size // 2
+            p = QpProblem(np.eye(n), np.ones(n), np.ones((size - n, n)), np.ones(size - n))
             signs = np.where(np.arange(size) % 3, 1.0, -1.0)
             for dx in (np.full(size, 1.7e308), 1.7e308 * signs, np.arange(size) - 0.5):
-                assert _finite(dx) is dx
+                assert not ends_invalid(p, dx)
                 for bad in (np.inf, -np.inf, np.nan):
                     for i in range(size):
                         probe = dx.copy()
                         probe[i] = bad
-                        assert _finite(probe) is None
+                        assert ends_invalid(p, probe)
         p = QpProblem([[1.0]], [0.0], [[1.0]], [1.0])
         ones = np.ones(1)
-        assert _finite(solve_condensed(p, ones, ones, np.array([1.0, 0.0]))) is not None
+        assert np.isfinite(solve_condensed(p, ones, ones, np.array([1.0, 0.0]))).all()
         for bad in (np.inf, -np.inf, np.nan):
             _assert_a_failed_newton_step(p, solve_condensed(p, ones, ones, np.array([bad, 0.0])), monkeypatch)
 
@@ -470,41 +480,36 @@ def test_linesearch_fails_on_ascent_direction(qp_1d, monkeypatch):
     assert len(trials) == 11
 
 
-def test_linesearch_tests_a_direction_only_after_a_non_finite_first_trial(monkeypatch):
-    # dx is tested (problem._finite) only when the merit of the first trial is
-    # not finite: a finite dx whose unit step overflows the merit backtracks
-    # on to an accepted step, a dx that is not finite is rejected after its
-    # one trial, and a finite trial merit, accepted or not, tests nothing
-    tests, trials = [], []
-
-    def counting_finite(dx):
-        tests.append(dx)
-        return _finite(dx)
+def test_linesearch_rejects_a_non_finite_direction_by_the_armijo_test(monkeypatch):
+    # the Armijo test alone decides: a finite dx whose unit step overflows the
+    # merit backtracks on to an accepted step, a dx that is not finite has a
+    # non-finite merit at every trial and is rejected after the unit step
+    # and max_backtracks reductions, as is a finite ascent direction
+    trials = []
 
     def counting_evaluate(*args):
         trials.append(args)
         return _evaluate(*args)
 
-    monkeypatch.setattr(newton, "_finite", counting_finite)
     monkeypatch.setattr(newton, "_evaluate", counting_evaluate)
     # F = [z; -2z] at v = 0 and z > 0, and [z; ~0] at z < 0: theta = 2.5e306
     # here, and the unit step's ||F||^2 = 4e308 overflows
     p = QpProblem([[1.0]], [0.0], [[1.0]], [0.0])
     point = _evaluate(p, np.array([1e153, 0.0]), 1e-9)
-    cases = [([-2.1e154, 0.0], 6, 1), ([np.nan, 0.0], None, 1), ([np.inf, 0.0], None, 1),
-             ([-1e153, 0.0], 0, 0), ([1e152, 0.0], None, 0)]
-    for dx, backtracks, tested in cases:
-        tests.clear()
+    cases = [([-2.1e154, 0.0], 6), ([np.nan, 0.0], None), ([np.inf, 0.0], None),
+             ([-1e153, 0.0], 0), ([1e152, 0.0], None)]
+    for dx, backtracks in cases:
         trials.clear()
         with np.errstate(all="ignore"):
             step = linesearch(p, point, np.array(dx), 1e-9)
+            merits = [_evaluate(*args).ff for args in trials]
         if backtracks is None:
             assert step is None
-            assert len(trials) == (1 if tested else SolverConfig.max_backtracks + 1)
+            assert len(trials) == SolverConfig.max_backtracks + 1
+            assert np.isfinite(dx).all() or not np.isfinite(merits).any()
         else:
             assert step[1] == backtracks and len(trials) == backtracks + 1
             assert math.isfinite(step[2].ff)
-        assert len(tests) == tested
 
 
 def test_linesearch_returns_the_evaluated_point(monkeypatch):
@@ -516,7 +521,7 @@ def test_linesearch_returns_the_evaluated_point(monkeypatch):
     def checked_linesearch(p, point, dx, eps):
         t, backtracks, accepted = linesearch(p, point, dx, eps)
         fresh = _evaluate(p, point.x + t * dx, eps)
-        for name in ("x", "F", "y", "r0", "r"):
+        for name in ("x", "F", "y", "r"):
             assert np.array_equal(getattr(accepted, name), getattr(fresh, name)), name
         assert accepted.ff == fresh.ff
         points.extend([point, accepted])
@@ -531,8 +536,7 @@ def test_linesearch_returns_the_evaluated_point(monkeypatch):
     assert len(points) >= 50
     eps = cfg.effective_eps(40)
     for point in points:
-        assert np.array_equal(point.r0, np.hypot(point.x[20:], point.y))
-        assert np.array_equal(point.r, np.hypot(point.r0, eps))
+        assert np.array_equal(point.r, np.hypot(np.hypot(point.x[20:], point.y), eps))
         assert point.ff == point.F @ point.F
 
 
