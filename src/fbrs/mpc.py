@@ -18,10 +18,10 @@ import scipy.linalg
 
 from .errors import InvalidProblem, InvalidSpec, MpcSequenceError
 from .newton import IterationRecord, SolverConfig, Status, fbrs_solve
-from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _frozen, _readonly, _readonly_state
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _frozen, _load_read_only, _readonly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtiMpcSpec:
     """A discrete-time LTI regulation problem over a finite horizon.
 
@@ -75,8 +75,7 @@ class LtiMpcSpec:
                 raise InvalidSpec(f"{lo} must be strictly below {hi} componentwise")
         vars(self).update(checked)
 
-    def __setstate__(self, state: dict):
-        vars(self).update(_readonly_state(state))
+    __setstate__ = _load_read_only
 
     @property
     def nx(self) -> int:
@@ -180,7 +179,7 @@ def shift_solution(spec: LtiMpcSpec, x: PrimalDualPoint) -> PrimalDualPoint:
     return PrimalDualPoint._trusted(z, np.concatenate(pieces))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpSolveRecord:
     """One closed-loop step's solve: its status, Newton steps and wall time,
     and the solve's last IterationRecord, which forms norm_F0 and norm_Fnr,
@@ -201,7 +200,7 @@ class QpSolveRecord:
         return self._last.norm_Fnr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceStats:
     """Per-QP outcomes of a closed-loop run plus their aggregates."""
 
@@ -233,7 +232,7 @@ class SequenceStats:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     states: np.ndarray  # (steps + 1, nx)
     inputs: np.ndarray  # (steps, nu)

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .fb import _coefficients, _evaluate, _norm_F0, _norm_Fnr, _Point
-from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _frobenius, _positive
 
 
 # ||F_eps|| <= _CERTIFIED tol certifies ||F_0|| <= tol without forming ||F_0||.
@@ -105,7 +105,7 @@ class SolverConfig:
         return self.tol / (2.0 * math.sqrt(q))
 
 
-@dataclass
+@dataclass(eq=False)
 class IterationRecord:
     """Observable state of one loop pass, in Python floats; t = 0 means no
     step was taken. norm_F0 and norm_Fnr are formed from the pass's point
@@ -119,7 +119,7 @@ class IterationRecord:
     delta: float
     eps: float
     backtracks: int
-    _point: _Point = field(repr=False, compare=False)
+    _point: _Point = field(repr=False)
 
     @functools.cached_property
     def norm_F0(self) -> float:
@@ -132,7 +132,7 @@ class IterationRecord:
             return _norm_Fnr(self._point)
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverResult:
     """The returned point, the status, the Newton steps taken and one record
     per pass. The final norms are the last record's, read from it, so
@@ -198,16 +198,29 @@ def linesearch(p: QpProblem, point: _Point, dx, eps):
     that is not finite is one such: an inf or nan entry makes an entry of
     Hz, or a phi row, of every trial non-finite, and so its merit, which
     fails the Armijo test. A finite dx whose first trials overflow the
-    merit backtracks on the same way.
+    merit backtracks on the same way. Where point.ff itself is not finite,
+    the test is ||F_eps(x + t dx)|| < sqrt(1 - 2 t sigma) ||F_eps(x)||, the
+    same inequality between norms, formed by BLAS dnrm2 (finite for every
+    finite F), so a start whose merit overflows can still be left.
     """
     # read at call time, not import time, so a patched constant takes effect
     beta, sigma, max_backtracks = SolverConfig.beta, SolverConfig.sigma, SolverConfig.max_backtracks
     x, theta0 = point.x, 0.5 * point.ff
+    if math.isfinite(theta0):
+        for j in range(max_backtracks + 1):
+            t = beta**j
+            # t = 1.0 at j = 0, and 1.0 * dx is dx bit for bit
+            trial = _evaluate(p, x + t * dx if j else x + dx, eps)
+            if 0.5 * trial.ff < (1.0 - 2.0 * t * sigma) * theta0:
+                return t, j, trial
+        return None
+    # F'F overflowed at x, where inf < inf would reject every trial whose
+    # F'F overflows too
+    norm0 = _frobenius(point.F)
     for j in range(max_backtracks + 1):
         t = beta**j
-        # t = 1.0 at j = 0, and 1.0 * dx is dx bit for bit
-        trial = _evaluate(p, x + t * dx if j else x + dx, eps)
-        if 0.5 * trial.ff < (1.0 - 2.0 * t * sigma) * theta0:
+        trial = _evaluate(p, x + t * dx, eps)
+        if _frobenius(trial.F) < math.sqrt(1.0 - 2.0 * t * sigma) * norm0:
             return t, j, trial
     return None
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -45,10 +44,11 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _readonly_state(state: dict) -> dict:
-    """A pickled state dict with every array made read-only, as the
-    constructors make them: pickle loads arrays writeable."""
-    return {k: _readonly(v) if isinstance(v, np.ndarray) else v for k, v in state.items()}
+def _load_read_only(self, state: dict):
+    """__setstate__ of a frozen dataclass of arrays: loads the pickled state
+    dict with every array made read-only, as the constructors make them, since
+    pickle loads arrays writeable."""
+    vars(self).update({k: _readonly(v) if isinstance(v, np.ndarray) else v for k, v in state.items()})
 
 
 def _frozen(value, name: str, shape: tuple, error: type[FbrsError] = InvalidProblem) -> np.ndarray:
@@ -216,7 +216,7 @@ def _row_ops(H: np.ndarray, A: np.ndarray) -> dict:
     return dict(n=n, q=q, _A_dot=A.dot, _At_dot=A.T.dot, _schur_solve=partial(_pruned_solve, H, A, row_sq))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpProblem:
     """The quadruple (H, f, A, b) as read-only, C-ordered float copies, H
     symmetrized as 0.5 H + 0.5 H', which cannot overflow. A Fortran-ordered
@@ -228,18 +228,21 @@ class QpProblem:
     supplied Hessian is kept in `symmetry_defect` so validation can report it;
     it reads inf, without a warning, only when H - H' itself overflows.
 
-    The sizes n and q are read once here and stored: a plain attribute
-    costs a quarter of a property's read, and the solve loop reads n about
-    2.4 times per iteration.
+    The sizes n and q are read once here and stored as plain instance
+    attributes, not fields: a plain attribute costs a quarter of a property's
+    read, and the solve loop reads n about 2.4 times per iteration.
 
-    The private `_A_dot`, `_At_dot` and `_schur_solve` are the products
-    z -> Az and v -> A'v and the Schur solve of a Newton step, bound once
-    here by _row_ops, which decides the row structure of A (box-only, dense,
-    or dense with at least _PRUNE_MIN_N columns), and shared by _with_rhs,
-    for the solve path to call directly. A pickle holds H, f, A, b and
-    symmetry_defect only; loading makes the arrays read-only and derives the
-    sizes and the callables through _row_ops again, so a pickle of any
-    earlier layout, whose extra entries are ignored, loads too.
+    The private attributes `_A_dot`, `_At_dot` and `_schur_solve` are the
+    products z -> Az and v -> A'v and the Schur solve of a Newton step, bound
+    once here by _row_ops, which decides the row structure of A (box-only,
+    dense, or dense with at least _PRUNE_MIN_N columns), and shared by
+    _with_rhs, for the solve path to call directly. A pickle holds H, f, A,
+    b and symmetry_defect only; loading makes the arrays read-only and
+    derives the sizes and the callables through _row_ops again, so a pickle
+    of any earlier layout, whose extra entries are ignored, loads too. A
+    problem compares and hashes by identity, as every dataclass of arrays
+    here does: an array has no single truth value for a generated == to
+    return.
     """
 
     H: np.ndarray
@@ -247,11 +250,6 @@ class QpProblem:
     A: np.ndarray
     b: np.ndarray
     symmetry_defect: float = field(init=False, default=0.0)
-    n: int = field(init=False, default=0, repr=False, compare=False)
-    q: int = field(init=False, default=0, repr=False, compare=False)
-    _A_dot: Callable | None = field(init=False, default=None, repr=False, compare=False)
-    _At_dot: Callable | None = field(init=False, default=None, repr=False, compare=False)
-    _schur_solve: Callable | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         H = _frozen(self.H, "H", (None, None))
@@ -285,7 +283,7 @@ class QpProblem:
         return new
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimalDualPoint:
     """A primal-dual iterate (z, v) of finite, nonempty, read-only float vectors;
     v may be sign-mixed mid-solve."""
@@ -296,8 +294,7 @@ class PrimalDualPoint:
     def __post_init__(self):
         vars(self).update(z=_frozen(self.z, "z", (None,)), v=_frozen(self.v, "v", (None,)))
 
-    def __setstate__(self, state: dict):
-        vars(self).update(_readonly_state(state))
+    __setstate__ = _load_read_only
 
     @staticmethod
     def _trusted(z: np.ndarray, v: np.ndarray) -> "PrimalDualPoint":

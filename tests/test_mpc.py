@@ -62,6 +62,7 @@ def test_spec_validation():
         (dict(x_init=np.zeros(3)), "x_init"),
         (dict(x_lo=np.zeros(2)), "x_lo"),
         (dict(Ad=np.array([[np.nan, 0.1], [0.0, 1.0]])), "Ad"),
+        (dict(Ad=np.ones((2, 3))), "Ad must be square"),
         (dict(u_hi=np.array([np.inf])), "u_hi"),
         (dict(horizon=2.5), "horizon"),
         (dict(x_lo=np.ones(2), x_hi=-np.ones(2)), "x_lo"),

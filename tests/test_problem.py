@@ -90,6 +90,8 @@ def test_rejects_nonfinite_and_bad_shapes():
         PrimalDualPoint([np.inf], [0.0])
     with pytest.raises(InvalidProblem, match="H"):
         QpProblem([[1.0, 0.0], [1.0]], [0.0, 0.0], [[1.0, 0.0]], [1.0])
+    with pytest.raises(InvalidProblem, match="H must be square"):
+        QpProblem(np.ones((2, 3)), [0.0, 0.0], [[1.0, 0.0]], [1.0])
     with pytest.raises(InvalidProblem, match="A"):
         QpProblem(np.eye(2), [0.0, 0.0], [["a", 0.0]], [1.0])
     with pytest.raises(InvalidProblem, match="z"):
@@ -293,6 +295,28 @@ def _assert_same_solve(a, b):
     fields = ("norm_Feps", "norm_F0", "norm_Fnr", "t", "delta", "backtracks")
     for rec_a, rec_b in zip(a.trace, b.trace, strict=True):
         assert [getattr(rec_a, f) for f in fields] == [getattr(rec_b, f) for f in fields]
+
+
+def test_types_that_hold_arrays_compare_and_hash_by_identity():
+    # an array has no single truth value, so a generated == over array fields
+    # would raise, and a generated hash too: these types compare and hash by
+    # identity, so they go into sets and dict keys, and a value-equal copy is
+    # another object
+    p = QpProblem(np.eye(2), np.zeros(2), np.eye(2), np.ones(2))
+    result = fbrs_solve(p, PrimalDualPoint.zeros(2, 2))
+    spec = double_integrator(8)
+    trajectory, stats = run_sequence(spec, 2)
+    objects = [p, result.x, spec, result, result.trace[0], stats.records[0], stats, trajectory]
+    assert [type(obj).__name__ for obj in objects] == [
+        "QpProblem", "PrimalDualPoint", "LtiMpcSpec", "SolverResult", "IterationRecord", "QpSolveRecord",
+        "SequenceStats", "Trajectory"]
+    for obj in objects:
+        assert obj == obj and not obj != obj
+        assert hash(obj) == hash(obj) and obj in {obj} and obj in [obj] and {obj: 1}[obj] == 1
+        twin = dataclasses.replace(obj)
+        assert twin != obj and twin not in {obj} and twin not in [obj]
+    assert len(set(objects)) == len(objects)
+    assert [f.name for f in dataclasses.fields(QpProblem)] == ["H", "f", "A", "b", "symmetry_defect"]
 
 
 @pytest.mark.parametrize("make_qp", [

@@ -76,6 +76,12 @@ def test_parse_errors():
         parse_qp("FBQP 1\nn 1\nq 1\nH\n1.0\n")  # truncated
     with pytest.raises(DimensionMismatch):
         parse_qp(TOY + "x0\n0.5\n")
+    with pytest.raises(ParseError, match="n must be positive, got 0"):
+        parse_qp(TOY.replace("n 1", "n 0"))
+    # nothing may follow the x0 row
+    with pytest.raises(ParseError, match="unexpected content 'x0'") as excinfo:
+        parse_qp(TOY + "x0\n0.5 0.0\nx0\n")
+    assert excinfo.value.line == 14
     # a section keyword stands alone on its line
     with pytest.raises(ParseError, match="H line must be 'H'"):
         parse_qp(TOY.replace("H\n", "H 7 7\n"))
