@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve an FBQP file")
     solve.add_argument("--input", required=True)
-    solve.add_argument("--tol", type=float, default=1e-8)
-    solve.add_argument("--max-iters", type=int, default=30)
+    solve.add_argument("--tol", type=float, default=SolverConfig.tol)
+    solve.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     solve.add_argument("--warmstart", help="FBQP file whose x0 row seeds the solve")
     solve.add_argument("--trace", help="write per-iteration CSV here")
     solve.add_argument("--output", help="write the problem with x0 = solution here")

@@ -8,11 +8,13 @@ coefficients of the Newton system. The residual
 
 is formed in one place, _evaluate, which returns the evaluated point
 (_Point): the flat iterate x = [z; v], its v, F_eps, y,
-r = hypot(hypot(v, y), eps) and F_eps'F_eps, each of which every Newton pass
+r = hypot(hypot(v, y), eps) and ||F_eps||, each of which every Newton pass
 reads: the coefficients (_coefficients with r), the right-hand side and the
 merit. A trace record's ||F_0|| and ||F_nr|| (_norm_F0, _norm_Fnr), which
-few passes read, form what else they need from the point. This module forms
-every residual; none of these functions checks its arguments.
+few passes read, form what else they need from the point. Every one of these
+norms is formed by _norm, which is finite for every finite vector, so no
+norm reads inf where its residual is finite. This module forms every
+residual; none of these functions checks its arguments.
 
 Every scalar that these functions hand a ufunc is a 0-d float64 array: the
 read-only constants below, and the eps and delta the solve loop passes. A
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .problem import QpProblem, _readonly
+from .problem import QpProblem, _frobenius, _readonly
 
 _ZERO, _ONE, _TWO, _INF = (_readonly(np.array(value)) for value in (0.0, 1.0, 2.0, math.inf))
 
@@ -73,16 +75,25 @@ def _coefficients(y: np.ndarray, v: np.ndarray, r: np.ndarray, delta):
     return (_ONE - y / r) + delta, (_ONE - v / r) + delta
 
 
+def _norm(vec: np.ndarray) -> float:
+    """||vec|| of a float vector: sqrt(vec'vec) while that square is below
+    inf, else BLAS dnrm2 (problem._frobenius), which scales instead of
+    squaring: finite for every finite vec, inf when an entry is, and nan
+    when one is nan."""
+    square = float(vec.dot(vec))
+    return math.sqrt(square) if square < math.inf else _frobenius(vec)
+
+
 class _Point(NamedTuple):
     """An evaluated iterate: x = [z; v], v (a view of x), F = F_eps(x),
-    y = b - Az, r = hypot(hypot(v, y), eps) and ff = F'F."""
+    y = b - Az, r = hypot(hypot(v, y), eps) and norm = ||F|| (_norm)."""
 
     x: np.ndarray
     v: np.ndarray
     F: np.ndarray
     y: np.ndarray
     r: np.ndarray
-    ff: float
+    norm: float
 
 
 def _evaluate(p: QpProblem, x: np.ndarray, eps) -> _Point:
@@ -100,7 +111,7 @@ def _evaluate(p: QpProblem, x: np.ndarray, eps) -> _Point:
     F = np.empty(x.size)
     np.add(p.H.dot(z) + p.f, p._At_dot(v), out=F[:n])
     _phi(v, y, eps, r, F[n:])
-    return _Point(x, v, F, y, r, float(F.dot(F)))
+    return _Point(x, v, F, y, r, _norm(F))
 
 
 def _norm_F0(point: _Point) -> float:
@@ -108,12 +119,10 @@ def _norm_F0(point: _Point) -> float:
     r = hypot(v, y), formed here since few passes read it. Overflow warns
     unless the caller holds an np.errstate context, as fbrs_solve and the
     IterationRecord properties do."""
-    F0 = np.concatenate([point.F[:-point.v.size], _phi(point.v, point.y, _ZERO, np.hypot(point.v, point.y))])
-    return math.sqrt(F0.dot(F0))
+    return _norm(np.concatenate([point.F[:-point.v.size], _phi(point.v, point.y, _ZERO, np.hypot(point.v, point.y))]))
 
 
 def _norm_Fnr(point: _Point) -> float:
     """||F_nr|| at point: its F_eps with the natural-residual tail min(y, v).
     Overflow warns unless the caller holds an np.errstate context."""
-    Fnr = np.concatenate([point.F[:-point.v.size], np.minimum(point.y, point.v)])
-    return math.sqrt(Fnr.dot(Fnr))
+    return _norm(np.concatenate([point.F[:-point.v.size], np.minimum(point.y, point.v)]))

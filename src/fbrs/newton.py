@@ -24,7 +24,7 @@ cap are fixed (SolverConfig.sigma, .beta, .max_backtracks, .delta0); tol and
 max_iters are the only settings.
 
 fbrs_solve holds one evaluated point, fb._evaluate's record of the flat
-iterate x = [z; v] with v, F_eps, y, hypot(hypot(v, y), eps) and F_eps'F_eps,
+iterate x = [z; v] with v, F_eps, y, hypot(hypot(v, y), eps) and ||F_eps||,
 and the linesearch returns the point it accepts. That point gives the next
 pass its norms, its delta, its Newton right-hand side -F_eps, its FB
 coefficients and theta. Each pass's IterationRecord keeps its point. The loop
@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .fb import _coefficients, _evaluate, _norm_F0, _norm_Fnr, _Point
-from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _frobenius, _positive
+from .problem import PrimalDualPoint, QpProblem, _check_dims, _check_type, _count, _positive
 
 
 # ||F_eps|| <= _CERTIFIED tol certifies ||F_0|| <= tol without forming ||F_0||.
@@ -108,10 +108,12 @@ class SolverConfig:
 @dataclass(eq=False)
 class IterationRecord:
     """Observable state of one loop pass, in Python floats; t = 0 means no
-    step was taken. norm_F0 and norm_Fnr are formed from the pass's point
-    when first read, each in its own np.errstate context, so overflow reads
-    inf without a warning; the solve loop caches the norm_F0 it forms in its
-    own context, on passes with _CERTIFIED tol < ||F_eps|| <= 2 tol."""
+    step was taken. norm_Feps is the pass's point's. norm_F0 and norm_Fnr
+    are formed from that point when first read, each in its own np.errstate
+    context, so no warning escapes; like norm_Feps, each is finite where its
+    residual is (fb._norm), and inf only where an entry of it is. The solve
+    loop caches the norm_F0 it forms in its own context, on passes with
+    _CERTIFIED tol < ||F_eps|| <= 2 tol."""
 
     k: int
     norm_Feps: float
@@ -190,37 +192,26 @@ def _merit_gradient(p: QpProblem, F: np.ndarray, gamma: np.ndarray, mu: np.ndarr
 
 def linesearch(p: QpProblem, point: _Point, dx, eps):
     """First t in {1, beta, beta^2, ...} with theta(x + t dx) < (1 - 2 t sigma) theta(x),
-    where x = point.x, theta = 0.5 ||F_eps||^2 = 0.5 point.ff at eps (a float
-    or a 0-d float array, passed on to _evaluate) and sigma, beta are
-    SolverConfig's. Returns (t, backtracks, point') with point' the
-    evaluated accepted point, or None when SolverConfig.max_backtracks
+    where x = point.x, theta = 0.5 ||F_eps||^2 at eps (a float or a 0-d
+    float array, passed on to _evaluate) and sigma, beta are SolverConfig's,
+    tested between the points' norms as the equal
+    ||F_eps(x + t dx)|| < sqrt(1 - 2 t sigma) ||F_eps(x)||: each norm is
+    finite for every finite F_eps (fb._norm), so a start whose F'F would
+    overflow can still be left. Returns (t, backtracks, point') with point'
+    the evaluated accepted point, or None when SolverConfig.max_backtracks
     reductions were not enough (dx is no usable descent direction). A dx
     that is not finite is one such: an inf or nan entry makes an entry of
-    Hz, or a phi row, of every trial non-finite, and so its merit, which
-    fails the Armijo test. A finite dx whose first trials overflow the
-    merit backtracks on the same way. Where point.ff itself is not finite,
-    the test is ||F_eps(x + t dx)|| < sqrt(1 - 2 t sigma) ||F_eps(x)||, the
-    same inequality between norms, formed by BLAS dnrm2 (finite for every
-    finite F), so a start whose merit overflows can still be left.
+    Hz, or a phi row, of every trial non-finite, and so its norm, which
+    fails the Armijo test.
     """
     # read at call time, not import time, so a patched constant takes effect
     beta, sigma, max_backtracks = SolverConfig.beta, SolverConfig.sigma, SolverConfig.max_backtracks
-    x, theta0 = point.x, 0.5 * point.ff
-    if math.isfinite(theta0):
-        for j in range(max_backtracks + 1):
-            t = beta**j
-            # t = 1.0 at j = 0, and 1.0 * dx is dx bit for bit
-            trial = _evaluate(p, x + t * dx if j else x + dx, eps)
-            if 0.5 * trial.ff < (1.0 - 2.0 * t * sigma) * theta0:
-                return t, j, trial
-        return None
-    # F'F overflowed at x, where inf < inf would reject every trial whose
-    # F'F overflows too
-    norm0 = _frobenius(point.F)
+    x, norm0 = point.x, point.norm
     for j in range(max_backtracks + 1):
         t = beta**j
-        trial = _evaluate(p, x + t * dx, eps)
-        if _frobenius(trial.F) < math.sqrt(1.0 - 2.0 * t * sigma) * norm0:
+        # t = 1.0 at j = 0, and 1.0 * dx is dx bit for bit
+        trial = _evaluate(p, x + t * dx if j else x + dx, eps)
+        if trial.norm < math.sqrt(1.0 - 2.0 * t * sigma) * norm0:
             return t, j, trial
     return None
 
@@ -272,7 +263,7 @@ def fbrs_solve(p: QpProblem, x0: PrimalDualPoint, cfg: SolverConfig | None = Non
         point = _evaluate(p, x0.as_vector(), eps_0d)
         for k in range(max_iters + 1):
             F, y, v = point.F, point.y, point.v
-            n_feps = math.sqrt(point.ff)
+            n_feps = point.norm
             # delta = min(delta0, ||F_eps||) without the builtin's call: delta0
             # unless ||F_eps|| is below it, so also when ||F_eps|| is nan
             if n_feps < delta0:

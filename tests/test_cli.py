@@ -350,6 +350,12 @@ def test_settings_surface():
     assert mode.choices == ["cold", "warm", "shift"]
 
 
+def test_solve_defaults_are_the_solver_config_defaults():
+    # fbrs solve's --tol and --max-iters take SolverConfig's own defaults
+    args = build_parser().parse_args(["solve", "--input", "x"])
+    assert (args.tol, args.max_iters) == (SolverConfig().tol, SolverConfig().max_iters)
+
+
 def test_public_names():
     # the package's exports; adding or removing one means editing this list
     names = sorted(

@@ -15,6 +15,7 @@ from fbrs import (
     validate_problem,
 )
 from fbrs import mass_spring_chain, mpc, newton, run_sequence
+from fbrs.cli import write_trace_csv
 from fbrs.fb import _coefficients, _evaluate
 from fbrs.newton import (
     SolverConfig,
@@ -94,7 +95,8 @@ def _system(p, x, eps, delta):
 
 def _theta(p, z, v, eps):
     # the merit 0.5 ||F_eps||^2 at (z, v)
-    return 0.5 * _evaluate(p, np.concatenate([z, v]), eps).ff
+    F = _evaluate(p, np.concatenate([z, v]), eps).F
+    return 0.5 * F.dot(F)
 
 
 def _gradient(p, x, eps):
@@ -174,7 +176,7 @@ def _assert_a_failed_newton_step(p, dx, monkeypatch):
     assert not np.isfinite(dx).all()
     point = _evaluate(p, np.full(p.n + p.q, 3.0), 1e-9)
     with np.errstate(all="ignore"):
-        assert not math.isfinite(_evaluate(p, point.x + dx, 1e-9).ff)
+        assert not math.isfinite(_evaluate(p, point.x + dx, 1e-9).norm)
         assert linesearch(p, point, dx, 1e-9) is None
     directions, gradients = [dx], []
 
@@ -481,10 +483,11 @@ def test_linesearch_fails_on_ascent_direction(qp_1d, monkeypatch):
 
 
 def test_linesearch_rejects_a_non_finite_direction_by_the_armijo_test(monkeypatch):
-    # the Armijo test alone decides: a finite dx whose unit step overflows the
-    # merit backtracks on to an accepted step, a dx that is not finite has a
-    # non-finite merit at every trial and is rejected after the unit step
-    # and max_backtracks reductions, as is a finite ascent direction
+    # the Armijo test alone decides: a finite dx whose unit step overflows
+    # F'F, and so has a finite but too large norm, backtracks on to an
+    # accepted step, a dx that is not finite has a non-finite norm at every
+    # trial and is rejected after the unit step and max_backtracks
+    # reductions, as is a finite ascent direction
     trials = []
 
     def counting_evaluate(*args):
@@ -502,41 +505,55 @@ def test_linesearch_rejects_a_non_finite_direction_by_the_armijo_test(monkeypatc
         trials.clear()
         with np.errstate(all="ignore"):
             step = linesearch(p, point, np.array(dx), 1e-9)
-            merits = [_evaluate(*args).ff for args in trials]
+            norms = [_evaluate(*args).norm for args in trials]
         if backtracks is None:
             assert step is None
             assert len(trials) == SolverConfig.max_backtracks + 1
-            assert np.isfinite(dx).all() or not np.isfinite(merits).any()
+            assert np.isfinite(dx).all() or not np.isfinite(norms).any()
         else:
             assert step[1] == backtracks and len(trials) == backtracks + 1
-            assert math.isfinite(step[2].ff)
+            assert math.isfinite(step[2].F.dot(step[2].F))
+
+
+def _overflow_start(s):
+    # QpProblem(I, 0, I, (1, 1)) from z = (s, -s), v = 0
+    return QpProblem(np.eye(2), np.zeros(2), np.eye(2), [1.0, 1.0]), PrimalDualPoint([s, -s], np.zeros(2))
 
 
 @pytest.mark.parametrize("s", [1e150, 1e160, 1e200, 1e250, 1e300])
-def test_a_start_whose_merit_overflows_reaches_the_solution(s):
+def test_a_start_whose_merit_overflows_reaches_the_solution(s, tmp_path):
     # from z = (s, -s), v = 0, F'F overflows from s = 1e154 on, and from
-    # s = 1e200 on also at every trial of the first pass: the linesearch
-    # compares ||F_eps|| where F'F is not finite, so the solve leaves the
-    # start (it ended LinesearchFailure at iteration 0 when it compared
-    # inf < inf)
+    # s = 1e200 on also at every trial of the first pass, but ||F_eps|| stays
+    # finite: the linesearch compares norms, so the solve leaves the start,
+    # and every record's norms, and so its trace CSV, are finite on the
+    # passes whose F'F overflows too
     p = QpProblem(np.eye(2), np.zeros(2), np.eye(2), [1.0, 1.0])
     x0 = PrimalDualPoint([s, -s], np.zeros(2))
     with np.errstate(over="ignore"):
-        assert math.isfinite(_evaluate(p, x0.as_vector(), 1e-9).ff) == (s < 1e154)
+        point = _evaluate(p, x0.as_vector(), 1e-9)
+        assert math.isfinite(point.F.dot(point.F)) == (s < 1e154)
+    assert math.isfinite(point.norm)
     result = fbrs_solve(p, x0, SolverConfig(max_iters=200))
     assert result.status == Status.SOLVED
+    assert result.iterations == {1e150: 24, 1e160: 26, 1e200: 31, 1e250: 38, 1e300: 45}[s]
     assert verify_kkt(p, result.x, 1e-8).passed
+    for rec in result.trace:
+        assert all(math.isfinite(norm) for norm in (rec.norm_Feps, rec.norm_F0, rec.norm_Fnr)), rec.k
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), result.trace)
+    assert len(path.read_text().splitlines()) == result.iterations + 2
+    assert "inf" not in path.read_text()
 
 
 def test_a_first_trial_that_overflows_the_merit_backtracks_from_a_finite_start(monkeypatch):
     # F'F = 1e308 at the start, finite, and the unit Newton step overflows
-    # it: the Armijo test on F'F rejects that trial and backtracks, as at
-    # every finite start, and the solve reaches z* = 0, v* = -f = 1e154
+    # it: the Armijo test on ||F_eps|| rejects that trial and backtracks, as
+    # at every start, and the solve reaches z* = 0, v* = -f = 1e154
     merits = []
 
     def recording_evaluate(*args):
         point = _evaluate(*args)
-        merits.append(point.ff)
+        merits.append(point.F.dot(point.F))
         return point
 
     monkeypatch.setattr(newton, "_evaluate", recording_evaluate)
@@ -559,7 +576,7 @@ def test_linesearch_returns_the_evaluated_point(monkeypatch):
         fresh = _evaluate(p, point.x + t * dx, eps)
         for name in ("x", "F", "y", "r"):
             assert np.array_equal(getattr(accepted, name), getattr(fresh, name)), name
-        assert accepted.ff == fresh.ff
+        assert accepted.norm == fresh.norm
         points.extend([point, accepted])
         return t, backtracks, accepted
 
@@ -573,7 +590,7 @@ def test_linesearch_returns_the_evaluated_point(monkeypatch):
     eps = cfg.effective_eps(40)
     for point in points:
         assert np.array_equal(point.r, np.hypot(np.hypot(point.x[20:], point.y), eps))
-        assert point.ff == point.F @ point.F
+        assert point.norm == math.sqrt(point.F @ point.F)
 
 
 # --- the full solve ---------------------------------------------------------
