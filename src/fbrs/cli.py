@@ -10,6 +10,7 @@ including flag values out of range.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from .errors import FbrsError, InvalidConfig, InvalidProblem, InvalidSpec, ParseError
@@ -100,8 +101,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_mpc(args) -> int:
-    spec = BUNDLED_EXAMPLES[args.example](horizon=args.horizon)
-    cfg = SolverConfig(tol=args.tol)
+    # an absent --horizon or --tol passes nothing, so the example builder and
+    # run_sequence apply their own defaults
+    spec = BUNDLED_EXAMPLES[args.example](**({} if args.horizon is None else {"horizon": args.horizon}))
+    cfg = None if args.tol is None else SolverConfig(tol=args.tol)
     trajectory, stats = run_sequence(spec, args.steps, start_mode=args.mode, cfg=cfg)
     print(f"example {args.example}")
     print(f"steps {args.steps} mode {args.mode}")
@@ -113,6 +116,11 @@ def _cmd_mpc(args) -> int:
     if args.stats:
         stats.write_csv(args.stats)
     return 0
+
+
+def _default(func, name: str):
+    # the library's own default, so the CLI does not repeat it
+    return inspect.signature(func).parameters[name].default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="check problem assumptions")
     validate.add_argument("--input", required=True)
-    validate.add_argument("--tol", type=float, default=1e-10)
+    validate.add_argument("--tol", type=float, default=_default(validate_problem, "tol"))
     validate.set_defaults(func=_cmd_validate)
 
     oracle = sub.add_parser("oracle", help="reference solve by active-set enumeration")
@@ -142,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     mpc = sub.add_parser("mpc", help="closed-loop cold/warm/shift experiment on a bundled plant")
     mpc.add_argument("--example", choices=sorted(BUNDLED_EXAMPLES), required=True)
-    mpc.add_argument("--horizon", type=int, default=8)
+    mpc.add_argument("--horizon", type=int)
     mpc.add_argument("--steps", type=int, default=50)
-    mpc.add_argument("--mode", choices=["cold", "warm", "shift"], default="cold")
+    mpc.add_argument("--mode", choices=["cold", "warm", "shift"], default=_default(run_sequence, "start_mode"))
     mpc.add_argument("--stats", help="write per-QP CSV here")
-    mpc.add_argument("--tol", type=float, default=1e-6)
+    mpc.add_argument("--tol", type=float)
     mpc.set_defaults(func=_cmd_mpc)
     return parser
 

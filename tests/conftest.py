@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fbrs import QpProblem
+from fbrs import PrimalDualPoint, QpProblem
 from fbrs.fb import _phi
+from fbrs.oracle import random_infeasible_start, random_strictly_convex_qp
 
 
 @pytest.fixture
@@ -22,6 +23,29 @@ def qp_box_2d():
 def qp_interior():
     """min 0.5 z^2  s.t.  z <= 1; unconstrained optimum z* = 0, v* = 0."""
     return QpProblem([[1.0]], [0.0], [[1.0]], [1.0])
+
+
+def pool(n, q, count):
+    """The fixed (n, q) pool: (problem, start) for i < count, a strictly
+    convex QP and an infeasible start, both drawn from default_rng([1, i])."""
+    for i in range(count):
+        rng = np.random.default_rng([1, i])
+        p = random_strictly_convex_qp(n, q, rng)
+        yield p, random_infeasible_start(p, rng)
+
+
+def survey(seed):
+    """The 100 fixed QPs of a survey from zeros, each from default_rng([seed, i]):
+    rank-n/2 PSD Hessians at seed 7, LPs (H = 0) at seed 9, n in [2, 9)."""
+    for i in range(100):
+        rng = np.random.default_rng([seed, i])
+        n = int(rng.integers(2, 9))
+        q = int(rng.integers(n + 1, 2 * n + 3))
+        M = rng.standard_normal((max(n // 2, 1), n)) if seed == 7 else np.zeros((1, n))
+        A = rng.standard_normal((q, n))
+        b = rng.uniform(0.1, 1, q)
+        f = rng.standard_normal(n)
+        yield QpProblem(M.T @ M, f, A, b), PrimalDualPoint.zeros(n, q)
 
 
 def kkt_matrix(p, gamma, mu):

@@ -26,7 +26,7 @@ from fbrs.oracle import (
 )
 from fbrs.qpfile import parse_qp, serialize_qp
 
-from conftest import lu_step, tail_pairs
+from conftest import lu_step, pool, tail_pairs
 
 # traces accumulated by the suites; the monotone-descent criterion replays them
 _TRACES: list[tuple[float, list]] = []
@@ -125,25 +125,19 @@ def test_design_ablation(monkeypatch):
         "eps=1e-300": (SolverConfig.delta0, lambda self, q: 1e-300),
         "both": (0.0, lambda self, q: 1e-300),
     }
-    pools = {}
-    for n, q, count in ((20, 40, 30), (100, 200, 5)):
-        pools[n, q] = []
-        for i in range(count):
-            rng = np.random.default_rng([1, i])
-            p = random_strictly_convex_qp(n, q, rng)
-            pools[n, q].append((p, random_infeasible_start(p, rng)))
+    pools = {(n, q): list(pool(n, q, count)) for n, q, count in ((20, 40, 30), (100, 200, 5))}
     cfg = SolverConfig(tol=1e-8, max_iters=100)
     rows = {}
     for name, (delta0, effective_eps) in settings.items():
         monkeypatch.setattr(SolverConfig, "delta0", delta0)
         monkeypatch.setattr(SolverConfig, "effective_eps", effective_eps)
-        for size, pool in pools.items():
-            results = [fbrs_solve(p, x0, cfg) for p, x0 in pool]
+        for size, instances in pools.items():
+            results = [fbrs_solve(p, x0, cfg) for p, x0 in instances]
             solved = sum(r.status == Status.SOLVED for r in results)
-            rows[name, size] = (solved, len(pool), np.mean([r.iterations for r in results]))
+            rows[name, size] = (solved, len(instances), np.mean([r.iterations for r in results]))
     # the paper's claims only: as shipped, both pools are solved, and
     # without regularization the (20, 40) pool loses Solved instances
-    shipped_solves = all(rows["shipped", size][0] == len(pool) for size, pool in pools.items())
+    shipped_solves = all(rows["shipped", size][0] == len(instances) for size, instances in pools.items())
     ok = shipped_solves and rows["delta0=0", (20, 40)][0] < len(pools[20, 40])
     table = "; ".join(
         f"{name} " + ", ".join(f"{s}/{c} in {m:.1f}" for s, c, m in (rows[name, size] for size in pools))

@@ -14,7 +14,7 @@ from fbrs.cli import TRACE_HEADER, build_parser, main
 from fbrs.mpc import run_sequence
 from fbrs.newton import SolverConfig, fbrs_solve
 from fbrs.oracle import random_strictly_convex_qp
-from fbrs.problem import PrimalDualPoint, QpProblem
+from fbrs.problem import PrimalDualPoint, QpProblem, validate_problem
 from fbrs.qpfile import parse_qp, serialize_qp
 
 TOY = """\
@@ -350,10 +350,21 @@ def test_settings_surface():
     assert mode.choices == ["cold", "warm", "shift"]
 
 
-def test_solve_defaults_are_the_solver_config_defaults():
-    # fbrs solve's --tol and --max-iters take SolverConfig's own defaults
-    args = build_parser().parse_args(["solve", "--input", "x"])
-    assert (args.tol, args.max_iters) == (SolverConfig().tol, SolverConfig().max_iters)
+def _library_default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["solve", "--input", "x"], {"tol": SolverConfig().tol, "max_iters": SolverConfig().max_iters}),
+    (["validate", "--input", "x"], {"tol": _library_default(validate_problem, "tol")}),
+    # None passes nothing: the example builder and run_sequence apply their own
+    (["mpc", "--example", "mass-spring"],
+     {"horizon": None, "tol": None, "mode": _library_default(run_sequence, "start_mode")}),
+], ids=["solve", "validate", "mpc"])
+def test_solve_defaults_are_the_solver_config_defaults(argv, defaults):
+    # each option the library also takes defaults to the library's own value
+    args = build_parser().parse_args(argv)
+    assert {name: getattr(args, name) for name in defaults} == defaults
 
 
 def test_public_names():

@@ -32,7 +32,7 @@ from fbrs.oracle import (
 )
 from fbrs.problem import _box_solve
 
-from conftest import kkt_matrix, lu_step, tail_pairs
+from conftest import kkt_matrix, lu_step, pool, survey, tail_pairs
 
 
 # --- configuration ----------------------------------------------------------
@@ -742,10 +742,8 @@ def test_spd_traffic_stays_on_the_cholesky_path(monkeypatch):
 
     monkeypatch.setattr(newton, "linesearch", counting_linesearch)
     cfg = SolverConfig(tol=1e-8, max_iters=100)
-    for i in range(20):
-        rng = np.random.default_rng([1, i])
-        p = random_strictly_convex_qp(20, 40, rng)
-        assert fbrs_solve(p, random_infeasible_start(p, rng), cfg).status == Status.SOLVED
+    for p, x0 in pool(20, 40, 20):
+        assert fbrs_solve(p, x0, cfg).status == Status.SOLVED
     run_sequence(mass_spring_chain(40), 50, "warm", SolverConfig(tol=1e-6))
     assert calls["linesearch"] > 200
     assert (events.count("cholesky-failure"), calls["rejected"], events.count("gradient")) == (0, 0, 0)
@@ -930,19 +928,6 @@ def test_an_unread_solve_enters_errstate_once(monkeypatch):
     assert len(entries) == 1
 
 
-def _survey_problem(seed, i):
-    # the CI bit digest's surveys from zeros: rank-n/2 PSD Hessians at seed 7
-    # and LPs (H = 0) at seed 9
-    rng = np.random.default_rng([seed, i])
-    n = int(rng.integers(2, 9))
-    q = int(rng.integers(n + 1, 2 * n + 3))
-    M = rng.standard_normal((max(n // 2, 1), n)) if seed == 7 else np.zeros((1, n))
-    A = rng.standard_normal((q, n))
-    b = rng.uniform(0.1, 1, q)
-    f = rng.standard_normal(n)
-    return QpProblem(M.T @ M, f, A, b), PrimalDualPoint.zeros(n, q)
-
-
 def test_the_certified_stop_is_the_old_stop(monkeypatch):
     # the loop stops on ||F_eps|| <= _CERTIFIED tol without forming ||F_0||;
     # it must stop on the pass where the test ||F_0|| <= tol alone would: a
@@ -956,14 +941,8 @@ def test_the_certified_stop_is_the_old_stop(monkeypatch):
         return solves[-1][1]
 
     cfg = SolverConfig(tol=1e-8, max_iters=100)
-    for n, q, count in ((20, 40, 50), (100, 200, 20)):
-        for i in range(count):
-            rng = np.random.default_rng([1, i])
-            p = random_strictly_convex_qp(n, q, rng)
-            recording_solve(p, random_infeasible_start(p, rng), cfg)
-    for seed in (7, 9):
-        for i in range(100):
-            recording_solve(*_survey_problem(seed, i), cfg)
+    for p, x0 in (*pool(20, 40, 50), *pool(100, 200, 20), *survey(7), *survey(9)):
+        recording_solve(p, x0, cfg)
     monkeypatch.setattr(mpc, "fbrs_solve", recording_solve)
     for make_spec in (mass_spring_chain, mpc.double_integrator):
         for horizon in (8, 40):
@@ -1208,10 +1187,8 @@ _PINNED_PSD = [(91, 116, 59), (63, 122, 29), (74, 139, 33), (97, 132, 38), (91, 
 def test_pinned_pool_at_n_100():
     cfg = SolverConfig(tol=1e-8, max_iters=100)
     iterations = []
-    for i in range(20):
-        rng = np.random.default_rng([1, i])
-        p = random_strictly_convex_qp(100, 200, rng)
-        result = fbrs_solve(p, random_infeasible_start(p, rng), cfg)
+    for p, x0 in pool(100, 200, 20):
+        result = fbrs_solve(p, x0, cfg)
         assert result.status == Status.SOLVED
         iterations.append(result.iterations)
     assert iterations == _PINNED_N100_ITERATIONS

@@ -32,6 +32,8 @@ from fbrs.oracle import random_infeasible_start, random_strictly_convex_qp, solv
 from fbrs.problem import _PRUNE_MIN_N, _box_solve, _dense_solve, _gather, _pruned_solve, _scatter, _syrk
 from fbrs.qpfile import serialize_qp
 
+from conftest import pool
+
 
 def lagrangian_gradient(p, x):
     # Hz + f + A'v, the stationarity block of the residual
@@ -360,16 +362,12 @@ def test_fortran_ordered_input_gives_the_c_ordered_bits():
     # QpProblem and LtiMpcSpec store C-ordered copies, so the caller's layout
     # does not reach the solve, condense or the closed loop
     cfg = SolverConfig(tol=1e-8, max_iters=100)
-    for n, q, count in ((20, 40, 6), (100, 200, 2)):
-        for i in range(count):
-            rng = np.random.default_rng([1, i])
-            p = random_strictly_convex_qp(n, q, rng)
-            x0 = random_infeasible_start(p, rng)
-            twins = [QpProblem(layout(p.H), p.f, layout(p.A), p.b) for layout in (np.ascontiguousarray, _fortran)]
-            c, f = (fbrs_solve(twin, x0, cfg) for twin in twins)
-            assert (c.status, c.iterations) == (f.status, f.iterations)
-            assert _same_bits(c.x.z, f.x.z) and _same_bits(c.x.v, f.x.v)
-            assert all(twin.H.flags.c_contiguous and twin.A.flags.c_contiguous for twin in twins)
+    for p, x0 in (*pool(20, 40, 6), *pool(100, 200, 2)):
+        twins = [QpProblem(layout(p.H), p.f, layout(p.A), p.b) for layout in (np.ascontiguousarray, _fortran)]
+        c, f = (fbrs_solve(twin, x0, cfg) for twin in twins)
+        assert (c.status, c.iterations) == (f.status, f.iterations)
+        assert _same_bits(c.x.z, f.x.z) and _same_bits(c.x.v, f.x.v)
+        assert all(twin.H.flags.c_contiguous and twin.A.flags.c_contiguous for twin in twins)
     spec = dataclasses.replace(mass_spring_chain(8), x_lo=np.full(6, -5.0), x_hi=np.full(6, 5.0))
     twin = LtiMpcSpec(**{field.name: _fortran(getattr(spec, field.name)) for field in dataclasses.fields(spec)})
     assert all(getattr(twin, name).flags.c_contiguous for name in ("Ad", "Bd", "Q", "R"))
