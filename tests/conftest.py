@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fbrs import PrimalDualPoint, QpProblem
+from fbrs import PrimalDualPoint, QpProblem, newton
 from fbrs.fb import _phi
 from fbrs.oracle import random_infeasible_start, random_strictly_convex_qp
 
@@ -77,3 +77,9 @@ def phi_eps(a, b, eps):
     a, b = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     out = _phi(a, b, eps, np.hypot(np.hypot(a, b), eps))
     return float(out[0]) if scalar else out
+
+
+def in_f0_band(rec, tol):
+    """Whether the loop forms the ||F_0|| of this record's pass: ||F_eps||
+    above the certificate's _CERTIFIED tol, and not above 2 tol."""
+    return newton._CERTIFIED * tol < rec.norm_Feps <= 2.0 * tol

@@ -32,7 +32,7 @@ from fbrs.oracle import (
 )
 from fbrs.problem import _box_solve
 
-from conftest import kkt_matrix, lu_step, pool, survey, tail_pairs
+from conftest import in_f0_band, kkt_matrix, lu_step, tail_pairs
 
 
 # --- configuration ----------------------------------------------------------
@@ -726,29 +726,6 @@ def test_cholesky_failure_takes_a_gradient_step_and_reaches_solution(monkeypatch
         assert objective(p, result.x.z) == pytest.approx(objective(p, star.z), abs=1e-10)
 
 
-def test_spd_traffic_stays_on_the_cholesky_path(monkeypatch):
-    # strictly convex QPs from infeasible starts and a warm closed loop take
-    # every first Cholesky step: no failed factorization, no rejected
-    # linesearch and no gradient step; the gradient step would otherwise hide
-    # a broken Cholesky step behind correct answers
-    calls = {"rejected": 0, "linesearch": 0}
-    events = _record_cholesky_failures_and_gradient_steps(monkeypatch)
-
-    def counting_linesearch(*args):
-        calls["linesearch"] += 1
-        step = linesearch(*args)
-        calls["rejected"] += step is None
-        return step
-
-    monkeypatch.setattr(newton, "linesearch", counting_linesearch)
-    cfg = SolverConfig(tol=1e-8, max_iters=100)
-    for p, x0 in pool(20, 40, 20):
-        assert fbrs_solve(p, x0, cfg).status == Status.SOLVED
-    run_sequence(mass_spring_chain(40), 50, "warm", SolverConfig(tol=1e-6))
-    assert calls["linesearch"] > 200
-    assert (events.count("cholesky-failure"), calls["rejected"], events.count("gradient")) == (0, 0, 0)
-
-
 def test_singular_newton_system_ends_with_linesearch_failure():
     # H = 0 and A = 0 violate A3 (the problem is unbounded): the Schur
     # complement is zero, so the Cholesky step fails, and the merit-gradient
@@ -847,12 +824,6 @@ def test_record_norms_are_the_eager_formula_at_every_pass(monkeypatch):
             assert rec.norm_Fnr == np.linalg.norm(np.concatenate([F[:p.n], np.minimum(y, v)]))
 
 
-def _in_f0_band(rec, tol):
-    # the passes whose ||F_0|| the loop forms: ||F_eps|| above the
-    # certificate's _CERTIFIED tol, and not above 2 tol
-    return newton._CERTIFIED * tol < rec.norm_Feps <= 2.0 * tol
-
-
 def test_unread_trace_forms_the_f0_tail_only_near_tol(monkeypatch):
     # ||F_eps|| <= _CERTIFIED tol certifies the stop and ||F_0|| >= ||F_eps||
     # - tol / 2, so the loop forms the ||F_0|| tail only on passes with
@@ -874,8 +845,8 @@ def test_unread_trace_forms_the_f0_tail_only_near_tol(monkeypatch):
         calls.clear()
         result = fbrs_solve(p, random_infeasible_start(p, rng), cfg)
         statuses.add(result.status)
-        certified += not _in_f0_band(result.trace[-1], cfg.tol) and result.status == Status.SOLVED
-        band = [rec.k for rec in result.trace if _in_f0_band(rec, cfg.tol)]
+        certified += not in_f0_band(result.trace[-1], cfg.tol) and result.status == Status.SOLVED
+        band = [rec.k for rec in result.trace if in_f0_band(rec, cfg.tol)]
         assert len(calls) == len(band) < len(result.trace)
         for rec in result.trace + result.trace:
             rec.norm_F0
@@ -915,7 +886,7 @@ def test_an_unread_solve_enters_errstate_once(monkeypatch):
     formed = []
     for result in (cold, warm):
         last = result.trace[-1]
-        formed.append(_in_f0_band(last, cfg.tol))
+        formed.append(in_f0_band(last, cfg.tol))
         entries.clear()
         assert (result.final_norm_F0, result.final_norm_Fnr) == (last.norm_F0, last.norm_Fnr)
         assert len(entries) == 2 - formed[-1]
@@ -926,40 +897,6 @@ def test_an_unread_solve_enters_errstate_once(monkeypatch):
     assert False in formed
     cold.trace[0].norm_F0
     assert len(entries) == 1
-
-
-def test_the_certified_stop_is_the_old_stop(monkeypatch):
-    # the loop stops on ||F_eps|| <= _CERTIFIED tol without forming ||F_0||;
-    # it must stop on the pass where the test ||F_0|| <= tol alone would: a
-    # Solved result ends at the first record that reads norm_F0 <= tol, and
-    # any other result has no such record. Over the (20, 40) and (100, 200)
-    # pools, the PSD-H and LP surveys and the 12 bundled closed loops
-    solves = []
-
-    def recording_solve(p, x0, cfg):
-        solves.append((cfg.tol, fbrs_solve(p, x0, cfg)))
-        return solves[-1][1]
-
-    cfg = SolverConfig(tol=1e-8, max_iters=100)
-    for p, x0 in (*pool(20, 40, 50), *pool(100, 200, 20), *survey(7), *survey(9)):
-        recording_solve(p, x0, cfg)
-    monkeypatch.setattr(mpc, "fbrs_solve", recording_solve)
-    for make_spec in (mass_spring_chain, mpc.double_integrator):
-        for horizon in (8, 40):
-            for mode in ("cold", "warm", "shift"):
-                run_sequence(make_spec(horizon), 50, mode)
-    assert len(solves) == 70 + 200 + 600
-    exits = {"certified": 0, "tested": 0, "other": 0}
-    for tol, result in solves:
-        first = next((rec.k for rec in result.trace if rec.norm_F0 <= tol), None)
-        if result.status == Status.SOLVED:
-            assert first == result.iterations
-            assert result.final_norm_F0 <= tol
-            exits["tested" if _in_f0_band(result.trace[-1], tol) else "certified"] += 1
-        else:
-            assert first is None
-            exits["other"] += 1
-    assert min(exits.values()) > 0
 
 
 def test_warmstart_at_solution_takes_zero_iterations(qp_1d):
@@ -1177,21 +1114,11 @@ def test_psd_recovery_traffic_solves_or_meets_an_unbounded_problem(seed, lp, cou
 
 
 # statuses and iteration counts recorded with the Schur matrix built over
-# every row; leaving the rows below rounding out of it must not move them, at
-# n = 100 and in PSD-H QPs of n in [48, 100), on both sides of the size rule
-_PINNED_N100_ITERATIONS = [14, 13, 14, 14, 13, 12, 14, 12, 13, 12, 14, 13, 13, 12, 14, 12, 13, 13, 14, 13]
+# every row; leaving the rows below rounding out of it must not move them in
+# PSD-H QPs of n in [48, 100), on both sides of the size rule, as the
+# (100, 200) pool's paths in test_paths.json must not move
 _PINNED_PSD = [(91, 116, 59), (63, 122, 29), (74, 139, 33), (97, 132, 38), (91, 140, 32),
                (87, 161, 31), (58, 112, 25), (82, 93, 53), (74, 87, 42), (97, 148, 43)]
-
-
-def test_pinned_pool_at_n_100():
-    cfg = SolverConfig(tol=1e-8, max_iters=100)
-    iterations = []
-    for p, x0 in pool(100, 200, 20):
-        result = fbrs_solve(p, x0, cfg)
-        assert result.status == Status.SOLVED
-        iterations.append(result.iterations)
-    assert iterations == _PINNED_N100_ITERATIONS
 
 
 def test_pinned_pool_of_psd_hessians():
