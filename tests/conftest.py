@@ -1,8 +1,13 @@
+import dataclasses
+import functools
+from typing import NamedTuple
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fbrs import PrimalDualPoint, QpProblem, newton
+from fbrs import PrimalDualPoint, QpProblem, SolverConfig, mpc, newton
 from fbrs.fb import _phi
 from fbrs.oracle import random_infeasible_start, random_strictly_convex_qp
 
@@ -48,6 +53,19 @@ def survey(seed):
         yield QpProblem(M.T @ M, f, A, b), PrimalDualPoint.zeros(n, q)
 
 
+def psd_pool():
+    """The 10 fixed QPs with rank-n/2 PSD Hessians, n in [48, 100), from zeros,
+    each from default_rng([2, i]): rejected Newton steps are common here, on
+    both sides of problem._PRUNE_MIN_N."""
+    for i in range(10):
+        rng = np.random.default_rng([2, i])
+        n = int(rng.integers(48, 100))
+        q = int(rng.integers(n + 1, 2 * n + 3))
+        M = rng.standard_normal((n // 2, n))
+        p = QpProblem(M.T @ M, rng.standard_normal(n), rng.standard_normal((q, n)), rng.uniform(0.1, 1, q))
+        yield p, PrimalDualPoint.zeros(n, q)
+
+
 def kkt_matrix(p, gamma, mu):
     """The dense (n+q) x (n+q) iteration matrix [H A'; -CA D]."""
     n = p.n
@@ -83,3 +101,78 @@ def in_f0_band(rec, tol):
     """Whether the loop forms the ||F_0|| of this record's pass: ||F_eps||
     above the certificate's _CERTIFIED tol, and not above 2 tol."""
     return newton._CERTIFIED * tol < rec.norm_Feps <= 2.0 * tol
+
+
+# --- the fixed solve set ------------------------------------------------------
+# Declared once: the (20, 40), (100, 200) and (300, 600) pools, the PSD-Hessian
+# (seed 7) and LP (seed 9) surveys and psd_pool at CFG, and the 18 closed loops
+# of LOOPS, 50 steps each at run_sequence's default tol. test_paths.py pins
+# their paths and hashes their bits in KEYS order; psd_pool comes last, so the
+# first digest line keeps its solves.
+
+CFG = SolverConfig(tol=1e-8, max_iters=100)
+POOLS = {"pool-20-40": (20, 40, 50), "pool-100-200": (100, 200, 20), "pool-300-600": (300, 600, 3)}
+SURVEYS = {"survey-psd-solved": 7, "survey-lp-solved": 9}
+MODES = ("cold", "warm", "shift")
+
+
+def _loop_specs() -> dict:
+    x_hi = np.full(6, 3.0)
+    specs = {
+        "mass-spring-40": mpc.mass_spring_chain(40),
+        "double-integrator-8": mpc.double_integrator(8),
+        "mass-spring-8": mpc.mass_spring_chain(8),
+        "double-integrator-40": mpc.double_integrator(40),
+    }
+    for N in (8, 40):
+        specs[f"mass-spring-{N}-box"] = dataclasses.replace(mpc.mass_spring_chain(N), x_lo=-x_hi, x_hi=x_hi)
+    return specs
+
+
+LOOPS = [f"loop {name} {mode}" for name in _loop_specs() for mode in MODES]
+PSD_POOL = "pool-psd-48-100"
+KEYS = [*POOLS, *SURVEYS, *LOOPS, PSD_POOL]
+
+
+def instances(key):
+    """The (problem, start) pairs of a fixed key that is not a loop."""
+    if key == PSD_POOL:
+        return psd_pool()
+    return pool(*POOLS[key]) if key in POOLS else survey(SURVEYS[key])
+
+
+class Run(NamedTuple):
+    """One key's solves, each (tol, result, merit-gradient steps), and a
+    closed loop's Trajectory and SequenceStats."""
+
+    solves: list
+    trajectory: mpc.Trajectory | None = None
+    stats: mpc.SequenceStats | None = None
+
+
+def _solve(p, x0, cfg) -> tuple:
+    with mock.patch.object(newton, "_merit_gradient", side_effect=newton._merit_gradient) as gradient:
+        result = newton.fbrs_solve(p, x0, cfg)
+    return cfg.tol, result, gradient.call_count
+
+
+def fixed_run(key: str) -> Run:
+    """The Run of one fixed key."""
+    if key not in LOOPS:
+        return Run([_solve(p, x0, CFG) for p, x0 in instances(key)])
+    _, name, mode = key.split()
+    solves = []
+
+    def capture(p, x0, cfg):
+        solves.append(_solve(p, x0, cfg))
+        return solves[-1][1]
+
+    with mock.patch.object(mpc, "fbrs_solve", capture):
+        return Run(solves, *mpc.run_sequence(_loop_specs()[name], 50, mode))
+
+
+@pytest.fixture(scope="session")
+def runs():
+    """fixed_run, cached: each key is solved the first time a test asks for
+    it. Ask before patching anything that a solve calls."""
+    return functools.cache(fixed_run)

@@ -1,14 +1,15 @@
 """Acceptance gate: each test pins one release criterion at its stated
-tolerance and prints a pass/fail line. Run with `pytest tests/test_acceptance.py -s`
-to see the lines directly."""
+tolerance, runs alone or in any order, and prints a pass/fail line. Run with
+`pytest tests/test_acceptance.py -rP` to see the lines."""
 
+import functools
 import math
 import time
 
 import numpy as np
 import pytest
 
-from fbrs import PrimalDualPoint, QpProblem
+from fbrs import PrimalDualPoint
 from fbrs.cli import TRACE_HEADER, main
 from fbrs.fb import _coefficients, _evaluate
 from fbrs.mpc import double_integrator, run_sequence
@@ -26,10 +27,7 @@ from fbrs.oracle import (
 )
 from fbrs.qpfile import parse_qp, serialize_qp
 
-from conftest import lu_step, pool, tail_pairs
-
-# traces accumulated by the suites; the monotone-descent criterion replays them
-_TRACES: list[tuple[float, list]] = []
+from conftest import LOOPS, lu_step, pool, tail_pairs
 
 
 def _report(name: str, ok: bool, detail: str) -> bool:
@@ -38,46 +36,54 @@ def _report(name: str, ok: bool, detail: str) -> bool:
 
 
 @pytest.fixture(scope="module")
-def hard_suite():
-    """100 strictly convex instances (n=20, q=40) with 5 infeasible starts each."""
-    rng = np.random.default_rng(424242)
-    suite = []
-    for _ in range(100):
-        p = random_strictly_convex_qp(20, 40, rng)
-        starts = [random_infeasible_start(p, rng) for _ in range(5)]
-        suite.append((p, starts))
-    return suite
-
-
-def test_oracle_equivalence():
+def oracle_suite():
+    """The (result, enumeration optimum) of 200 small strictly convex QPs from
+    zeros at tol 1e-8, and the seconds the enumerations and solves took."""
     rng = np.random.default_rng(1001)
     cfg = SolverConfig(tol=1e-8)
-    matches = 0
+    solves = []
     tic = time.perf_counter()
     for _ in range(200):
         n, q = int(rng.integers(1, 5)), int(rng.integers(1, 9))
         p = random_strictly_convex_qp(n, q, rng)
         star = solve_by_enumeration(p)
-        result = fbrs_solve(p, PrimalDualPoint.zeros(n, q), cfg)
-        _TRACES.append((cfg.sigma, result.trace))
+        solves.append((fbrs_solve(p, PrimalDualPoint.zeros(n, q), cfg), star))
+    return solves, time.perf_counter() - tic
+
+
+def _hard_suite(tol: float) -> list:
+    rng = np.random.default_rng(424242)
+    cfg = SolverConfig(tol=tol, max_iters=100)
+    results = []
+    for _ in range(100):
+        p = random_strictly_convex_qp(20, 40, rng)
+        starts = [random_infeasible_start(p, rng) for _ in range(5)]
+        results += [fbrs_solve(p, x0, cfg) for x0 in starts]
+    return results
+
+
+@pytest.fixture(scope="module")
+def hard_suite():
+    """The results of 100 strictly convex QPs (n=20, q=40) from 5 infeasible
+    starts each at max_iters 100, solved at each tol the first time it is read."""
+    return functools.cache(_hard_suite)
+
+
+def test_oracle_equivalence(oracle_suite):
+    solves, elapsed = oracle_suite
+    matches = 0
+    for result, star in solves:
         ok_z = np.linalg.norm(result.x.z - star.z) <= 1e-6 * (1 + np.linalg.norm(star.z))
         ok_v = np.linalg.norm(result.x.v - star.v) <= 1e-6 * (1 + np.linalg.norm(star.v))
         matches += result.status == Status.SOLVED and ok_z and ok_v
-    elapsed = time.perf_counter() - tic
     ok = matches == 200 and elapsed < 10.0
     assert _report("oracle-equivalence", ok, f"{matches}/200 matched, {elapsed:.2f}s")
 
 
 def test_global_convergence(hard_suite):
-    cfg = SolverConfig(tol=1e-8, max_iters=100)
-    solved = 0
-    iterations = []
-    for p, starts in hard_suite:
-        for x0 in starts:
-            result = fbrs_solve(p, x0, cfg)
-            _TRACES.append((cfg.sigma, result.trace))
-            solved += result.status == Status.SOLVED and result.iterations <= 100
-            iterations.append(result.iterations)
+    results = hard_suite(1e-8)
+    solved = sum(r.status == Status.SOLVED and r.iterations <= 100 for r in results)
+    iterations = [r.iterations for r in results]
     assert _report(
         "global-convergence",
         solved == 500,
@@ -87,23 +93,19 @@ def test_global_convergence(hard_suite):
 
 
 def test_quadratic_tail_with_unit_steps(hard_suite):
-    cfg = SolverConfig(tol=1e-12, max_iters=100)
     solved = 0
     contraction_ok = True
     ratios = []
     unit_steps = tail_steps = 0
-    for p, starts in hard_suite:
-        for x0 in starts:
-            result = fbrs_solve(p, x0, cfg)
-            _TRACES.append((cfg.sigma, result.trace))
-            solved += result.status == Status.SOLVED
-            tail = tail_pairs(result.trace)
-            for a, b in tail[-2:]:
-                ratio = b.norm_Feps / a.norm_Feps
-                ratios.append(ratio)
-                contraction_ok &= ratio <= 0.1
-            unit_steps += sum(a.t == 1.0 for a, _ in tail)
-            tail_steps += len(tail)
+    for result in hard_suite(1e-12):
+        solved += result.status == Status.SOLVED
+        tail = tail_pairs(result.trace)
+        for a, b in tail[-2:]:
+            ratio = b.norm_Feps / a.norm_Feps
+            ratios.append(ratio)
+            contraction_ok &= ratio <= 0.1
+        unit_steps += sum(a.t == 1.0 for a, _ in tail)
+        tail_steps += len(tail)
     ok = solved == 500 and contraction_ok and unit_steps == tail_steps
     assert _report(
         "quadratic-tail",
@@ -242,31 +244,20 @@ def test_warmstart_dominance():
     )
 
 
-def test_monotone_descent_across_suites():
-    # a few MPC-sequence traces join the registry so every suite is covered
-    spec = double_integrator()
-    cfg = SolverConfig(tol=1e-6)
-    from fbrs.mpc import condense
-
-    state = spec.x_init
-    previous = None
-    for _ in range(15):
-        qp = condense(spec, state)
-        x0 = previous if previous is not None else PrimalDualPoint.zeros(qp.n, qp.q)
-        result = fbrs_solve(qp, x0, cfg)
-        _TRACES.append((cfg.sigma, result.trace))
-        state = spec.Ad @ state + spec.Bd @ result.x.z[: spec.nu]
-        previous = result.x
-
-    assert len(_TRACES) >= 1000
+def test_monotone_descent_across_suites(oracle_suite, hard_suite, runs):
+    # the traces of the oracle and hard suites and of the fixed set's 18
+    # closed loops, all at SolverConfig's one sigma
+    results = [r for r, _ in oracle_suite[0]] + hard_suite(1e-8) + hard_suite(1e-12)
+    results += [r for key in LOOPS for _, r, _ in runs(key).solves]
+    assert len(results) == 200 + 500 + 500 + 50 * len(LOOPS)
     steps_checked = 0
     violations = 0
-    for sigma, trace in _TRACES:
-        for a, b in zip(trace, trace[1:]):
+    for result in results:
+        for a, b in zip(result.trace, result.trace[1:]):
             theta_a = 0.5 * a.norm_Feps**2
             theta_b = 0.5 * b.norm_Feps**2
             steps_checked += 1
-            if not (theta_b < theta_a and theta_b < (1.0 - 2.0 * a.t * sigma) * theta_a):
+            if not (theta_b < theta_a and theta_b < (1.0 - 2.0 * a.t * SolverConfig.sigma) * theta_a):
                 violations += 1
     assert _report(
         "monotone-descent",
